@@ -53,6 +53,10 @@ class Library {
   /// Smallest-area inverter / NAND2 (must exist in any usable library).
   const Gate& inverter() const;
   const Gate& nand2() const;
+  /// True when both exist, i.e. inverter() and nand2() may be called.
+  bool has_base_gates() const {
+    return inverter_index_ >= 0 && nand2_index_ >= 0;
+  }
 
   /// Default load during postorder traversal: the input capacitance of the
   /// smallest 2-input NAND (Sec. 3.2.3).

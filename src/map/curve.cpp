@@ -64,19 +64,6 @@ void Curve::downsample(std::size_t max_points) {
   points_ = std::move(kept);
 }
 
-bool Curve::admissible(double arrival, double cost) const {
-  // Mirror of insert's rejection logic, for callers that want to skip
-  // building a full CurvePoint (match bookkeeping, the input_point vector)
-  // for a candidate that would be dropped anyway.
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), arrival,
-      [](const CurvePoint& q, double t) { return q.arrival < t; });
-  if (it != points_.begin() && std::prev(it)->cost <= cost) return false;
-  if (it != points_.end() && it->arrival == arrival && it->cost <= cost)
-    return false;
-  return true;
-}
-
 int Curve::best_within(double required, double load_shift) const {
   int best = -1;
   double best_cost = std::numeric_limits<double>::infinity();

@@ -8,6 +8,7 @@
 // mapping and the unknown-load recalculation (Sec. 3.2.3) can shift the
 // point's arrival by Δload × drive.
 
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -24,6 +25,13 @@ struct CurvePoint {
 
 class Curve {
  public:
+  /// One point of a non-inferior staircase to merge: arrival strictly
+  /// ascending and cost strictly descending along the staircase.
+  struct Step {
+    double arrival;
+    double cost;
+  };
+
   const std::vector<CurvePoint>& points() const { return points_; }
   bool empty() const { return points_.empty(); }
   std::size_t size() const { return points_.size(); }
@@ -33,10 +41,15 @@ class Curve {
   /// arrival ascending (hence cost strictly descending).
   void insert(CurvePoint p);
 
-  /// Would `insert` keep a point with this (arrival, cost)? Lets hot
-  /// callers skip constructing the realization bookkeeping for points the
-  /// curve would reject as inferior.
-  bool admissible(double arrival, double cost) const;
+  /// Merge a staircase into the curve in one linear pass. The result equals
+  /// inserting the steps one by one: at equal arrival the cheaper point
+  /// wins, and on an exact (arrival, cost) tie the point already in the
+  /// curve wins. `realize(j, point)` fills in the realization (match,
+  /// input_point, drive) of each kept step j only, so dropped steps cost
+  /// no allocation. `scratch` is caller-owned storage reused across merges.
+  template <class Realize>
+  void merge(const std::vector<Step>& steps, std::vector<CurvePoint>& scratch,
+             Realize&& realize);
 
   /// Drop points approximated by the previously kept point on both axes:
   /// arrival within `epsilon_t` AND cost saving below `epsilon_c`
@@ -65,5 +78,40 @@ class Curve {
  private:
   std::vector<CurvePoint> points_;
 };
+
+template <class Realize>
+void Curve::merge(const std::vector<Step>& steps,
+                  std::vector<CurvePoint>& scratch, Realize&& realize) {
+  if (steps.empty()) return;
+  // Walk both staircases in (arrival, cost) order, the curve's point first
+  // on an exact tie; a point survives iff it is strictly cheaper than the
+  // last survivor, i.e. no point before it in that order dominates it.
+  scratch.clear();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < points_.size() || j < steps.size()) {
+    const bool from_curve =
+        j == steps.size() ||
+        (i < points_.size() &&
+         (points_[i].arrival < steps[j].arrival ||
+          (points_[i].arrival == steps[j].arrival &&
+           points_[i].cost <= steps[j].cost)));
+    const double cost = from_curve ? points_[i].cost : steps[j].cost;
+    const bool keep = scratch.empty() || cost < scratch.back().cost;
+    if (from_curve) {
+      if (keep) scratch.push_back(std::move(points_[i]));
+      ++i;
+    } else {
+      if (keep) {
+        CurvePoint& p = scratch.emplace_back();
+        p.arrival = steps[j].arrival;
+        p.cost = cost;
+        realize(j, p);
+      }
+      ++j;
+    }
+  }
+  points_.swap(scratch);
+}
 
 }  // namespace minpower

@@ -51,8 +51,10 @@ MapResult map_network(const Network& subject, const Library& lib,
   // Scratch reused across matches/nodes: the inner loop runs millions of
   // times per pass, so per-match allocations dominate otherwise.
   std::vector<std::vector<InputCand>> cands;
-  std::vector<double> ts;
-  std::vector<int> chosen;
+  std::vector<std::size_t> next;      // per pin: candidates with t_i <= t
+  std::vector<Curve::Step> steps;     // the match's non-inferior envelope
+  std::vector<int> step_points;       // k chosen input points per step
+  std::vector<CurvePoint> merge_scratch;
 
   // ---- postorder: power-delay / area-delay curves --------------------------
   for (NodeId id : topo) {
@@ -89,37 +91,34 @@ MapResult map_network(const Network& subject, const Library& lib,
     Curve& out = curve[static_cast<std::size_t>(id)];
     for (std::size_t mi = 0; mi < ms.size(); ++mi) {
       const Match& m = ms[mi];
-      const std::vector<GatePin>& pins = m.gate->pins;
-      const int k = m.gate->num_inputs();
+      const std::size_t k = m.gate->pins.size();
 
       // Candidate (t, cost) list per input, sorted by t with prefix-min cost.
-      if (cands.size() < static_cast<std::size_t>(k))
-        cands.resize(static_cast<std::size_t>(k));
-      bool feasible = true;
-      for (int i = 0; i < k && feasible; ++i) {
-        const NodeId s = m.pin_binding[static_cast<std::size_t>(i)];
+      if (cands.size() < k) cands.resize(k);
+      for (std::size_t i = 0; i < k; ++i) {
+        const GatePin& pin = m.gate->pins[i];
+        const NodeId s = m.pin_binding[i];
         const Curve& in = curve[static_cast<std::size_t>(s)];
         MP_CHECK(!in.empty());
-        const double load_shift = pins[static_cast<std::size_t>(i)].cap - c_def;
+        const double load_shift = pin.cap - c_def;
         const int fo = subject.fanout_count(s);
         const bool divide = options.dag == DagHeuristic::kFanoutDivision &&
                             subject.node(s).is_internal() && fo > 1;
-        auto& list = cands[static_cast<std::size_t>(i)];
+        auto& list = cands[i];
         list.clear();
         for (std::size_t pi = 0; pi < in.size(); ++pi) {
           const CurvePoint& p = in[pi];
           InputCand c;
           // Timing recalculation (Sec. 3.2.3): the input now drives this
           // pin's capacitance instead of the default load.
-          c.t = pins[static_cast<std::size_t>(i)].intrinsic +
-                pins[static_cast<std::size_t>(i)].drive * c_def +
+          c.t = pin.intrinsic + pin.drive * c_def +
                 (p.arrival + load_shift * p.drive);
           c.cost = divide ? p.cost / fo : p.cost;
           if (options.objective == MapObjective::kPower &&
               options.accounting == PowerAccounting::kMethod1) {
             // Method 1 (Eq. 15): charge the input's output-load power here;
             // the fanout-edge term is never divided (Sec. 3.1 discussion).
-            c.cost += load_power_uw(pins[static_cast<std::size_t>(i)].cap,
+            c.cost += load_power_uw(pin.cap,
                                     activity[static_cast<std::size_t>(s)],
                                     options.vdd, options.t_cycle);
           }
@@ -136,57 +135,57 @@ MapResult map_network(const Network& subject, const Library& lib,
             list[j].cost = list[j - 1].cost;
             list[j].point = list[j - 1].point;
           }
-        if (list.empty()) feasible = false;
       }
-      if (!feasible) continue;
 
-      // Output arrival candidates: every input candidate t is a breakpoint.
-      ts.clear();
-      for (int i = 0; i < k; ++i)
-        for (const InputCand& c : cands[static_cast<std::size_t>(i)])
-          ts.push_back(c.t);
-      std::sort(ts.begin(), ts.end());
-      ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
-
-      chosen.resize(static_cast<std::size_t>(k));
-      for (double t : ts) {
-        double cost =
-            options.objective == MapObjective::kArea ? m.gate->area : 0.0;
-        if (options.objective == MapObjective::kPower &&
-            options.accounting == PowerAccounting::kMethod2) {
-          // Method 2 (Eq. 16): the node's own output power with the default
-          // (unknown) load; inherits the fanout division of its readers.
-          cost += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
-                                options.vdd, options.t_cycle);
-        }
-        bool ok = true;
-        for (int i = 0; i < k && ok; ++i) {
-          const auto& list = cands[static_cast<std::size_t>(i)];
-          // Last candidate with t_i <= t (they are sorted by t, prefix-min).
-          const auto it = std::upper_bound(
-              list.begin(), list.end(), t,
-              [](double x, const InputCand& c) { return x < c.t; });
-          if (it == list.begin()) {
-            ok = false;
-            break;
+      double base =
+          options.objective == MapObjective::kArea ? m.gate->area : 0.0;
+      if (options.objective == MapObjective::kPower &&
+          options.accounting == PowerAccounting::kMethod2) {
+        // Method 2 (Eq. 16): the node's own output power with the default
+        // (unknown) load; inherits the fanout division of its readers.
+        base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
+                              options.vdd, options.t_cycle);
+      }
+      // Monotone sweep over the distinct breakpoints t (all candidates' t,
+      // ascending): next[i] counts pin i's candidates with t_i <= t, so
+      // cands[i][next[i] - 1] is pin i's cheapest way to meet t. The summed
+      // cost can only fall as t grows, so the match's non-inferior envelope
+      // is the breakpoints where it strictly drops.
+      next.assign(k, 0);
+      steps.clear();
+      step_points.clear();
+      for (;;) {
+        bool more = false;
+        double t = 0.0;
+        for (std::size_t i = 0; i < k; ++i)
+          if (next[i] < cands[i].size() && (!more || cands[i][next[i]].t < t)) {
+            t = cands[i][next[i]].t;
+            more = true;
           }
-          const InputCand& c = *(it - 1);
-          cost += c.cost;
-          chosen[static_cast<std::size_t>(i)] = c.point;
+        if (!more) break;
+        bool ok = true;
+        for (std::size_t i = 0; i < k; ++i) {
+          while (next[i] < cands[i].size() && cands[i][next[i]].t <= t)
+            ++next[i];
+          ok = ok && next[i] > 0;
         }
         if (!ok) continue;
-        // Only materialize a point the curve would keep: the realization
-        // vector allocation is the hottest allocation of the whole pass.
-        if (!out.admissible(t, cost)) continue;
-        CurvePoint p;
-        p.arrival = t;
-        p.cost = cost;
-        p.match = static_cast<int>(mi);
-        p.input_point.assign(chosen.begin(),
-                             chosen.begin() + static_cast<std::ptrdiff_t>(k));
-        p.drive = m.gate->max_drive();
-        out.insert(std::move(p));
+        // The same base and pin order at every t keep the sums bit-exact.
+        double cost = base;
+        for (std::size_t i = 0; i < k; ++i) cost += cands[i][next[i] - 1].cost;
+        if (!steps.empty() && cost >= steps.back().cost) continue;
+        steps.push_back({t, cost});
+        for (std::size_t i = 0; i < k; ++i)
+          step_points.push_back(cands[i][next[i] - 1].point);
       }
+      const double drive = m.gate->max_drive();
+      out.merge(steps, merge_scratch, [&](std::size_t j, CurvePoint& p) {
+        const auto first = step_points.begin() +
+                           static_cast<std::ptrdiff_t>(j * k);
+        p.match = static_cast<int>(mi);
+        p.input_point.assign(first, first + static_cast<std::ptrdiff_t>(k));
+        p.drive = drive;
+      });
     }
     const std::size_t before_prune = out.size();
     out.prune(options.epsilon_t, options.epsilon_c);

@@ -77,12 +77,15 @@ NodeId Network::add_or2(NodeId a, NodeId b, const std::string& name) {
 void Network::add_po(const std::string& name, NodeId driver) {
   MP_CHECK(driver >= 0 && !node(driver).is_dead());
   pos_.push_back(PrimaryOutput{name, driver});
+  ++node(driver).po_refs;
 }
 
 void Network::set_po_driver(std::size_t po_index, NodeId driver) {
   MP_CHECK(po_index < pos_.size());
   MP_CHECK(driver >= 0 && !node(driver).is_dead());
+  --node(pos_[po_index].driver).po_refs;
   pos_[po_index].driver = driver;
+  ++node(driver).po_refs;
 }
 
 NodeId Network::find(const std::string& name) const {
@@ -108,13 +111,6 @@ int Network::num_literals() const {
   int n = 0;
   for (const Node& node : nodes_)
     if (node.is_internal()) n += node.cover.num_literals();
-  return n;
-}
-
-int Network::po_refs(NodeId id) const {
-  int n = 0;
-  for (const PrimaryOutput& po : pos_)
-    if (po.driver == id) ++n;
   return n;
 }
 
@@ -145,6 +141,8 @@ void Network::replace_everywhere(NodeId from, NodeId to) {
   }
   for (PrimaryOutput& po : pos_)
     if (po.driver == from) po.driver = to;
+  node(to).po_refs += node(from).po_refs;
+  node(from).po_refs = 0;
 }
 
 void Network::remove_node(NodeId id) {
@@ -374,9 +372,14 @@ void Network::check() const {
       MP_CHECK(std::find(fi.begin(), fi.end(), id) != fi.end());
     }
   }
+  std::vector<int> refs(nodes_.size(), 0);
   for (const PrimaryOutput& po : pos_) {
     MP_CHECK(po.driver >= 0 && !node(po.driver).is_dead());
+    ++refs[static_cast<std::size_t>(po.driver)];
   }
+  for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id)
+    MP_CHECK_MSG(node(id).po_refs == refs[static_cast<std::size_t>(id)],
+                 "cached PO reference count out of step");
   (void)topo_order();  // aborts on cycles
 }
 

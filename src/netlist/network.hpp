@@ -42,6 +42,7 @@ struct Node {
   std::vector<NodeId> fanouts;  // internal nodes reading this one (with dups
                                 // collapsed; PO references tracked separately)
   Cover cover;                  // function over fanins (internal nodes only)
+  int po_refs = 0;              // POs driven by this node (kept by Network)
 
   bool is_pi() const { return kind == NodeKind::kPrimaryInput; }
   bool is_const() const {
@@ -100,8 +101,8 @@ class Network {
   int num_literals() const;
 
   /// Number of PO references to `id` (POs are fanouts too for sweeping and
-  /// load purposes but are not in Node::fanouts).
-  int po_refs(NodeId id) const;
+  /// load purposes but are not in Node::fanouts). O(1): cached on the node.
+  int po_refs(NodeId id) const { return node(id).po_refs; }
 
   /// Fanout degree including PO references.
   int fanout_count(NodeId id) const {

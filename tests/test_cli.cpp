@@ -1,0 +1,67 @@
+// The CLI must turn bad user input into exit code 1 with a message on
+// stderr, never an MP_CHECK abort (exit 134 via SIGABRT).
+
+#include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+
+namespace {
+
+struct Run {
+  int exit_code = -1;  // -1 when the process died from a signal
+  std::string output;  // stdout and stderr together
+};
+
+Run run_cli(const std::string& args) {
+  const std::string cmd = std::string(MP_CLI_PATH) + " " + args + " 2>&1";
+  Run r;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return r;
+  char buf[512];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) r.output += buf;
+  const int status = pclose(pipe);
+  if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
+  return r;
+}
+
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "mp_cli_" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+void expect_clean_failure(const std::string& args, const std::string& message) {
+  const Run r = run_cli(args);
+  EXPECT_EQ(r.exit_code, 1) << args << "\n" << r.output;
+  EXPECT_NE(r.output.find(message), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("MP_CHECK"), std::string::npos) << r.output;
+}
+
+TEST(Cli, BenchHelpIsUsageNotAbort) {
+  expect_clean_failure("bench --help", "usage: minpower bench <name>");
+}
+
+TEST(Cli, UnknownBenchmarkIsFatalNotAbort) {
+  expect_clean_failure("bench nosuch", "unknown benchmark nosuch");
+}
+
+TEST(Cli, GenlibWithoutNand2OrInverterIsFatalNotAbort) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  const std::string no_nand2 = write_temp(
+      "no_nand2.genlib",
+      "GATE inv 1.0 O=!a; PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE nor2 2.0 O=!(a+b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n");
+  const std::string no_inv = write_temp(
+      "no_inv.genlib",
+      "GATE nand2 2.0 O=!(a*b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n");
+  for (const std::string& lib : {no_nand2, no_inv})
+    expect_clean_failure("flow " + blif + " --genlib " + lib,
+                         "needs an inverter and a 2-input NAND");
+}
+
+}  // namespace

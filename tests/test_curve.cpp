@@ -186,31 +186,74 @@ TEST_P(CurveProperty, StaircaseInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CurveProperty, ::testing::Range(0, 20));
 
-// admissible() is the mapper's pre-check that skips building a CurvePoint's
-// realization bookkeeping for points insert would drop. The two must agree
-// on every input, including ties and equal-arrival replacements.
+// A one-step merge admits exactly the points insert keeps, including ties
+// and equal-arrival replacements.
 TEST_P(CurveProperty, AdmissibleAgreesWithInsert) {
   Rng rng(0xadd1e + static_cast<std::uint64_t>(GetParam()));
-  Curve c;
+  Curve inserted;
+  Curve merged;
+  std::vector<CurvePoint> scratch;
   for (int i = 0; i < 200; ++i) {
-    const double t = rng.uniform(0.0, 10.0);
-    const double cost = rng.uniform(0.0, 10.0);
-    const bool predicted = c.admissible(t, cost);
-    const std::size_t before = c.size();
-    c.insert(pt(t, cost));
-    // insert either kept the point (size change or an equal-arrival
-    // replacement) or dropped it as inferior; admissible must have said so.
-    bool kept = c.size() != before;
-    if (!kept) {
-      // Same size: either replaced an equal-arrival point (kept) or
-      // dropped. A kept point is findable by exact (arrival, cost).
-      for (std::size_t k = 0; k < c.size(); ++k)
-        if (c[k].arrival == t && c[k].cost == cost) kept = true;
+    // A coarse grid makes exact arrival and cost ties common.
+    const double t = static_cast<double>(rng.range(0, 40)) / 4.0;
+    const double cost = static_cast<double>(rng.range(0, 40)) / 4.0;
+    inserted.insert(pt(t, cost));
+    merged.merge({{t, cost}}, scratch, [](std::size_t, CurvePoint&) {});
+    ASSERT_EQ(merged.size(), inserted.size()) << "t=" << t << " cost=" << cost;
+    for (std::size_t k = 0; k < merged.size(); ++k) {
+      EXPECT_EQ(merged[k].arrival, inserted[k].arrival);
+      EXPECT_EQ(merged[k].cost, inserted[k].cost);
     }
-    EXPECT_EQ(predicted, kept) << "t=" << t << " cost=" << cost;
   }
 }
 
+// Realization tags, so a test can tell which copy of a tied point survived.
+CurvePoint tagged(double t, double c, int match, int index) {
+  CurvePoint p = pt(t, c, 0.25 * match);
+  p.match = match;
+  p.input_point = {match, index};
+  return p;
+}
+
+// Property: merging a random staircase gives the same curve, point by point
+// and realization by realization, as inserting its steps one at a time.
+TEST_P(CurveProperty, MergeMatchesSequentialInsert) {
+  Rng rng(0x3e46e + static_cast<std::uint64_t>(GetParam()));
+  Curve curve;
+  std::vector<CurvePoint> scratch;
+  for (int match = 0; match < 30; ++match) {
+    // Steps on a coarse grid: arrival strictly up, cost strictly down, and
+    // many exact ties with points already on the curve.
+    std::vector<Curve::Step> steps;
+    const int n = static_cast<int>(rng.range(0, 8));
+    double t = static_cast<double>(rng.range(0, 6));
+    double c = static_cast<double>(rng.range(8, 24));
+    for (int j = 0; j < n && c >= 0.0; ++j) {
+      steps.push_back({t, c});
+      t += static_cast<double>(rng.range(1, 4));
+      c -= static_cast<double>(rng.range(1, 4));
+    }
+    Curve expected = curve;
+    for (std::size_t j = 0; j < steps.size(); ++j)
+      expected.insert(tagged(steps[j].arrival, steps[j].cost, match,
+                             static_cast<int>(j)));
+    curve.merge(steps, scratch, [&](std::size_t j, CurvePoint& p) {
+      const CurvePoint want = tagged(p.arrival, p.cost, match,
+                                     static_cast<int>(j));
+      p.match = want.match;
+      p.input_point = want.input_point;
+      p.drive = want.drive;
+    });
+    ASSERT_EQ(curve.size(), expected.size()) << "match " << match;
+    for (std::size_t k = 0; k < curve.size(); ++k) {
+      EXPECT_EQ(curve[k].arrival, expected[k].arrival);
+      EXPECT_EQ(curve[k].cost, expected[k].cost);
+      EXPECT_EQ(curve[k].match, expected[k].match);
+      EXPECT_EQ(curve[k].input_point, expected[k].input_point);
+      EXPECT_EQ(curve[k].drive, expected[k].drive);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace minpower

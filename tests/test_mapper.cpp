@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "decomp/network_decompose.hpp"
+#include "flow/flow.hpp"
 #include "helpers.hpp"
 #include "map/mapper.hpp"
 #include "power/report.hpp"
@@ -210,6 +211,84 @@ TEST(Mapper, MatchesAndCurvesAccumulate) {
   const MapResult r = map_network(net, standard_library(), o);
   EXPECT_GT(r.total_matches, net.num_internal());
   EXPECT_GT(r.total_curve_points, 0u);
+}
+
+
+// Mapper output pinned on seeded subjects. The values were recorded from
+// the breakpoint-by-breakpoint curve DP (one upper_bound per pin and one
+// insert per point); the monotone sweep with one envelope merge per match
+// must reproduce every bit of them, ties included.
+struct PinnedMapping {
+  std::uint64_t seed;
+  int variant;  // 0-5: Methods I-VI; 6-9: Method IV with one option changed
+  std::size_t curve_points;
+  std::size_t matches;
+  double area;
+  double delay;
+  double power_uw;
+};
+
+constexpr PinnedMapping kPinnedMappings[] = {
+    {3, 0, 2079, 831, 203, 29.968000000000004, 221.90988159179688},
+    {3, 1, 1661, 1132, 192, 32.662000000000006, 207.44161987304688},
+    {3, 2, 1683, 912, 202, 29.873000000000005, 221.26083374023438},
+    {3, 3, 2811, 831, 220, 30.495000000000005, 215.73383331298828},
+    {3, 4, 3702, 1132, 216, 33.757000000000005, 197.79339599609375},
+    {3, 5, 2928, 912, 223, 33.546000000000006, 210.27458190917969},
+    {3, 6, 2519, 831, 220, 30.495000000000005, 215.73383331298828},
+    {3, 7, 2982, 831, 220, 30.495000000000005, 215.73383331298828},
+    {3, 8, 2439, 831, 228, 30.497, 234.14523315429688},
+    {3, 9, 2312, 831, 220, 30.495000000000005, 215.73383331298828},
+    {17, 0, 2539, 919, 261, 54.533000000000001, 249.98648071289062},
+    {17, 1, 1314, 1110, 260, 54.708999999999982, 249.10525512695312},
+    {17, 2, 2405, 1000, 262, 54.772999999999989, 249.7991943359375},
+    {17, 3, 6284, 919, 278, 55.531999999999989, 239.09521484375},
+    {17, 4, 10610, 1110, 279, 57.650999999999982, 239.63629150390625},
+    {17, 5, 5576, 1000, 281, 55.887999999999998, 237.97793579101562},
+    {17, 6, 6103, 919, 278, 55.531999999999989, 239.09521484375},
+    {17, 7, 16874, 919, 278, 55.531999999999989, 239.09521484375},
+    {17, 8, 7034, 919, 274, 56.04399999999999, 240.3548583984375},
+    {17, 9, 5518, 919, 278, 55.531999999999989, 239.09521484375},
+    {42, 0, 1888, 735, 252, 43.350000000000001, 269.25569534301758},
+    {42, 1, 2620, 819, 250, 43.984000000000009, 267.0228271484375},
+    {42, 2, 2184, 806, 249, 44.041000000000004, 266.658935546875},
+    {42, 3, 3638, 735, 261, 43.860000000000007, 258.55160140991211},
+    {42, 4, 3492, 819, 267, 43.462000000000003, 253.38687705993652},
+    {42, 5, 4039, 806, 269, 44.660000000000011, 258.49903678894043},
+    {42, 6, 4676, 735, 261, 43.860000000000007, 258.55160140991211},
+    {42, 7, 6309, 735, 261, 43.860000000000007, 258.55160140991211},
+    {42, 8, 1382, 735, 263, 43.551000000000002, 262.78134155273438},
+    {42, 9, 2745, 735, 261, 43.620000000000005, 260.57384872436523},
+};
+
+TEST(Mapper, OutputMatchesPinnedValues) {
+  for (const PinnedMapping& want : kPinnedMappings) {
+    Network net = testing::random_network(want.seed, 12, 60, 5);
+    prepare_network(net);
+    const Method method =
+        static_cast<Method>(want.variant < 6 ? want.variant : 3);
+    const FlowOptions fo;
+    const Network subject =
+        decompose_network(net, decomp_options_for(method, fo)).network;
+    MapOptions o = map_options_for(method, fo);
+    if (want.variant == 6) {
+      o.epsilon_t = 0.0;
+      o.epsilon_c = 0.0;
+      o.max_curve_points = 64;
+    }
+    if (want.variant == 7) o.epsilon_c = 0.0;
+    if (want.variant == 8) o.accounting = PowerAccounting::kMethod2;
+    if (want.variant == 9) o.dag = DagHeuristic::kTreePartition;
+    const MapResult r = map_network(subject, standard_library(), o);
+    const MappedReport rep = evaluate_mapped(r.mapped, PowerParams::from(o));
+    SCOPED_TRACE("seed " + std::to_string(want.seed) + " variant " +
+                 std::to_string(want.variant));
+    EXPECT_EQ(r.total_curve_points, want.curve_points);
+    EXPECT_EQ(r.total_matches, want.matches);
+    EXPECT_EQ(rep.area, want.area);
+    EXPECT_EQ(rep.delay, want.delay);
+    EXPECT_EQ(rep.power_uw, want.power_uw);
+  }
 }
 
 }  // namespace

@@ -170,5 +170,58 @@ TEST(Network, RemoveNodeRequiresNoReaders) {
   EXPECT_EQ(net.num_internal(), 1u);
 }
 
+// The PO reference count is cached on each node. Every edit that moves a PO
+// must keep it equal to a scan of the PO list, and check() recounts it.
+TEST(Network, CachedPoRefsFollowEveryEdit) {
+  Network net("porefs");
+  const NodeId a = net.add_pi("a");
+  const NodeId b = net.add_pi("b");
+  const NodeId n = net.add_nand2(a, b, "n");
+  const NodeId buf = net.add_buf(n, "buf");
+  const NodeId dead = net.add_inv(a, "dead");
+  net.add_po("o1", buf);
+  net.add_po("o2", buf);
+  net.add_po("o3", a);
+  const auto expect_counts_match_scan = [&net] {
+    net.check();
+    for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
+      int scanned = 0;
+      for (const PrimaryOutput& po : net.pos())
+        if (po.driver == id) ++scanned;
+      EXPECT_EQ(net.po_refs(id), scanned) << net.node(id).name;
+      EXPECT_EQ(net.fanout_count(id),
+                static_cast<int>(net.node(id).fanouts.size()) + scanned);
+    }
+  };
+  expect_counts_match_scan();
+  EXPECT_EQ(net.po_refs(buf), 2);
+  EXPECT_EQ(net.fanout_count(a), 3);  // n, dead and o3
+
+  net.set_po_driver(2, n);
+  expect_counts_match_scan();
+  EXPECT_EQ(net.po_refs(a), 0);
+  EXPECT_EQ(net.fanout_count(n), 2);  // buf and o3
+
+  net.remove_node(dead);
+  expect_counts_match_scan();
+
+  const NodeId m = net.add_nand2(b, a, "m");
+  net.replace_everywhere(n, m);
+  expect_counts_match_scan();
+  EXPECT_EQ(net.po_refs(n), 0);
+  EXPECT_EQ(net.po_refs(m), 1);
+
+  // Sweep drops the orphaned n and collapses buf onto m: all three POs.
+  net.sweep();
+  expect_counts_match_scan();
+  EXPECT_TRUE(net.node(n).is_dead());
+  EXPECT_TRUE(net.node(buf).is_dead());
+  EXPECT_EQ(net.po_refs(m), 3);
+  EXPECT_EQ(net.fanout_count(m), 3);
+
+  net.node(m).po_refs = 2;  // out of step with the PO list
+  EXPECT_DEATH(net.check(), "cached PO reference count");
+}
+
 }  // namespace
 }  // namespace minpower

@@ -291,7 +291,10 @@ Library load_library(const Args& a) {
   if (!in.good()) fatal("cannot open genlib file " + *a.genlib);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  return Library::parse_genlib(text, *a.genlib);
+  Library lib = Library::parse_genlib(text, *a.genlib);
+  if (!lib.has_base_gates())
+    fatal("genlib " + *a.genlib + " needs an inverter and a 2-input NAND");
+  return lib;
 }
 
 /// Read one BLIF input; malformed or missing files are fatal (exit 1), with
@@ -657,9 +660,19 @@ int cmd_verify(const Args& a) {
 }
 
 int cmd_bench(const Args& a) {
-  if (a.positional.empty()) fatal("bench needs a circuit name");
-  const Network net = make_benchmark(a.positional.at(0));
-  emit_blif(net, a.out);
+  const std::string name = a.positional.empty() ? "--help" : a.positional[0];
+  std::string names;
+  bool known = false;
+  for (const BenchProfile& p : paper_suite()) {
+    names += " " + p.name;
+    known = known || p.name == name;
+  }
+  if (!known)
+    fatal((name == "--help" ? std::string("usage: minpower bench <name> "
+                                          "[-o out.blif]")
+                            : "unknown benchmark " + name) +
+          "; names:" + names);
+  emit_blif(make_benchmark(name), a.out);
   return 0;
 }
 
