@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <stdexcept>
 
 #include "util/check.hpp"
 
@@ -120,11 +121,14 @@ class Parser {
   std::unique_ptr<Expr> parse() {
     auto e = parse_or();
     skip_ws();
-    MP_CHECK_MSG(pos_ == s_.size(), "trailing characters in expression");
+    if (pos_ != s_.size()) fail("trailing characters in expression");
     return e;
   }
 
  private:
+  [[noreturn]] static void fail(const char* message) {
+    throw std::invalid_argument(message);
+  }
   void skip_ws() {
     while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
       ++pos_;
@@ -172,13 +176,13 @@ class Parser {
 
   std::unique_ptr<Expr> parse_factor() {
     skip_ws();
-    MP_CHECK_MSG(pos_ < s_.size(), "unexpected end of expression");
+    if (pos_ >= s_.size()) fail("unexpected end of expression");
     std::unique_ptr<Expr> e;
     if (accept('!')) {
       e = Expr::make_not(parse_factor());
     } else if (accept('(')) {
       e = parse_or();
-      MP_CHECK_MSG(accept(')'), "missing ')' in expression");
+      if (!accept(')')) fail("missing ')' in expression");
     } else {
       std::string name;
       while (pos_ < s_.size() &&
@@ -186,7 +190,7 @@ class Parser {
               s_[pos_] == '_' || s_[pos_] == '[' || s_[pos_] == ']')) {
         name += s_[pos_++];
       }
-      MP_CHECK_MSG(!name.empty(), "expected identifier in expression");
+      if (name.empty()) fail("expected identifier in expression");
       if (name == "CONST0") {
         e = std::make_unique<Expr>();
         e->kind = Expr::Kind::kConst0;

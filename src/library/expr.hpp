@@ -38,7 +38,7 @@ struct Expr {
   std::string to_string() const;
 };
 
-/// Parse a genlib expression. Aborts with a diagnostic on syntax errors.
+/// Parse a genlib expression. Throws std::invalid_argument on syntax errors.
 std::unique_ptr<Expr> parse_expr(const std::string& text);
 
 /// SOP of the expression with variable i = pin_names[i].

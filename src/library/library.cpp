@@ -57,20 +57,22 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
     }
   }
 
+  const auto fail = [&lib](const std::string& message) {
+    throw GenlibError("genlib " + lib.name_ + ": " + message);
+  };
   std::size_t pos = 0;
   auto next = [&]() -> const std::string& {
-    MP_CHECK_MSG(pos < tokens.size(), "genlib: unexpected end of file");
+    if (pos >= tokens.size()) fail("unexpected end of file");
     return tokens[pos++];
   };
 
   while (pos < tokens.size()) {
-    MP_CHECK_MSG(tokens[pos] == "GATE",
-                 ("genlib: expected GATE, got " + tokens[pos]).c_str());
+    if (tokens[pos] != "GATE") fail("expected GATE, got " + tokens[pos]);
     ++pos;
     Gate g;
     g.name = next();
     const auto area = parse_double(next());
-    MP_CHECK_MSG(area.has_value(), "genlib: bad gate area");
+    if (!area) fail("bad area for gate " + g.name);
     g.area = *area;
     // Function: tokens up to and including the one ending with ';'.
     std::string fn;
@@ -81,9 +83,14 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
       if (!t.empty() && t.back() == ';') break;
     }
     const auto eq = fn.find('=');
-    MP_CHECK_MSG(eq != std::string::npos, "genlib: gate function needs '='");
+    if (eq == std::string::npos)
+      fail("function of gate " + g.name + " needs '='");
     g.output = std::string(trim(fn.substr(0, eq)));
-    g.function = parse_expr(fn.substr(eq + 1, fn.rfind(';') - eq - 1));
+    try {
+      g.function = parse_expr(fn.substr(eq + 1, fn.rfind(';') - eq - 1));
+    } catch (const std::invalid_argument& e) {
+      fail("bad function of gate " + g.name + ": " + e.what());
+    }
 
     // PIN entries.
     std::vector<GatePin> pins;
@@ -100,7 +107,8 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
       const auto rf = parse_double(next());
       const auto fb = parse_double(next());
       const auto ff = parse_double(next());
-      MP_CHECK_MSG(cap && rb && rf && fb && ff, "genlib: bad PIN numbers");
+      if (!(cap && rb && rf && fb && ff))
+        fail("bad PIN numbers for pin " + p.name + " of gate " + g.name);
       p.cap = *cap;
       p.intrinsic = std::max(*rb, *fb);
       p.drive = std::max(*rf, *ff);
@@ -120,7 +128,7 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
       if (found != nullptr) {
         g.pins.push_back(*found);
       } else {
-        MP_CHECK_MSG(star, ("genlib: missing PIN for " + v).c_str());
+        if (!star) fail("missing PIN for " + v + " of gate " + g.name);
         star_pin.name = v;
         g.pins.push_back(star_pin);
       }
@@ -145,7 +153,7 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
         is_better(lib.nand2_index_))
       lib.nand2_index_ = static_cast<int>(i);
   }
-  MP_CHECK_MSG(!lib.gates_.empty(), "genlib: empty library");
+  if (lib.gates_.empty()) fail("empty library");
   return lib;
 }
 

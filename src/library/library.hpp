@@ -7,6 +7,7 @@
 // formula of Eq. 1.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,11 @@ namespace minpower {
 /// One capacitance unit in Farads (10 fF): keeps mapped power in the µW
 /// range the paper reports at Vdd = 5 V, 20 MHz.
 inline constexpr double kUnitCapFarads = 1e-14;
+
+/// Malformed genlib text; the message says what is wrong.
+struct GenlibError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 struct GatePin {
   std::string name;
@@ -62,6 +68,8 @@ class Library {
   /// smallest 2-input NAND (Sec. 3.2.3).
   double default_load() const;
 
+  /// Throws GenlibError on malformed text (missing tokens or '=', bad
+  /// numbers, a function variable without a PIN, an empty library).
   static Library parse_genlib(const std::string& text,
                               std::string name = "genlib");
 

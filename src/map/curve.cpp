@@ -23,15 +23,16 @@ void Curve::insert(CurvePoint p) {
   while (last_dominated != points_.end() && last_dominated->cost >= p.cost)
     ++last_dominated;
   it = points_.erase(first_dominated, last_dominated);
-  points_.insert(it, std::move(p));
+  points_.insert(it, p);
 }
 
 void Curve::prune(double epsilon_t, double epsilon_c) {
   if (points_.size() <= 2) return;
-  std::vector<CurvePoint> kept;
-  kept.push_back(points_.front());  // fastest
+  // Compact in place: points_[0, kept) are the survivors so far, the
+  // fastest point first.
+  std::size_t kept = 1;
   for (std::size_t i = 1; i + 1 < points_.size(); ++i) {
-    const CurvePoint& prev = kept.back();
+    const CurvePoint& prev = points_[kept - 1];
     const CurvePoint& cur = points_[i];
     // Drop only when the kept point approximates `cur` on BOTH axes: barely
     // slower AND barely cheaper. A point that is barely slower but much
@@ -39,29 +40,28 @@ void Curve::prune(double epsilon_t, double epsilon_c) {
     const bool barely_slower = cur.arrival - prev.arrival < epsilon_t;
     const bool barely_cheaper = prev.cost - cur.cost < epsilon_c;
     if (barely_slower && barely_cheaper) continue;
-    kept.push_back(cur);
+    points_[kept++] = cur;
   }
-  kept.push_back(points_.back());  // cheapest
-  points_ = std::move(kept);
+  points_[kept++] = points_.back();  // cheapest
+  points_.resize(kept);
 }
 
 void Curve::downsample(std::size_t max_points) {
   if (max_points < 2 || points_.size() <= max_points) return;
-  std::vector<CurvePoint> kept;
-  kept.reserve(max_points);
   // i-th kept point = round(i · (n−1) / (m−1)): index 0 (fastest) and
-  // index n−1 (cheapest) are always selected exactly.
+  // index n−1 (cheapest) are always selected exactly. Sources only move
+  // forward and never fall behind the write position, so compact in place.
   const std::size_t n = points_.size();
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < max_points; ++i) {
     const std::size_t src = (i * (n - 1) + (max_points - 1) / 2) /
                             (max_points - 1);
-    if (!kept.empty() &&
-        kept.back().arrival == points_[src].arrival &&
-        kept.back().cost == points_[src].cost)
+    if (kept > 0 && points_[kept - 1].arrival == points_[src].arrival &&
+        points_[kept - 1].cost == points_[src].cost)
       continue;
-    kept.push_back(std::move(points_[src]));
+    points_[kept++] = points_[src];
   }
-  points_ = std::move(kept);
+  points_.resize(kept);
 }
 
 int Curve::best_within(double required, double load_shift) const {

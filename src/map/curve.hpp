@@ -3,12 +3,14 @@
 // (arrival, cost) points per subject node (Sec. 3.1, Lemma 3.1).
 //
 // A point additionally records how it is realized — the match index at the
-// node, the chosen point index on each input's curve, and the drive
-// resistance of the matched gate — so the preorder pass can rebuild the
-// mapping and the unknown-load recalculation (Sec. 3.2.3) can shift the
-// point's arrival by Δload × drive.
+// node and the drive resistance of the matched gate — so the preorder pass
+// can rebuild the mapping and the unknown-load recalculation (Sec. 3.2.3)
+// can shift the point's arrival by Δload × drive. The preorder pass
+// re-derives each input's choice from the required times it propagates, so
+// a point stores no input indices and stays plain data: merging, pruning
+// and thinning a curve move 32-byte values and never allocate per point.
 
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -19,9 +21,9 @@ struct CurvePoint {
   double arrival = 0.0;  // at the node output, under the default load
   double cost = 0.0;     // accumulated power (Method 1) or area
   int match = -1;        // index into the node's match list (-1 for leaves)
-  std::vector<int> input_point;  // chosen curve point per match input pin
   double drive = 0.0;    // max drive resistance R of the matched gate
 };
+static_assert(std::is_trivially_copyable_v<CurvePoint>);
 
 class Curve {
  public:
@@ -45,8 +47,8 @@ class Curve {
   /// inserting the steps one by one: at equal arrival the cheaper point
   /// wins, and on an exact (arrival, cost) tie the point already in the
   /// curve wins. `realize(j, point)` fills in the realization (match,
-  /// input_point, drive) of each kept step j only, so dropped steps cost
-  /// no allocation. `scratch` is caller-owned storage reused across merges.
+  /// drive) of each kept step j. `scratch` is caller-owned storage reused
+  /// across merges.
   template <class Realize>
   void merge(const std::vector<Step>& steps, std::vector<CurvePoint>& scratch,
              Realize&& realize);
@@ -99,7 +101,7 @@ void Curve::merge(const std::vector<Step>& steps,
     const double cost = from_curve ? points_[i].cost : steps[j].cost;
     const bool keep = scratch.empty() || cost < scratch.back().cost;
     if (from_curve) {
-      if (keep) scratch.push_back(std::move(points_[i]));
+      if (keep) scratch.push_back(points_[i]);
       ++i;
     } else {
       if (keep) {

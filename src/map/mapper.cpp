@@ -1,8 +1,8 @@
 #include "map/mapper.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
-#include <unordered_map>
 
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -16,8 +16,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct InputCand {
   double t;      // contribution to the node's output arrival
-  double cost;   // accumulated cost if this input point is chosen
-  int point;     // index on the input's curve
+  double cost;   // cheapest accumulated cost of any input point meeting t
+};
+
+/// A memoized candidate list of one input node for one pin timing. The list
+/// depends on nothing else that varies within a pass, so equal keys mean
+/// bit-identical lists.
+struct CandListEntry {
+  double intrinsic;
+  double drive;
+  double cap;
+  std::vector<InputCand>* list;  // owned by the pass's list pool
 };
 
 }  // namespace
@@ -48,12 +57,95 @@ MapResult map_network(const Network& subject, const Library& lib,
   std::vector<Curve> curve(subject.capacity());
   std::vector<std::vector<Match>> matches(subject.capacity());
 
+  // Matches depend only on the subject, so enumerate them all first. Each
+  // node's count of pin bindings across all matches tells when its last
+  // reader is done, so its candidate lists can be recycled.
+  std::vector<int> pending_reads(subject.capacity(), 0);
+  for (NodeId id : topo) {
+    if (!subject.node(id).is_internal()) continue;
+    std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
+    ms = find_matches(subject, id, lib);
+    // Degenerate (zero-size) patterns are rejected by the matcher caller:
+    std::erase_if(ms, [](const Match& m) {
+      return m.covered.empty();
+    });
+    MP_CHECK_MSG(!ms.empty(), "no match at subject node (library too small)");
+    result.total_matches += ms.size();
+    // Per-node registry lookups are too hot for the inner loop; accumulate
+    // locally and flush once per pass (handles stay valid across reset()).
+    static metrics::Histogram& matches_per_node =
+        metrics::histogram("map.matches_per_node");
+    matches_per_node.record(ms.size());
+    for (const Match& m : ms)
+      for (NodeId s : m.pin_binding)
+        ++pending_reads[static_cast<std::size_t>(s)];
+  }
+
+  // Candidate lists, one per (input node, pin timing): the deque keeps list
+  // addresses stable, `free_lists` recycles the lists of finished inputs.
+  std::deque<std::vector<InputCand>> list_pool;
+  std::vector<std::vector<InputCand>*> free_lists;
+  std::vector<std::vector<CandListEntry>> cand_memo(subject.capacity());
+  std::size_t lists_built = 0;
+  std::size_t lists_reused = 0;
+
+  // Input `s`'s (t, cost) candidates through `pin`, sorted by t with
+  // prefix-min cost: list[j].cost is the cheapest way to meet list[j].t.
+  const auto cand_list = [&](NodeId s, const GatePin& pin)
+      -> const std::vector<InputCand>& {
+    std::vector<CandListEntry>& memo = cand_memo[static_cast<std::size_t>(s)];
+    for (const CandListEntry& e : memo)
+      if (e.intrinsic == pin.intrinsic && e.drive == pin.drive &&
+          e.cap == pin.cap) {
+        ++lists_reused;
+        return *e.list;
+      }
+    ++lists_built;
+    std::vector<InputCand>* list;
+    if (free_lists.empty()) {
+      list = &list_pool.emplace_back();
+    } else {
+      list = free_lists.back();
+      free_lists.pop_back();
+    }
+    memo.push_back({pin.intrinsic, pin.drive, pin.cap, list});
+
+    const Curve& in = curve[static_cast<std::size_t>(s)];
+    MP_CHECK(!in.empty());
+    const double load_shift = pin.cap - c_def;
+    const int fo = subject.fanout_count(s);
+    const bool divide = options.dag == DagHeuristic::kFanoutDivision &&
+                        subject.node(s).is_internal() && fo > 1;
+    std::vector<InputCand>& l = *list;
+    l.clear();
+    for (const CurvePoint& p : in.points()) {
+      InputCand c;
+      // Timing recalculation (Sec. 3.2.3): the input now drives this pin's
+      // capacitance instead of the default load.
+      c.t = pin.intrinsic + pin.drive * c_def +
+            (p.arrival + load_shift * p.drive);
+      c.cost = divide ? p.cost / fo : p.cost;
+      if (options.objective == MapObjective::kPower &&
+          options.accounting == PowerAccounting::kMethod1) {
+        // Method 1 (Eq. 15): charge the input's output-load power here; the
+        // fanout-edge term is never divided (Sec. 3.1 discussion).
+        c.cost += load_power_uw(pin.cap, activity[static_cast<std::size_t>(s)],
+                                options.vdd, options.t_cycle);
+      }
+      l.push_back(c);
+    }
+    std::sort(l.begin(), l.end(),
+              [](const InputCand& a, const InputCand& b) { return a.t < b.t; });
+    for (std::size_t j = 1; j < l.size(); ++j)
+      l[j].cost = std::min(l[j].cost, l[j - 1].cost);
+    return l;
+  };
+
   // Scratch reused across matches/nodes: the inner loop runs millions of
   // times per pass, so per-match allocations dominate otherwise.
-  std::vector<std::vector<InputCand>> cands;
+  std::vector<const std::vector<InputCand>*> cands;  // per pin
   std::vector<std::size_t> next;      // per pin: candidates with t_i <= t
   std::vector<Curve::Step> steps;     // the match's non-inferior envelope
-  std::vector<int> step_points;       // k chosen input points per step
   std::vector<CurvePoint> merge_scratch;
 
   // ---- postorder: power-delay / area-delay curves --------------------------
@@ -74,68 +166,14 @@ MapResult map_network(const Network& subject, const Library& lib,
       continue;
     }
 
-    std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
-    ms = find_matches(subject, id, lib);
-    // Degenerate (zero-size) patterns are rejected by the matcher caller:
-    std::erase_if(ms, [](const Match& m) {
-      return m.covered.empty();
-    });
-    MP_CHECK_MSG(!ms.empty(), "no match at subject node (library too small)");
-    result.total_matches += ms.size();
-    // Per-node registry lookups are too hot for the inner loop; accumulate
-    // locally and flush once per pass (handles stay valid across reset()).
-    static metrics::Histogram& matches_per_node =
-        metrics::histogram("map.matches_per_node");
-    matches_per_node.record(ms.size());
-
+    const std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
     Curve& out = curve[static_cast<std::size_t>(id)];
     for (std::size_t mi = 0; mi < ms.size(); ++mi) {
       const Match& m = ms[mi];
       const std::size_t k = m.gate->pins.size();
-
-      // Candidate (t, cost) list per input, sorted by t with prefix-min cost.
-      if (cands.size() < k) cands.resize(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        const GatePin& pin = m.gate->pins[i];
-        const NodeId s = m.pin_binding[i];
-        const Curve& in = curve[static_cast<std::size_t>(s)];
-        MP_CHECK(!in.empty());
-        const double load_shift = pin.cap - c_def;
-        const int fo = subject.fanout_count(s);
-        const bool divide = options.dag == DagHeuristic::kFanoutDivision &&
-                            subject.node(s).is_internal() && fo > 1;
-        auto& list = cands[i];
-        list.clear();
-        for (std::size_t pi = 0; pi < in.size(); ++pi) {
-          const CurvePoint& p = in[pi];
-          InputCand c;
-          // Timing recalculation (Sec. 3.2.3): the input now drives this
-          // pin's capacitance instead of the default load.
-          c.t = pin.intrinsic + pin.drive * c_def +
-                (p.arrival + load_shift * p.drive);
-          c.cost = divide ? p.cost / fo : p.cost;
-          if (options.objective == MapObjective::kPower &&
-              options.accounting == PowerAccounting::kMethod1) {
-            // Method 1 (Eq. 15): charge the input's output-load power here;
-            // the fanout-edge term is never divided (Sec. 3.1 discussion).
-            c.cost += load_power_uw(pin.cap,
-                                    activity[static_cast<std::size_t>(s)],
-                                    options.vdd, options.t_cycle);
-          }
-          c.point = static_cast<int>(pi);
-          list.push_back(c);
-        }
-        std::sort(list.begin(), list.end(),
-                  [](const InputCand& a, const InputCand& b) {
-                    return a.t < b.t;
-                  });
-        // Prefix-min on cost: list[j] becomes "cheapest with t <= list[j].t".
-        for (std::size_t j = 1; j < list.size(); ++j)
-          if (list[j - 1].cost < list[j].cost) {
-            list[j].cost = list[j - 1].cost;
-            list[j].point = list[j - 1].point;
-          }
-      }
+      cands.resize(k);
+      for (std::size_t i = 0; i < k; ++i)
+        cands[i] = &cand_list(m.pin_binding[i], m.gate->pins[i]);
 
       double base =
           options.objective == MapObjective::kArea ? m.gate->area : 0.0;
@@ -153,37 +191,34 @@ MapResult map_network(const Network& subject, const Library& lib,
       // is the breakpoints where it strictly drops.
       next.assign(k, 0);
       steps.clear();
-      step_points.clear();
       for (;;) {
         bool more = false;
         double t = 0.0;
-        for (std::size_t i = 0; i < k; ++i)
-          if (next[i] < cands[i].size() && (!more || cands[i][next[i]].t < t)) {
-            t = cands[i][next[i]].t;
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::vector<InputCand>& c = *cands[i];
+          if (next[i] < c.size() && (!more || c[next[i]].t < t)) {
+            t = c[next[i]].t;
             more = true;
           }
+        }
         if (!more) break;
         bool ok = true;
         for (std::size_t i = 0; i < k; ++i) {
-          while (next[i] < cands[i].size() && cands[i][next[i]].t <= t)
-            ++next[i];
+          const std::vector<InputCand>& c = *cands[i];
+          while (next[i] < c.size() && c[next[i]].t <= t) ++next[i];
           ok = ok && next[i] > 0;
         }
         if (!ok) continue;
         // The same base and pin order at every t keep the sums bit-exact.
         double cost = base;
-        for (std::size_t i = 0; i < k; ++i) cost += cands[i][next[i] - 1].cost;
+        for (std::size_t i = 0; i < k; ++i)
+          cost += (*cands[i])[next[i] - 1].cost;
         if (!steps.empty() && cost >= steps.back().cost) continue;
         steps.push_back({t, cost});
-        for (std::size_t i = 0; i < k; ++i)
-          step_points.push_back(cands[i][next[i] - 1].point);
       }
       const double drive = m.gate->max_drive();
-      out.merge(steps, merge_scratch, [&](std::size_t j, CurvePoint& p) {
-        const auto first = step_points.begin() +
-                           static_cast<std::ptrdiff_t>(j * k);
+      out.merge(steps, merge_scratch, [&](std::size_t, CurvePoint& p) {
         p.match = static_cast<int>(mi);
-        p.input_point.assign(first, first + static_cast<std::ptrdiff_t>(k));
         p.drive = drive;
       });
     }
@@ -194,8 +229,21 @@ MapResult map_network(const Network& subject, const Library& lib,
     result.total_curve_points += out.size();
     points_pruned += before_prune - out.size();
     if (out.size() > result.max_curve_points) result.max_curve_points = out.size();
+
+    // Recycle the candidate lists of inputs this node was the last to read.
+    for (const Match& m : ms)
+      for (NodeId s : m.pin_binding) {
+        if (--pending_reads[static_cast<std::size_t>(s)] > 0) continue;
+        std::vector<CandListEntry>& memo =
+            cand_memo[static_cast<std::size_t>(s)];
+        for (const CandListEntry& e : memo)
+          free_lists.push_back(e.list);
+        memo.clear();
+      }
   }
   metrics::counter("map.match_attempts").add(result.total_matches);
+  metrics::counter("map.cand_lists_built").add(lists_built);
+  metrics::counter("map.cand_lists_reused").add(lists_reused);
   metrics::counter("map.curve_points_kept").add(result.total_curve_points);
   metrics::counter("map.curve_points_pruned").add(points_pruned);
   metrics::gauge("map.curve_points_max").record_max(result.max_curve_points);

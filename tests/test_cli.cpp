@@ -64,4 +64,35 @@ TEST(Cli, GenlibWithoutNand2OrInverterIsFatalNotAbort) {
                          "needs an inverter and a 2-input NAND");
 }
 
+TEST(Cli, MalformedGenlibIsFatalNotAbort) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  const std::string base =
+      "GATE inv 1.0 O=!a; PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE nand2 2.0 O=!(a*b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n";
+  const struct {
+    const char* name;
+    const char* gate;
+    const char* message;
+  } cases[] = {
+      {"bad_pin_numbers.genlib",
+       "GATE and2 3.0 O=a*b; PIN * NONINV 1.0 999 fast 0.5 0.5 0.5\n",
+       "bad PIN numbers for pin * of gate and2"},
+      {"missing_pin.genlib",
+       "GATE and2 3.0 O=a*b; PIN a NONINV 1.0 999 0.5 0.5 0.5 0.5\n",
+       "missing PIN for b of gate and2"},
+      {"missing_eq.genlib",
+       "GATE and2 3.0 a*b; PIN * NONINV 1.0 999 0.5 0.5 0.5 0.5\n",
+       "function of gate and2 needs '='"},
+      {"unbalanced_paren.genlib",
+       "GATE and2 3.0 O=(a*b; PIN * NONINV 1.0 999 0.5 0.5 0.5 0.5\n",
+       "bad function of gate and2: missing ')' in expression"},
+  };
+  for (const auto& c : cases)
+    expect_clean_failure(
+        "flow " + blif + " --genlib " + write_temp(c.name, base + c.gate),
+        c.message);
+}
+
 }  // namespace

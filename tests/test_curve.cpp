@@ -207,11 +207,12 @@ TEST_P(CurveProperty, AdmissibleAgreesWithInsert) {
   }
 }
 
-// Realization tags, so a test can tell which copy of a tied point survived.
+// Realization tags, so a test can tell which copy of a tied point survived:
+// the drive encodes both the match and the step index (index < 16 keeps
+// index / 64 below the 0.25 spacing of matches).
 CurvePoint tagged(double t, double c, int match, int index) {
-  CurvePoint p = pt(t, c, 0.25 * match);
+  CurvePoint p = pt(t, c, 0.25 * match + index / 64.0);
   p.match = match;
-  p.input_point = {match, index};
   return p;
 }
 
@@ -241,7 +242,6 @@ TEST_P(CurveProperty, MergeMatchesSequentialInsert) {
       const CurvePoint want = tagged(p.arrival, p.cost, match,
                                      static_cast<int>(j));
       p.match = want.match;
-      p.input_point = want.input_point;
       p.drive = want.drive;
     });
     ASSERT_EQ(curve.size(), expected.size()) << "match " << match;
@@ -249,7 +249,6 @@ TEST_P(CurveProperty, MergeMatchesSequentialInsert) {
       EXPECT_EQ(curve[k].arrival, expected[k].arrival);
       EXPECT_EQ(curve[k].cost, expected[k].cost);
       EXPECT_EQ(curve[k].match, expected[k].match);
-      EXPECT_EQ(curve[k].input_point, expected[k].input_point);
       EXPECT_EQ(curve[k].drive, expected[k].drive);
     }
   }

@@ -31,6 +31,11 @@ TEST(Expr, ImplicitAnd) {
   EXPECT_EQ(e->kind, Expr::Kind::kAnd);
 }
 
+TEST(Expr, SyntaxErrorsThrow) {
+  for (const char* text : {"", "a+", "(a*b", "a)", "!"})
+    EXPECT_THROW(parse_expr(text), std::invalid_argument) << text;
+}
+
 TEST(Expr, VariablesInOrder) {
   const auto e = parse_expr("c*a + b*a");
   EXPECT_EQ(e->variables(), (std::vector<std::string>{"c", "a", "b"}));
@@ -158,6 +163,21 @@ TEST(Library, ParseExplicitPins) {
   EXPECT_DOUBLE_EQ(g.pins[0].intrinsic, 0.3);  // max(rise, fall) block
   EXPECT_DOUBLE_EQ(g.pins[1].drive, 0.8);
   EXPECT_EQ(g.area, 2.5);
+}
+
+TEST(Library, MalformedGenlibThrows) {
+  const char* bad[] = {
+      "",                                    // empty library
+      "GATE g 1.0 O=!a;\nPIN a INV 1.0",     // truncated PIN
+      "CELL g 1.0 O=!a;",                    // not a GATE
+      "GATE g big O=!a; PIN a INV 1 999 1 1 1 1",
+      "GATE g 1.0 !a; PIN a INV 1 999 1 1 1 1",
+      "GATE g 1.0 O=!a; PIN a INV 1 999 1 x 1 1",
+      "GATE g 1.0 O=!(a*b); PIN a INV 1 999 1 1 1 1",
+      "GATE g 1.0 O=!(a*b; PIN * INV 1 999 1 1 1 1",
+  };
+  for (const char* text : bad)
+    EXPECT_THROW(Library::parse_genlib(text, "bad"), GenlibError) << text;
 }
 
 TEST(Library, GenlibRoundTrip) {

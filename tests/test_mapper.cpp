@@ -291,5 +291,53 @@ TEST(Mapper, OutputMatchesPinnedValues) {
   }
 }
 
+// The mapper builds one candidate list per (input node, pin timing) and
+// reuses it for every pin with the same (intrinsic, drive, cap). In this
+// library nand2_fast/nand2_slow differ only in pin intrinsic delay,
+// and2_strong/and2_weak only in pin drive and nor2/nor2_light only in pin
+// capacitance (areas differ so both stay on the curves), so a memo key
+// missing any field hands one gate the other's pin timing. Values recorded
+// before the memo existed.
+constexpr const char* kTimingPairsGenlib =
+    "GATE inv 1.0 O=!a; PIN a INV 1.0 999 0.3 0.5 0.3 0.5\n"
+    "GATE nand2_fast 3.0 O=!(a*b); PIN * INV 1.0 999 0.4 0.6 0.4 0.6\n"
+    "GATE nand2_slow 2.0 O=!(a*b); PIN * INV 1.0 999 1.1 0.6 1.1 0.6\n"
+    "GATE and2_strong 4.0 O=a*b; PIN * NONINV 1.0 999 0.7 0.3 0.7 0.3\n"
+    "GATE and2_weak 3.0 O=a*b; PIN * NONINV 1.0 999 0.7 1.2 0.7 1.2\n"
+    "GATE nor2 2.5 O=!(a+b); PIN * INV 1.2 999 0.6 0.8 0.6 0.8\n"
+    "GATE nor2_light 3.5 O=!(a+b); PIN * INV 0.7 999 0.6 0.8 0.6 0.8\n";
+
+struct PinnedTimingPairs {
+  MapObjective objective;
+  std::size_t curve_points;
+  std::size_t matches;
+  double area;
+  double delay;
+  double power_uw;
+};
+
+constexpr PinnedTimingPairs kPinnedTimingPairs[] = {
+    {MapObjective::kPower, 40, 78, 72.5, 14.459999999999999, 51.8125},
+    {MapObjective::kArea, 236, 78, 61.5, 16.460000000000001, 54.1171875},
+};
+
+TEST(Mapper, CandidateListMemoKeysOnPinTiming) {
+  const Library lib = Library::parse_genlib(kTimingPairsGenlib, "pairs");
+  const Network net = decomposed(91, 6, 14, 3);
+  for (const PinnedTimingPairs& want : kPinnedTimingPairs) {
+    MapOptions o;
+    o.objective = want.objective;
+    o.epsilon_c = 0.0;  // keep every non-inferior point
+    const MapResult r = map_network(net, lib, o);
+    const MappedReport rep = evaluate_mapped(r.mapped, PowerParams::from(o));
+    SCOPED_TRACE(want.objective == MapObjective::kPower ? "power" : "area");
+    EXPECT_EQ(r.total_curve_points, want.curve_points);
+    EXPECT_EQ(r.total_matches, want.matches);
+    EXPECT_EQ(rep.area, want.area);
+    EXPECT_EQ(rep.delay, want.delay);
+    EXPECT_EQ(rep.power_uw, want.power_uw);
+  }
+}
+
 }  // namespace
 }  // namespace minpower

@@ -5,6 +5,7 @@
 #include "helpers.hpp"
 #include "map/match.hpp"
 #include "decomp/network_decompose.hpp"
+#include "flow/flow.hpp"
 
 namespace minpower {
 namespace {
@@ -190,6 +191,68 @@ TEST_P(MatchCorrectness, GateFunctionEqualsSubjectFunction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, MatchCorrectness, ::testing::Range(0, 10));
+
+// Matcher output pinned on seeded subjects: per subject, the total match
+// count and an FNV-1a hash over every node's match count and each match's
+// (gate name, pin_binding, covered), in list order. The values were
+// recorded from the snapshot-and-restore matcher; the undo-trail matcher
+// must reproduce the list exactly, order and deduplication included.
+struct PinnedMatches {
+  std::uint64_t seed;
+  int method;  // decomposition of Method I-VI (0-5)
+  std::size_t matches;
+  std::uint64_t hash;
+};
+
+constexpr PinnedMatches kPinnedMatches[] = {
+    {3, 0, 1020, 6114935660817912631ULL},
+    {17, 1, 1355, 5456506135684340985ULL},
+    {42, 2, 1018, 2503712610279742806ULL},
+};
+
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) add(static_cast<std::uint64_t>(c));
+  }
+};
+
+TEST(Match, OutputMatchesPinnedValues) {
+  for (const PinnedMatches& want : kPinnedMatches) {
+    Network net = testing::random_network(want.seed, 12, 60, 5);
+    prepare_network(net);
+    const Network subject =
+        decompose_network(net, decomp_options_for(
+                                   static_cast<Method>(want.method),
+                                   FlowOptions{}))
+            .network;
+    std::size_t matches = 0;
+    Fnv1a hash;
+    for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
+      const std::vector<Match> ms =
+          find_matches(subject, id, standard_library());
+      matches += ms.size();
+      hash.add(ms.size());
+      for (const Match& m : ms) {
+        hash.add(m.gate->name);
+        hash.add(m.pin_binding.size());
+        for (NodeId s : m.pin_binding) hash.add(static_cast<std::uint64_t>(s));
+        hash.add(m.covered.size());
+        for (NodeId s : m.covered) hash.add(static_cast<std::uint64_t>(s));
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(want.seed));
+    EXPECT_EQ(matches, want.matches);
+    EXPECT_EQ(hash.h, want.hash);
+  }
+}
 
 }  // namespace
 }  // namespace minpower
