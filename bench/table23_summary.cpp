@@ -8,6 +8,7 @@
 //       ~1.1% performance improvement
 
 #include "bench_util.hpp"
+#include "flow/session.hpp"
 #include "util/stats.hpp"
 
 using namespace minpower;
@@ -39,7 +40,7 @@ int main() {
   Agg pd_vs_ad;
 
   for (const Network& net : prepared_suite()) {
-    const auto rs = run_all_methods(net, lib);
+    const auto rs = FlowSession(lib).run_circuit(net);
     minpower_vs_conv.add(rs[0], rs[1]);  // I → II
     minpower_vs_conv.add(rs[3], rs[4]);  // IV → V
     bh_vs_minpower.add(rs[1], rs[2]);    // II → III

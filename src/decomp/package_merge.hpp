@@ -38,7 +38,7 @@ int balanced_height(int n);
 
 /// Number of exact bounded-height searches on the calling thread that
 /// overran their step cap (or hit an "exact-overrun" fault injection) and
-/// fell back to the heuristic ladder. Thread-local so a FlowEngine task can
+/// fell back to the heuristic ladder. Thread-local so a flow-engine task can
 /// reset before decomposing and read after to attribute fallbacks to itself.
 std::size_t bounded_exact_fallbacks();
 void reset_bounded_exact_fallbacks();

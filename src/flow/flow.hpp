@@ -13,9 +13,9 @@
 //
 // Methods I/IV, II/V and III/VI operate on the *same* subject network (the
 // pairs differ only in the mapping objective), so a full six-method run needs
-// only three decompositions and three switching-activity passes. The
-// FlowEngine (flow_engine.hpp) exploits that; `run_all_methods` routes
-// through it.
+// only three decompositions and three switching-activity passes. FlowSession
+// (session.hpp) runs all six that way; `run_method` is the one-method
+// reference path it is tested against.
 
 #include <string>
 #include <vector>
@@ -79,10 +79,6 @@ struct FlowOptions {
   /// required-time computation.
   std::vector<double> pi_arrival;
 
-  /// Worker threads for `run_all_methods` (0 → hardware concurrency).
-  /// Results are deterministic and independent of the thread count.
-  unsigned num_threads = 1;
-
   /// Resource budget applied to every engine task. A task that exhausts its
   /// budget degrades or fails in isolation (see TaskStatus); it never kills
   /// the run.
@@ -105,7 +101,7 @@ struct PhaseStats {
   int redecomp_iterations = 0;   // bounded-height refinement loop count
 
   /// True when the decomposition / activity vector was computed once and
-  /// shared with the sibling method (I↔IV, II↔V, III↔VI) by the FlowEngine.
+  /// shared with the sibling method (I↔IV, II↔V, III↔VI) by FlowSession.
   bool shared_decomp = false;
   bool shared_activity = false;
 
@@ -133,7 +129,7 @@ struct FlowResult {
   int nand_depth = 0;           // unit-delay depth of Γ'
   std::size_t nand_nodes = 0;
   int redecomposed = 0;         // bounded-height loop iterations
-  // Phase instrumentation (FlowEngine / run_method fill this in).
+  // Phase instrumentation (FlowSession / run_method fill this in).
   PhaseStats phases;
   // Fault-isolation outcome of the task(s) that produced this result.
   TaskStatus status;
@@ -153,12 +149,5 @@ MapOptions map_options_for(Method method, const FlowOptions& options);
 /// Run one method on an already-prepared network.
 FlowResult run_method(const Network& prepared, Method method,
                       const Library& lib, const FlowOptions& options = {});
-
-/// Convenience: run all six methods; results indexed by Method order.
-/// Internally uses the shared-decomposition FlowEngine: 3 decompositions and
-/// 3 activity passes total, parallel across `options.num_threads` workers.
-std::vector<FlowResult> run_all_methods(const Network& prepared,
-                                        const Library& lib,
-                                        const FlowOptions& options = {});
 
 }  // namespace minpower

@@ -24,29 +24,11 @@ namespace minpower {
 
 namespace {
 
+/// Methods in slot order. Method index m belongs to decomposition group
+/// m % 3 — I/IV → 0 (balanced), II/V → 1 (MINPOWER), III/VI → 2
+/// (BH-MINPOWER) — and kMethods[g] derives group g's (shared) options.
 constexpr Method kMethods[6] = {Method::kI,  Method::kII, Method::kIII,
                                 Method::kIV, Method::kV,  Method::kVI};
-
-/// Decomposition group of a method: I/IV → 0 (balanced), II/V → 1
-/// (MINPOWER), III/VI → 2 (BH-MINPOWER).
-std::size_t group_of(Method m) {
-  switch (m) {
-    case Method::kI:
-    case Method::kIV:
-      return 0;
-    case Method::kII:
-    case Method::kV:
-      return 1;
-    case Method::kIII:
-    case Method::kVI:
-      return 2;
-  }
-  return 0;
-}
-
-/// A representative method per group, used to derive the (identical)
-/// decomposition options the pair shares.
-constexpr Method kGroupMethod[3] = {Method::kI, Method::kII, Method::kIII};
 
 /// One decomposed subject network shared by a method pair — the stage-1
 /// product and the value cached by the session's group cache.
@@ -60,24 +42,30 @@ struct DecompGroup {
   int exact_fallbacks = 0;
 };
 
-/// Per-task budget: FlowOptions limits + fault injections armed against
-/// this task's deterministic ordinal.
-Budget make_budget(const FlowOptions& flow,
-                   const std::vector<FaultInjection>& injections, long ordinal,
-                   std::string label) {
-  Budget b;
-  b.bdd_node_limit = flow.bdd_node_limit;
-  if (flow.task_deadline_ms > 0.0)
-    b.deadline = Budget::Clock::now() +
-                 std::chrono::duration_cast<Budget::Clock::duration>(
-                     std::chrono::duration<double, std::milli>(
-                         flow.task_deadline_ms));
-  b.step_limit = flow.task_step_limit;
-  b.ordinal = ordinal;
-  b.label = std::move(label);
-  b.arm(injections);
-  return b;
-}
+/// The read-only inputs every task of one run shares.
+struct RunInputs {
+  const Library& lib;
+  const FlowOptions& flow;
+  const std::vector<FaultInjection>& injections;
+
+  /// Per-task budget: the FlowOptions limits with a BDD node cap of
+  /// `bdd_cap`, plus the fault injections armed against this task's
+  /// deterministic ordinal.
+  Budget budget(long ordinal, std::string label, std::size_t bdd_cap) const {
+    Budget b;
+    b.bdd_node_limit = bdd_cap;
+    if (flow.task_deadline_ms > 0.0)
+      b.deadline = Budget::Clock::now() +
+                   std::chrono::duration_cast<Budget::Clock::duration>(
+                       std::chrono::duration<double, std::milli>(
+                           flow.task_deadline_ms));
+    b.step_limit = flow.task_step_limit;
+    b.ordinal = ordinal;
+    b.label = std::move(label);
+    b.arm(injections);
+    return b;
+  }
+};
 
 /// Structured reason string for a blown budget: leads with the stable site
 /// identifier and the BDD-cap watermark that was active when the limit
@@ -156,6 +144,241 @@ void parallel_for(std::size_t n, unsigned threads,
   for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
   worker();
   for (std::thread& t : pool) t.join();
+}
+
+/// One stage's work plan over its slots. A slot is skipped (resolved before
+/// planning), owns its key (computed: listed in `compute`, in slot order),
+/// or aliases the first owner of the same key (`alias[t]` is that owner;
+/// every other slot aliases itself).
+struct StagePlan {
+  std::vector<std::size_t> alias;
+  std::vector<std::size_t> compute;
+};
+
+/// Plan `slots` work units: `skip(t)` resolves slot t without computing it
+/// (not needed, or a cache hit); `key(t)` is called for the remaining slots
+/// and deduplicates them. Without sharing every slot is computed, so every
+/// slot of the fault-injection ordinal scheme stays a live task.
+template <typename Skip, typename Key>
+StagePlan plan_stage(std::size_t slots, bool share, const Skip& skip,
+                     const Key& key) {
+  StagePlan p;
+  p.alias.resize(slots);
+  p.compute.reserve(slots);
+  std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
+  for (std::size_t t = 0; t < slots; ++t) {
+    p.alias[t] = t;
+    if (!share) {
+      p.compute.push_back(t);
+      continue;
+    }
+    if (skip(t)) continue;
+    const auto [it, fresh] = owner.try_emplace(key(t), t);
+    if (fresh)
+      p.compute.push_back(t);
+    else
+      p.alias[t] = it->second;
+  }
+  return p;
+}
+
+/// Mark `status` degraded and record fallback `name` once.
+void note_fallback(TaskStatus& status, const char* name) {
+  status.state = TaskState::kDegraded;
+  for (const std::string& f : status.fallbacks)
+    if (f == name) return;
+  status.fallbacks.push_back(name);
+}
+
+/// The degradation ladder of one stage-1 pass: `pass(cap)` at the full BDD
+/// node cap, one retry at half the cap, then the BDD-free `fallback()`
+/// (Monte-Carlo probabilities), recorded as "mc-activity". A deadline, a
+/// blown budget at `fatal_site` (null: none), and any other error — the
+/// fallback's included — fail the task instead. False when `status` failed.
+template <typename Pass, typename Fallback>
+bool run_ladder(TaskStatus& status, std::size_t bdd_cap,
+                const char* fatal_site, const Pass& pass,
+                const Fallback& fallback) {
+  const auto fail = [&status](std::string reason) {
+    status.state = TaskState::kFailed;
+    status.reason = std::move(reason);
+    return false;
+  };
+  std::size_t cap = bdd_cap;  // watermark of the latest attempt
+  try {
+    try {
+      pass(cap);
+    } catch (const ResourceExhausted& e) {
+      if (e.site() == "deadline") throw;
+      status.retries += 1;
+      cap = std::max<std::size_t>(bdd_cap / 2, 2);
+      pass(cap);
+    }
+  } catch (const ResourceExhausted& e) {
+    if (e.site() == "deadline" ||
+        (fatal_site != nullptr && e.site() == fatal_site))
+      return fail(exhausted_reason(e, cap));
+    try {
+      fallback();
+    } catch (const std::exception& e2) {
+      return fail(e2.what());
+    }
+    if (status.reason.empty()) status.reason = exhausted_reason(e, cap);
+    note_fallback(status, "mc-activity");
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
+  return true;
+}
+
+/// Stage-1 work of decomposition group `group` of `net`: decompose, then run
+/// the activity pass over the subject, each under the degradation ladder
+/// and its own budget ("<circuit>/decomp[g]", "<circuit>/activity[g]"). The
+/// decomposition's exact probability pass builds BDDs too, so it degrades
+/// the same way — re-decomposing over Monte-Carlo probabilities, which
+/// skips that pass — but a failure at its own "decomp" site fails the
+/// group: Monte-Carlo probabilities would not avoid it.
+void compute_group(const RunInputs& in, const Network& net, std::size_t group,
+                   long ordinal, const std::string& decomp_label,
+                   DecompGroup& g) {
+  const FlowOptions& flow = in.flow;
+  const NetworkDecompOptions d = decomp_options_for(kMethods[group], flow);
+  const auto decompose = [&](std::size_t cap,
+                             const std::vector<double>* node_prob) {
+    Budget budget = in.budget(ordinal, decomp_label, cap);
+    BudgetScope scope(budget);
+    NetworkDecompOptions dd = d;
+    if (node_prob != nullptr) dd.node_prob = *node_prob;
+    const auto t0 = std::chrono::steady_clock::now();
+    g.nd = decompose_network(net, dd);
+    g.decomp_ms += ms_since(t0);
+  };
+  reset_bounded_exact_fallbacks();
+  const bool decomposed = run_ladder(
+      g.status, flow.bdd_node_limit, "decomp",
+      [&](std::size_t cap) { decompose(cap, nullptr); },
+      [&] {
+        // MC signal probabilities: activity under kDynamicP is P(=1).
+        const std::vector<double> mc_prob = monte_carlo_activities(
+            net, CircuitStyle::kDynamicP, flow.pi_prob1);
+        decompose(flow.bdd_node_limit, &mc_prob);
+      });
+  if (!decomposed) return;
+  g.exact_fallbacks = static_cast<int>(bounded_exact_fallbacks());
+  if (g.exact_fallbacks > 0) note_fallback(g.status, "greedy-ladder");
+
+  const std::string activity_label =
+      net.name() + "/activity[" + std::to_string(group) + "]";
+  run_ladder(
+      g.status, flow.bdd_node_limit, nullptr,
+      [&](std::size_t cap) {
+        Budget budget = in.budget(ordinal, activity_label, cap);
+        BudgetScope scope(budget);
+        const auto t0 = std::chrono::steady_clock::now();
+        g.activities = switching_activities(g.nd.network, flow.style,
+                                            flow.pi_prob1, &g.astats);
+        g.activity_ms += ms_since(t0);
+      },
+      [&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        g.activities =
+            monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
+        g.activity_ms += ms_since(t0);
+      });
+}
+
+/// Stage-2 work of `method` over its group's shared subject `g`: map with
+/// the method's objective and evaluate, under the task's own budget. The
+/// result inherits the group's status; a method whose group failed
+/// inherits the failure and is not mapped.
+FlowResult map_method(const RunInputs& in, const Network& prepared,
+                      Method method, const DecompGroup& g, long ordinal,
+                      const std::string& label) {
+  FlowResult r;
+  r.circuit = prepared.name();
+  r.method = method;
+  r.status = g.status;
+  r.phases.decomp_ms = g.decomp_ms;
+  r.phases.activity_ms = g.activity_ms;
+  r.phases.bdd_nodes = g.astats.bdd_nodes;
+  r.phases.shared_decomp = true;
+  r.phases.shared_activity = true;
+  r.phases.decomp_passes = 3;
+  r.phases.activity_passes = 3;
+  r.phases.exact_fallbacks = g.exact_fallbacks;
+  r.phases.activity_retries = g.status.retries;
+
+  if (g.status.state == TaskState::kFailed) {
+    r.status.reason = "decomposition/activity failed: " + g.status.reason;
+    return r;
+  }
+  r.tree_activity = g.nd.tree_activity;
+  r.nand_depth = g.nd.unit_depth;
+  r.nand_nodes = g.nd.network.num_internal();
+  r.redecomposed = g.nd.redecomposed_nodes;
+  r.phases.redecomp_iterations = g.nd.redecomposed_nodes;
+
+  const auto fail = [&r](std::string reason) {
+    r.status.state = TaskState::kFailed;
+    r.status.reason = std::move(reason);
+    r.area = r.delay = r.power_uw = 0.0;
+    r.gates = 0;
+  };
+  try {
+    Budget budget = in.budget(ordinal, label, in.flow.bdd_node_limit);
+    BudgetScope scope(budget);
+
+    MapOptions m = map_options_for(method, in.flow);
+    m.activities = g.activities;
+    auto t0 = std::chrono::steady_clock::now();
+    const MapResult mapped = map_network(g.nd.network, in.lib, m);
+    r.phases.map_ms = ms_since(t0);
+    r.phases.matches = mapped.total_matches;
+    r.phases.curve_points = mapped.total_curve_points;
+
+    t0 = std::chrono::steady_clock::now();
+    const MappedReport rep =
+        evaluate_mapped(mapped.mapped, PowerParams::from(m));
+    r.phases.eval_ms = ms_since(t0);
+    r.area = rep.area;
+    r.delay = rep.delay;
+    r.power_uw = rep.power_uw;
+    r.gates = rep.num_gates;
+  } catch (const ResourceExhausted& e) {
+    fail(exhausted_reason(e, in.flow.bdd_node_limit));
+  } catch (const std::exception& e) {
+    fail(e.what());
+  }
+  return r;
+}
+
+/// Task-outcome metrics over the executed tasks (cache hits and batch
+/// duplicates did not run). Retries and fallbacks originate in stage 1 and
+/// are counted there only: stage-2 results inherit the group status.
+void count_task_outcomes(
+    const std::vector<std::size_t>& stage1,
+    const std::vector<std::shared_ptr<const DecompGroup>>& groups,
+    const std::vector<std::size_t>& stage2,
+    const std::vector<std::vector<FlowResult>>& out) {
+  std::uint64_t by_state[3] = {0, 0, 0};  // TaskState order
+  std::uint64_t retries = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t exact_fb = 0;
+  for (const std::size_t t : stage1) {
+    const DecompGroup& g = *groups[t];
+    ++by_state[static_cast<int>(g.status.state)];
+    retries += static_cast<std::uint64_t>(g.status.retries);
+    fallbacks += g.status.fallbacks.size();
+    exact_fb += static_cast<std::uint64_t>(g.exact_fallbacks);
+  }
+  for (const std::size_t t : stage2)
+    ++by_state[static_cast<int>(out[t / 6][t % 6].status.state)];
+  metrics::counter("engine.tasks_ok").add(by_state[0]);
+  metrics::counter("engine.tasks_degraded").add(by_state[1]);
+  metrics::counter("engine.tasks_failed").add(by_state[2]);
+  metrics::counter("engine.retries").add(retries);
+  metrics::counter("engine.fallbacks").add(fallbacks);
+  metrics::counter("engine.exact_fallbacks").add(exact_fb);
 }
 
 /// Cache key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
@@ -409,6 +632,7 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   std::vector<FaultInjection> injections = options_.injections;
   for (FaultInjection& f : fault_injections_from_env())
     injections.push_back(std::move(f));
+  const RunInputs in{lib_, flow, injections};
 
   // Identical work units are shared within the batch (and, when caching is
   // on, across runs). Armed faults disable both, so every task ordinal in
@@ -447,54 +671,29 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   // ---- stage 1 planning: one decomposition + one activity pass per
   // *distinct* subject still needed by an unresolved method (cache hits are
   // taken here, serially, so results and counters are independent of thread
-  // count). ----------------------------------------------------------------
+  // count). Group g serves methods g and g+3. ------------------------------
   std::vector<std::shared_ptr<const DecompGroup>> groups(n * 3);
   std::vector<Hash128> slot_key(n * 3);
-  std::vector<std::size_t> alias(n * 3);
-  std::vector<std::size_t> compute;
-  compute.reserve(n * 3);
-  {
-    std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
-    for (std::size_t t = 0; t < n * 3; ++t) {
-      alias[t] = t;
-      if (!share) {
-        compute.push_back(t);
-        continue;
-      }
-      bool needed = false;
-      for (std::size_t m = 0; m < 6; ++m)
-        if (group_of(kMethods[m]) == t % 3 && !resolved[(t / 3) * 6 + m])
-          needed = true;
-      if (!needed) continue;
-      slot_key[t] = work_key(net_hash[t / 3], opt_hash[t / 3], t % 3);
-      if (cached) {
-        if (auto hit = caches_->groups.lookup(slot_key[t])) {
-          groups[t] = std::move(hit);
-          ++run_stats.group_hits;
-          continue;
-        }
-      }
-      const auto [it, fresh] = owner.try_emplace(slot_key[t], t);
-      if (!fresh) {
-        alias[t] = it->second;
-        continue;
-      }
-      compute.push_back(t);
-      if (cached) ++run_stats.group_misses;
-    }
-  }
+  const StagePlan plan1 = plan_stage(
+      n * 3, share,
+      [&](std::size_t t) {
+        const std::size_t first = (t / 3) * 6 + t % 3;
+        if (resolved[first] && resolved[first + 3]) return true;
+        slot_key[t] = work_key(net_hash[t / 3], opt_hash[t / 3], t % 3);
+        if (cached) groups[t] = caches_->groups.lookup(slot_key[t]);
+        if (groups[t]) ++run_stats.group_hits;
+        return groups[t] != nullptr;
+      },
+      [&](std::size_t t) { return slot_key[t]; });
 
   // ---- stage 1 execution. Each task is fault-isolated: a blown budget
-  // degrades (halved-cap retry, then Monte-Carlo activities) or fails this
-  // group only. ------------------------------------------------------------
+  // degrades or fails this group only (compute_group). ----------------------
   const auto stage1_t0 = std::chrono::steady_clock::now();
   std::vector<DecompGroup> scratch(n * 3);
-  parallel_for(compute.size(), threads, [&](std::size_t i) {
-    const std::size_t t = compute[i];
+  parallel_for(plan1.compute.size(), threads, [&](std::size_t i) {
+    const std::size_t t = plan1.compute[i];
     const auto task_start = std::chrono::steady_clock::now();
     const Network& net = *circuits[t / 3];
-    DecompGroup& g = scratch[t];
-    const long ordinal = static_cast<long>(t);
     const std::string label =
         net.name() + "/decomp[" + std::to_string(t % 3) + "]";
     trace::Span task_span("stage1", "engine");
@@ -502,114 +701,11 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     task_span.arg("circuit", net.name());
     task_span.arg("group", static_cast<unsigned long long>(t % 3));
     task_span.arg("queue_wait_us", us_since(stage1_t0, task_start));
-    const StatusLine report{options_.verbose, "stage1", label, g.status};
-    const NetworkDecompOptions d =
-        decomp_options_for(kGroupMethod[t % 3], flow);
-
-    auto note_fallback = [&g](const char* name) {
-      g.status.state = TaskState::kDegraded;
-      for (const std::string& f : g.status.fallbacks)
-        if (f == name) return;
-      g.status.fallbacks.push_back(name);
-    };
-
-    // Decomposition with its own ladder: the exact probability pass inside
-    // decompose_network builds BDDs too, so a blowup here retries at half
-    // the node cap and then re-decomposes over Monte-Carlo probabilities
-    // (which skips the BDD pass entirely).
-    reset_bounded_exact_fallbacks();
-    // Watermark of the most recent attempt, reported in failure reasons.
-    std::size_t attempted_cap = flow.bdd_node_limit;
-    auto decomp_pass = [&](std::size_t node_cap,
-                           const std::vector<double>* node_prob) {
-      Budget budget = make_budget(flow, injections, ordinal, label);
-      budget.bdd_node_limit = attempted_cap = node_cap;
-      BudgetScope scope(budget);
-      NetworkDecompOptions dd = d;
-      if (node_prob != nullptr) dd.node_prob = *node_prob;
-      const auto t0 = std::chrono::steady_clock::now();
-      g.nd = decompose_network(net, dd);
-      g.decomp_ms += ms_since(t0);
-    };
-    try {
-      try {
-        decomp_pass(flow.bdd_node_limit, nullptr);
-      } catch (const ResourceExhausted& e) {
-        if (e.site() == "deadline") throw;
-        g.status.retries += 1;
-        decomp_pass(std::max<std::size_t>(flow.bdd_node_limit / 2, 2),
-                    nullptr);
-      }
-    } catch (const ResourceExhausted& e) {
-      const std::size_t failed_cap = attempted_cap;
-      if (e.site() == "deadline" || e.site() == "decomp") {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = exhausted_reason(e, failed_cap);
-        return;
-      }
-      // MC signal probabilities: activity under kDynamicP is exactly P(=1).
-      try {
-        const std::vector<double> mc_prob = monte_carlo_activities(
-            net, CircuitStyle::kDynamicP, flow.pi_prob1);
-        decomp_pass(flow.bdd_node_limit, &mc_prob);
-      } catch (const std::exception& e2) {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = e2.what();
-        return;
-      }
-      if (g.status.reason.empty())
-        g.status.reason = exhausted_reason(e, failed_cap);
-      note_fallback("mc-activity");
-    } catch (const std::exception& e) {
-      g.status.state = TaskState::kFailed;
-      g.status.reason = e.what();
-      return;
-    }
-    g.exact_fallbacks = static_cast<int>(bounded_exact_fallbacks());
-    if (g.exact_fallbacks > 0) note_fallback("greedy-ladder");
-
-    // Activity pass with the degradation ladder: full budget, one retry at
-    // half the BDD node cap, then the Monte-Carlo estimator. Deadline and
-    // unexpected errors fail the group instead of degrading.
-    auto exact_pass = [&](std::size_t node_cap) {
-      Budget budget = make_budget(flow, injections, ordinal,
-                                  net.name() + "/activity[" +
-                                      std::to_string(t % 3) + "]");
-      budget.bdd_node_limit = attempted_cap = node_cap;
-      BudgetScope scope(budget);
-      const auto t0 = std::chrono::steady_clock::now();
-      g.activities = switching_activities(g.nd.network, flow.style,
-                                          flow.pi_prob1, &g.astats);
-      g.activity_ms += ms_since(t0);
-    };
-    try {
-      try {
-        exact_pass(flow.bdd_node_limit);
-      } catch (const ResourceExhausted& e) {
-        if (e.site() == "deadline") throw;
-        g.status.retries += 1;
-        exact_pass(std::max<std::size_t>(flow.bdd_node_limit / 2, 2));
-      }
-    } catch (const ResourceExhausted& e) {
-      if (e.site() == "deadline") {
-        g.status.state = TaskState::kFailed;
-        g.status.reason = exhausted_reason(e, attempted_cap);
-        return;
-      }
-      // Fall back to Monte-Carlo activities: deterministic, BDD-free.
-      const auto t0 = std::chrono::steady_clock::now();
-      g.activities =
-          monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
-      g.activity_ms += ms_since(t0);
-      if (g.status.reason.empty())
-        g.status.reason = exhausted_reason(e, attempted_cap);
-      note_fallback("mc-activity");
-    } catch (const std::exception& e) {
-      g.status.state = TaskState::kFailed;
-      g.status.reason = e.what();
-    }
+    const StatusLine report{options_.verbose, "stage1", label,
+                            scratch[t].status};
+    compute_group(in, net, t % 3, static_cast<long>(t), label, scratch[t]);
   });
-  for (const std::size_t t : compute) {
+  for (const std::size_t t : plan1.compute) {
     auto sp = std::make_shared<const DecompGroup>(std::move(scratch[t]));
     // Failed groups are load-specific (deadlines, injected faults never
     // reach here, fatal errors) — recompute them next time.
@@ -619,46 +715,30 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   }
   scratch.clear();
   for (std::size_t t = 0; t < n * 3; ++t)
-    if (!groups[t]) groups[t] = groups[alias[t]];
+    if (!groups[t]) groups[t] = groups[plan1.alias[t]];
 
   // ---- stage 2 planning: map + evaluate each *distinct* (subject ×
   // method) not already resolved from the cache in stage 0; duplicates
   // reuse the result with the circuit name rewritten. ----------------------
-  std::vector<std::size_t> alias2(n * 6);
-  std::vector<std::size_t> compute2;
-  compute2.reserve(n * 6);
-  {
-    std::unordered_map<Hash128, std::size_t, Hash128Fold> owner;
-    for (std::size_t t = 0; t < n * 6; ++t) {
-      alias2[t] = t;
-      if (resolved[t]) continue;
-      if (!share) {
-        compute2.push_back(t);
-        continue;
-      }
-      slot2_key[t] = work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
-      const auto [it, fresh] = owner.try_emplace(slot2_key[t], t);
-      if (!fresh) {
-        alias2[t] = it->second;
-        continue;
-      }
-      compute2.push_back(t);
-      if (cached) ++run_stats.result_misses;
-    }
+  const StagePlan plan2 = plan_stage(
+      n * 6, share, [&](std::size_t t) { return resolved[t] != 0; },
+      [&](std::size_t t) {
+        return slot2_key[t] =
+                   work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
+      });
+  if (cached) {
+    run_stats.group_misses += plan1.compute.size();
+    run_stats.result_misses += plan2.compute.size();
   }
 
-  // ---- stage 2 execution over the shared subjects. A method whose group
-  // failed inherits that failure; its own budget covers mapping and
-  // evaluation. ------------------------------------------------------------
+  // ---- stage 2 execution over the shared subjects (map_method). ----------
   const auto stage2_t0 = std::chrono::steady_clock::now();
-  parallel_for(compute2.size(), threads, [&](std::size_t i) {
-    const std::size_t t = compute2[i];
+  parallel_for(plan2.compute.size(), threads, [&](std::size_t i) {
+    const std::size_t t = plan2.compute[i];
     const auto task_start = std::chrono::steady_clock::now();
     const std::size_t ci = t / 6;
     const Method method = kMethods[t % 6];
     const Network& prepared = *circuits[ci];
-    const DecompGroup& g = *groups[ci * 3 + group_of(method)];
-    const long ordinal = static_cast<long>(3 * n + t);
     const std::string label =
         prepared.name() + "/map[" + method_name(method) + "]";
     trace::Span task_span("stage2", "engine");
@@ -666,119 +746,31 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     task_span.arg("circuit", prepared.name());
     task_span.arg("method", method_name(method));
     task_span.arg("queue_wait_us", us_since(stage2_t0, task_start));
-    // References the result slot, not the local: every exit path moves the
-    // local into the slot before the guard's destructor runs.
     const StatusLine report{options_.verbose, "stage2", label,
                             out[ci][t % 6].status};
-
-    FlowResult r;
-    r.circuit = prepared.name();
-    r.method = method;
-    r.status = g.status;  // inherit group degradation / failure context
-    r.phases.decomp_ms = g.decomp_ms;
-    r.phases.activity_ms = g.activity_ms;
-    r.phases.bdd_nodes = g.astats.bdd_nodes;
-    r.phases.shared_decomp = true;
-    r.phases.shared_activity = true;
-    r.phases.decomp_passes = 3;
-    r.phases.activity_passes = 3;
-    r.phases.exact_fallbacks = g.exact_fallbacks;
-    r.phases.activity_retries = g.status.retries;
-
-    if (g.status.state == TaskState::kFailed) {
-      r.status.reason = "decomposition/activity failed: " + g.status.reason;
-      out[ci][t % 6] = std::move(r);
-      return;
-    }
-    r.tree_activity = g.nd.tree_activity;
-    r.nand_depth = g.nd.unit_depth;
-    r.nand_nodes = g.nd.network.num_internal();
-    r.redecomposed = g.nd.redecomposed_nodes;
-    r.phases.redecomp_iterations = g.nd.redecomposed_nodes;
-
-    try {
-      Budget budget = make_budget(flow, injections, ordinal, label);
-      BudgetScope scope(budget);
-
-      MapOptions m = map_options_for(method, flow);
-      m.activities = g.activities;
-      auto t0 = std::chrono::steady_clock::now();
-      const MapResult mapped = map_network(g.nd.network, lib_, m);
-      r.phases.map_ms = ms_since(t0);
-      r.phases.matches = mapped.total_matches;
-      r.phases.curve_points = mapped.total_curve_points;
-
-      t0 = std::chrono::steady_clock::now();
-      const MappedReport rep =
-          evaluate_mapped(mapped.mapped, PowerParams::from(m));
-      r.phases.eval_ms = ms_since(t0);
-      r.area = rep.area;
-      r.delay = rep.delay;
-      r.power_uw = rep.power_uw;
-      r.gates = rep.num_gates;
-    } catch (const ResourceExhausted& e) {
-      r.status.state = TaskState::kFailed;
-      r.status.reason = exhausted_reason(e, flow.bdd_node_limit);
-      r.area = r.delay = r.power_uw = 0.0;
-      r.gates = 0;
-    } catch (const std::exception& e) {
-      r.status.state = TaskState::kFailed;
-      r.status.reason = e.what();
-      r.area = r.delay = r.power_uw = 0.0;
-      r.gates = 0;
-    }
-    out[ci][t % 6] = std::move(r);
+    out[ci][t % 6] =
+        map_method(in, prepared, method, *groups[ci * 3 + t % 3],
+                   static_cast<long>(3 * n + t), label);
   });
-  for (const std::size_t t : compute2) {
+  for (const std::size_t t : plan2.compute) {
     const FlowResult& r = out[t / 6][t % 6];
     if (cached && r.status.state != TaskState::kFailed)
       run_stats.evictions += caches_->results.insert(
           slot2_key[t], std::make_shared<const FlowResult>(r));
   }
   for (std::size_t t = 0; t < n * 6; ++t) {
-    if (alias2[t] == t) continue;
-    FlowResult r = out[alias2[t] / 6][alias2[t] % 6];
+    const std::size_t owner = plan2.alias[t];
+    if (owner == t) continue;
+    FlowResult r = out[owner / 6][owner % 6];
     r.circuit = circuits[t / 6]->name();
     out[t / 6][t % 6] = std::move(r);
   }
 
-  // Task-outcome metrics over the executed tasks (cache hits and batch
-  // duplicates did not run). Retries/fallbacks originate in stage 1 and are
-  // counted there only (stage-2 results inherit the group status verbatim).
-  {
-    std::uint64_t ok = 0;
-    std::uint64_t degraded = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t fallbacks = 0;
-    std::uint64_t exact_fb = 0;
-    auto bump = [&](TaskState s) {
-      switch (s) {
-        case TaskState::kOk: ++ok; break;
-        case TaskState::kDegraded: ++degraded; break;
-        case TaskState::kFailed: ++failed; break;
-      }
-    };
-    for (const std::size_t t : compute) {
-      const DecompGroup& g = *groups[t];
-      bump(g.status.state);
-      retries += static_cast<std::uint64_t>(g.status.retries);
-      fallbacks += g.status.fallbacks.size();
-      exact_fb += static_cast<std::uint64_t>(g.exact_fallbacks);
-    }
-    for (const std::size_t t : compute2) bump(out[t / 6][t % 6].status.state);
-    metrics::counter("engine.tasks_ok").add(ok);
-    metrics::counter("engine.tasks_degraded").add(degraded);
-    metrics::counter("engine.tasks_failed").add(failed);
-    metrics::counter("engine.retries").add(retries);
-    metrics::counter("engine.fallbacks").add(fallbacks);
-    metrics::counter("engine.exact_fallbacks").add(exact_fb);
-  }
-
+  count_task_outcomes(plan1.compute, groups, plan2.compute, out);
   if (cached) {
-    // Mirror cache traffic into the registry (serve dashboards); the
-    // one-shot FlowEngine path never touches these names, keeping its
-    // metrics block byte-compatible with committed baselines.
+    // Mirror cache traffic into the registry (serve dashboards); uncached
+    // one-shot runs never touch these names, keeping their metrics block
+    // byte-compatible with committed baselines.
     metrics::counter("session.group_hits").add(run_stats.group_hits);
     metrics::counter("session.group_misses").add(run_stats.group_misses);
     metrics::counter("session.result_hits").add(run_stats.result_hits);
@@ -787,9 +779,9 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.decomp_passes += static_cast<int>(compute.size());
-    counters_.activity_passes += static_cast<int>(compute.size());
-    counters_.map_passes += static_cast<int>(compute2.size());
+    counters_.decomp_passes += static_cast<int>(plan1.compute.size());
+    counters_.activity_passes += static_cast<int>(plan1.compute.size());
+    counters_.map_passes += static_cast<int>(plan2.compute.size());
     stats_.group_hits += run_stats.group_hits;
     stats_.group_misses += run_stats.group_misses;
     stats_.result_hits += run_stats.result_hits;
@@ -915,16 +907,11 @@ void write_flow_result_json(JsonWriter& w, const FlowResult& r,
 
 namespace {
 
-bool cell_fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
 const JsonValue* cell_member(const JsonValue& obj, const char* key,
                              JsonValue::Kind kind, std::string* error) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->kind != kind) {
-    cell_fail(error, std::string("missing or mistyped field '") + key + "'");
+    set_error(error, std::string("missing or mistyped field '") + key + "'");
     return nullptr;
   }
   return v;
@@ -969,12 +956,12 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
                             std::string* error) {
   *out = FlowResult{};
   if (v.kind != JsonValue::Kind::kObject)
-    return cell_fail(error, "method cell is not an object");
+    return set_error(error, "method cell is not an object");
   const JsonValue* method =
       cell_member(v, "method", JsonValue::Kind::kString, error);
   if (method == nullptr) return false;
   if (!method_from_name(method->string, &out->method))
-    return cell_fail(error, "unknown method '" + method->string + "'");
+    return set_error(error, "unknown method '" + method->string + "'");
   if (!cell_number(v, "area", &out->area, error) ||
       !cell_number(v, "delay_ns", &out->delay, error) ||
       !cell_number(v, "power_uw", &out->power_uw, error) ||
@@ -992,7 +979,7 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
       cell_member(*status, "state", JsonValue::Kind::kString, error);
   if (state == nullptr) return false;
   if (!task_state_from_name(state->string, &out->status.state))
-    return cell_fail(error, "unknown task state '" + state->string + "'");
+    return set_error(error, "unknown task state '" + state->string + "'");
   const JsonValue* reason =
       cell_member(*status, "reason", JsonValue::Kind::kString, error);
   if (reason == nullptr) return false;
@@ -1004,7 +991,7 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
   if (fallbacks == nullptr) return false;
   for (const JsonValue& f : fallbacks->items) {
     if (f.kind != JsonValue::Kind::kString)
-      return cell_fail(error, "non-string fallback entry");
+      return set_error(error, "non-string fallback entry");
     out->status.fallbacks.push_back(f.string);
   }
 

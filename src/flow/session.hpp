@@ -1,10 +1,42 @@
 #pragma once
-// FlowSession: the reusable session/cache layer behind the flow engine and
-// the `minpower serve` long-lived service (DESIGN.md §13).
+// FlowSession: the flow engine behind the six-method evaluation of Tables
+// 2–3, and the session/cache layer that keeps it alive across runs for
+// `minpower serve` (DESIGN.md §13).
 //
-// The paper's flow — decompose, activity, map against power-delay curves —
-// is a pure function of the (sub)network and the options, so its expensive
-// intermediates are memoizable across runs. A FlowSession keys them on a
+// The method pairs I/IV, II/V and III/VI differ only in the mapping
+// objective — they operate on the *same* decomposed subject network. A run
+// therefore splits into two fan-out stages:
+//
+//   stage 1  (circuit × decomposition group, 3 per circuit):
+//            decompose once, run one BDD switching-activity pass over the
+//            resulting subject network;
+//   stage 2  (circuit × method, 6 per circuit):
+//            map the shared subject with the method's objective and
+//            evaluate the mapped netlist, reusing the shared activities.
+//
+// Threading: independent tasks run on a std::thread worker pool that claims
+// them from an atomic index. Every task that needs BDDs builds its own
+// BddManager — the manager is not thread-safe and is never shared. Shared
+// inputs (Network, Library, options) are read-only during a run, and results
+// land in pre-sized (circuit, method) slots, so output order and every
+// computed value are independent of the thread count.
+//
+// Fault isolation: every task runs under its own Budget (FlowOptions carries
+// the per-task limits). A task that exhausts its budget degrades (halved-cap
+// retry, then Monte-Carlo probabilities; heuristic-ladder decomposition) or
+// fails, recording a TaskStatus in its slot; sibling tasks and the pool are
+// untouched and the run completes with partial results.
+//
+// Fault injection (EngineOptions::injections, MINPOWER_INJECT_FAULT) matches
+// tasks by *ordinal* — the task's slot index, not a temporal counter — so an
+// injected fault hits the same task at any thread count:
+//   stage-1 task (decomp + activity):  ordinal = circuit*3 + group
+//   stage-2 task (map + evaluate):     ordinal = 3*num_circuits
+//                                                + circuit*6 + method_index
+// (a single-circuit run thus has stage-1 ordinals 0–2, stage-2 3–8).
+//
+// Caching: the flow is a pure function of the (sub)network and the options,
+// so its expensive intermediates are memoizable. A session keys them on a
 // canonical 128-bit structural hash of the network plus an option
 // fingerprint and keeps them in bounded LRU caches:
 //
@@ -20,13 +52,14 @@
 // capacity. Values are shared_ptr-owned, so a hit stays valid after
 // eviction. Only ok/degraded results are cached — a failed task (deadline,
 // fatal error) is load- or request-specific and recomputes next time.
+// Caching is off by default (SessionOptions), so a plain session computes
+// every distinct unit afresh on each run; `minpower serve` turns it on.
 //
 // Determinism: cache lookups happen during (serial) run planning, and
 // identical stage-1/stage-2 work within one batch is deduplicated by key
 // before fan-out, so results and pass counters are independent of thread
-// count and arrival interleaving. The one-shot FlowEngine wraps a session
-// with caching disabled and behaves exactly as before; `minpower serve`
-// keeps one caching session alive across requests.
+// count and arrival interleaving. A run with armed faults bypasses the
+// caches and the dedup, so every ordinal above stays a live task.
 
 #include <cstdint>
 #include <iosfwd>
@@ -48,9 +81,8 @@ struct EngineOptions {
   /// Worker threads (0 → hardware concurrency). 1 runs inline.
   unsigned num_threads = 1;
   /// Armed faults, merged with MINPOWER_INJECT_FAULT at each run_suite
-  /// call (see flow_engine.hpp for the ordinal scheme). A run with armed
-  /// faults bypasses the caches and the intra-batch dedup so every task
-  /// ordinal stays live.
+  /// call (see the ordinal scheme above). A run with armed faults bypasses
+  /// the caches and the intra-batch dedup so every task ordinal stays live.
   std::vector<FaultInjection> injections;
   /// Emit one live stderr status line per finished task. Lines are built
   /// whole and written under a mutex, so threads never interleave output.
@@ -66,8 +98,8 @@ struct EngineCounters {
 };
 
 struct SessionOptions {
-  /// Cross-run memoization. Off by default (the one-shot FlowEngine
-  /// contract); `minpower serve` turns it on.
+  /// Cross-run memoization. Off by default (one-shot runs); `minpower
+  /// serve` turns it on.
   bool enable_cache = false;
   /// Bounded LRU capacities, in entries. A decomposition-group entry holds
   /// a subject network + activity vector; a result entry holds one QoR row.

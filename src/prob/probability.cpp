@@ -40,20 +40,41 @@ std::vector<int> dfs_pi_variable_order(const Network& net) {
   return var_of;
 }
 
-NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net) : mgr_(mgr) {
-  refs_.assign(net.capacity(), BddManager::kFalse);
-  pi_var_order_ = dfs_pi_variable_order(net);
-  std::unordered_map<NodeId, int> pi_var;
-  for (std::size_t i = 0; i < net.pis().size(); ++i)
-    pi_var[net.pis()[i]] = pi_var_order_[i];
+BddRef compose_cover(BddManager& mgr, const Cover& cover,
+                     const std::vector<BddRef>& fanin_refs) {
+  BddRef r = BddManager::kFalse;
+  for (const Cube& c : cover.cubes()) {
+    BddRef cube = BddManager::kTrue;
+    for (std::size_t i = 0; i < fanin_refs.size(); ++i) {
+      if (c.has_pos(static_cast<int>(i))) cube = mgr.and_(cube, fanin_refs[i]);
+      if (c.has_neg(static_cast<int>(i)))
+        cube = mgr.and_(cube, mgr.not_(fanin_refs[i]));
+    }
+    r = mgr.or_(r, cube);
+  }
+  return r;
+}
 
+NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net)
+    : NetworkBdds(mgr, net, dfs_pi_variable_order(net)) {}
+
+NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net,
+                         std::vector<int> pi_vars)
+    : mgr_(mgr), pi_var_order_(std::move(pi_vars)) {
+  MP_CHECK(pi_var_order_.size() == net.pis().size());
+  refs_.assign(net.capacity(), BddManager::kFalse);
+  std::vector<int> var_of(net.capacity(), -1);
+  for (std::size_t i = 0; i < net.pis().size(); ++i)
+    var_of[static_cast<std::size_t>(net.pis()[i])] = pi_var_order_[i];
+
+  std::vector<BddRef> fanin_refs;  // reused across nodes
   for (NodeId id : net.topo_order()) {
     budget_checkpoint("activity");
     const Node& n = net.node(id);
     BddRef r = BddManager::kFalse;
     switch (n.kind) {
       case NodeKind::kPrimaryInput:
-        r = mgr_.var(pi_var.at(id));
+        r = mgr_.var(var_of[static_cast<std::size_t>(id)]);
         break;
       case NodeKind::kConstant0:
         r = BddManager::kFalse;
@@ -61,21 +82,12 @@ NetworkBdds::NetworkBdds(BddManager& mgr, const Network& net) : mgr_(mgr) {
       case NodeKind::kConstant1:
         r = BddManager::kTrue;
         break;
-      case NodeKind::kInternal: {
-        // Compose the local SOP over global fanin BDDs.
-        r = BddManager::kFalse;
-        for (const Cube& c : n.cover.cubes()) {
-          BddRef cube = BddManager::kTrue;
-          for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-            const BddRef fi = refs_[static_cast<std::size_t>(n.fanins[i])];
-            if (c.has_pos(static_cast<int>(i))) cube = mgr_.and_(cube, fi);
-            if (c.has_neg(static_cast<int>(i)))
-              cube = mgr_.and_(cube, mgr_.not_(fi));
-          }
-          r = mgr_.or_(r, cube);
-        }
+      case NodeKind::kInternal:
+        fanin_refs.clear();
+        for (const NodeId f : n.fanins)
+          fanin_refs.push_back(refs_[static_cast<std::size_t>(f)]);
+        r = compose_cover(mgr_, n.cover, fanin_refs);
         break;
-      }
       case NodeKind::kDead:
         continue;
     }
@@ -204,55 +216,29 @@ double total_internal_activity(const Network& net, CircuitStyle style,
   return total;
 }
 
+bool bind_pis_by_name(const Network& a, const std::vector<int>& a_vars,
+                      const Network& b, std::vector<int>* b_vars) {
+  std::unordered_map<std::string, int> var_of_name;
+  for (std::size_t i = 0; i < a.pis().size(); ++i)
+    var_of_name[a.node(a.pis()[i]).name] = a_vars[i];
+  b_vars->clear();
+  for (const NodeId pi : b.pis()) {
+    const auto it = var_of_name.find(b.node(pi).name);
+    if (it == var_of_name.end()) return false;
+    b_vars->push_back(it->second);
+  }
+  return true;
+}
+
 bool networks_equivalent(const Network& a, const Network& b) {
   if (a.pis().size() != b.pis().size()) return false;
   if (a.pos().size() != b.pos().size()) return false;
 
   BddManager mgr;
   const NetworkBdds a_bdds(mgr, a);
-
-  // Match PIs of b to a's (DFS-ordered) variable numbering by name.
-  std::unordered_map<std::string, int> a_pi_var;
-  for (std::size_t i = 0; i < a.pis().size(); ++i)
-    a_pi_var[a.node(a.pis()[i]).name] = a_bdds.pi_variable(i);
-
-  // Build b's BDDs against the same variable numbering.
-  std::vector<BddRef> b_refs(b.capacity(), BddManager::kFalse);
-  for (NodeId id : b.topo_order()) {
-    const Node& n = b.node(id);
-    BddRef r = BddManager::kFalse;
-    switch (n.kind) {
-      case NodeKind::kPrimaryInput: {
-        const auto it = a_pi_var.find(n.name);
-        if (it == a_pi_var.end()) return false;  // PI name mismatch
-        r = mgr.var(it->second);
-        break;
-      }
-      case NodeKind::kConstant0:
-        r = BddManager::kFalse;
-        break;
-      case NodeKind::kConstant1:
-        r = BddManager::kTrue;
-        break;
-      case NodeKind::kInternal: {
-        r = BddManager::kFalse;
-        for (const Cube& c : n.cover.cubes()) {
-          BddRef cube = BddManager::kTrue;
-          for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-            const BddRef fi = b_refs[static_cast<std::size_t>(n.fanins[i])];
-            if (c.has_pos(static_cast<int>(i))) cube = mgr.and_(cube, fi);
-            if (c.has_neg(static_cast<int>(i)))
-              cube = mgr.and_(cube, mgr.not_(fi));
-          }
-          r = mgr.or_(r, cube);
-        }
-        break;
-      }
-      case NodeKind::kDead:
-        continue;
-    }
-    b_refs[static_cast<std::size_t>(id)] = r;
-  }
+  std::vector<int> b_vars;
+  if (!bind_pis_by_name(a, a_bdds.pi_variables(), b, &b_vars)) return false;
+  const NetworkBdds b_bdds(mgr, b, std::move(b_vars));
 
   // Match POs by name.
   std::unordered_map<std::string, NodeId> b_po;
@@ -260,8 +246,7 @@ bool networks_equivalent(const Network& a, const Network& b) {
   for (const PrimaryOutput& po : a.pos()) {
     const auto it = b_po.find(po.name);
     if (it == b_po.end()) return false;
-    if (a_bdds.of(po.driver) != b_refs[static_cast<std::size_t>(it->second)])
-      return false;
+    if (a_bdds.of(po.driver) != b_bdds.of(it->second)) return false;
   }
   return true;
 }

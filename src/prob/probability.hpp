@@ -43,12 +43,24 @@ inline double switching_activity(double p, CircuitStyle style) {
 /// keeps reconvergent-logic BDDs narrow.
 std::vector<int> dfs_pi_variable_order(const Network& net);
 
-/// Global BDDs for every node of a network. PIs get BDD variables in
-/// DFS-from-outputs order; internal nodes are built in topological order by
-/// composing their local SOP over fanin BDDs.
+/// Compose a local SOP over the BDDs of its inputs (`fanin_refs[i]` is cover
+/// variable i): OR over the cubes, in cover order, of the AND of each cube's
+/// literals, in variable order. The one SOP-to-BDD routine — every global
+/// BDD of a network or a mapped netlist is built through it, so node
+/// numbering is the same wherever the same cover is composed.
+BddRef compose_cover(BddManager& mgr, const Cover& cover,
+                     const std::vector<BddRef>& fanin_refs);
+
+/// Global BDDs for every node of a network. Internal nodes are built in
+/// topological order by composing their local SOP over fanin BDDs.
 class NetworkBdds {
  public:
+  /// PIs get BDD variables in DFS-from-outputs order.
   NetworkBdds(BddManager& mgr, const Network& net);
+
+  /// PI i (Network::pis() order) gets BDD variable `pi_vars[i]` — e.g. a
+  /// second network bound to the first one's variables (bind_pis_by_name).
+  NetworkBdds(BddManager& mgr, const Network& net, std::vector<int> pi_vars);
 
   BddRef of(NodeId id) const {
     MP_CHECK(id >= 0 && id < static_cast<NodeId>(refs_.size()));
@@ -57,8 +69,8 @@ class NetworkBdds {
 
   BddManager& manager() const { return mgr_; }
 
-  /// BDD variable assigned to PI position i (Network::pis() order).
-  int pi_variable(std::size_t i) const { return pi_var_order_[i]; }
+  /// BDD variable of each PI position (Network::pis() order).
+  const std::vector<int>& pi_variables() const { return pi_var_order_; }
 
   /// Permute a PI-position-indexed vector into BDD-variable indexing, as
   /// BddManager::probability expects.
@@ -113,6 +125,12 @@ std::vector<double> monte_carlo_activities(const Network& net,
 double total_internal_activity(const Network& net, CircuitStyle style,
                                std::vector<double> pi_prob1 = {},
                                bool include_pis = false);
+
+/// BDD variables for `b`'s PIs that bind each to the variable `a_vars` gives
+/// `a`'s PI of the same name (`(*b_vars)[i]` for b.pis()[i]). False when a
+/// PI of `b` has no namesake in `a`.
+bool bind_pis_by_name(const Network& a, const std::vector<int>& a_vars,
+                      const Network& b, std::vector<int>* b_vars);
 
 /// Functional equivalence of two networks with identical PI/PO names
 /// (order-insensitive), via global BDDs. Used by tests and as a safety net

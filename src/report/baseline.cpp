@@ -25,31 +25,6 @@ std::uint64_t histogram_percentile(const HistSnapshot& h, double q) {
   return h.buckets.back().first;
 }
 
-namespace {
-
-double num_or(const JsonValue& obj, const char* key, double fallback = 0.0) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
-
-std::uint64_t u64_or(const JsonValue& obj, const char* key) {
-  return static_cast<std::uint64_t>(num_or(obj, key));
-}
-
-std::string str_or(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : std::string();
-}
-
-bool set_error(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-}  // namespace
-
 bool load_flow_report(std::string_view json_text, const std::string& label,
                       FlowReportDoc* out, std::string* error) {
   *out = FlowReportDoc{};
@@ -60,20 +35,20 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
     return set_error(error, label + ": invalid JSON: " + parse_error);
   if (doc->kind != JsonValue::Kind::kObject)
     return set_error(error, label + ": not a JSON object");
-  const std::string schema = str_or(*doc, "schema");
+  const std::string schema = doc->string_or("schema");
   if (schema != "minpower.flow.v1")
     return set_error(error, label + ": unexpected schema '" + schema +
                                 "' (want minpower.flow.v1)");
-  out->library = str_or(*doc, "library");
-  out->num_threads = num_or(*doc, "num_threads");
-  out->elapsed_ms = num_or(*doc, "elapsed_ms");
+  out->library = doc->string_or("library");
+  out->num_threads = doc->number_or("num_threads");
+  out->elapsed_ms = doc->number_or("elapsed_ms");
 
   const JsonValue* circuits = doc->find("circuits");
   if (circuits == nullptr || circuits->kind != JsonValue::Kind::kArray)
     return set_error(error, label + ": missing circuits array");
   for (const JsonValue& c : circuits->items) {
     if (c.kind != JsonValue::Kind::kObject) continue;
-    const std::string name = str_or(c, "name");
+    const std::string name = c.string_or("name");
     out->circuits.push_back(name);
     const JsonValue* methods = c.find("methods");
     if (methods == nullptr || methods->kind != JsonValue::Kind::kArray)
@@ -82,20 +57,20 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
     for (const JsonValue& m : methods->items) {
       QorCell cell;
       cell.circuit = name;
-      cell.method = str_or(m, "method");
-      cell.area = num_or(m, "area");
-      cell.delay_ns = num_or(m, "delay_ns");
-      cell.power_uw = num_or(m, "power_uw");
-      cell.gates = num_or(m, "gates");
+      cell.method = m.string_or("method");
+      cell.area = m.number_or("area");
+      cell.delay_ns = m.number_or("delay_ns");
+      cell.power_uw = m.number_or("power_uw");
+      cell.gates = m.number_or("gates");
       if (const JsonValue* status = m.find("status");
           status != nullptr && status->kind == JsonValue::Kind::kObject)
-        cell.state = str_or(*status, "state");
+        cell.state = status->string_or("state");
       if (const JsonValue* phases = m.find("phases");
           phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
-        cell.decomp_ms = num_or(*phases, "decomp_ms");
-        cell.activity_ms = num_or(*phases, "activity_ms");
-        cell.map_ms = num_or(*phases, "map_ms");
-        cell.eval_ms = num_or(*phases, "eval_ms");
+        cell.decomp_ms = phases->number_or("decomp_ms");
+        cell.activity_ms = phases->number_or("activity_ms");
+        cell.map_ms = phases->number_or("map_ms");
+        cell.eval_ms = phases->number_or("eval_ms");
       }
       out->cells.push_back(std::move(cell));
     }
@@ -110,7 +85,8 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
           if (arr == nullptr || arr->kind != JsonValue::Kind::kArray) return;
           for (const JsonValue& e : arr->items)
             if (e.kind == JsonValue::Kind::kObject)
-              into.emplace_back(str_or(e, "name"), u64_or(e, "value"));
+              into.emplace_back(e.string_or("name"),
+                                e.number_or<std::uint64_t>("value"));
         };
     read_pairs("counters", out->counters);
     read_pairs("gauges", out->gauges);
@@ -119,14 +95,15 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
       for (const JsonValue& e : hists->items) {
         if (e.kind != JsonValue::Kind::kObject) continue;
         HistSnapshot h;
-        h.name = str_or(e, "name");
-        h.count = u64_or(e, "count");
-        h.sum = u64_or(e, "sum");
+        h.name = e.string_or("name");
+        h.count = e.number_or<std::uint64_t>("count");
+        h.sum = e.number_or<std::uint64_t>("sum");
         if (const JsonValue* buckets = e.find("buckets");
             buckets != nullptr && buckets->kind == JsonValue::Kind::kArray)
           for (const JsonValue& b : buckets->items)
             if (b.kind == JsonValue::Kind::kObject)
-              h.buckets.emplace_back(u64_or(b, "lo"), u64_or(b, "count"));
+              h.buckets.emplace_back(b.number_or<std::uint64_t>("lo"),
+                                     b.number_or<std::uint64_t>("count"));
         out->histograms.push_back(std::move(h));
       }
     }

@@ -15,27 +15,6 @@ namespace minpower::report {
 
 namespace {
 
-double num_or(const JsonValue& obj, const char* key, double fallback = 0.0) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number
-                                                             : fallback;
-}
-
-std::uint64_t u64_or(const JsonValue& obj, const char* key) {
-  return static_cast<std::uint64_t>(num_or(obj, key));
-}
-
-std::string str_or(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->string
-                                                             : std::string();
-}
-
-bool set_error(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
 /// Identity of one sweep point: the same configuration re-measured across
 /// commits must collide so the gate compares like with like.
 using PointKey = std::tuple<std::string, std::uint64_t, std::uint64_t, double>;
@@ -53,23 +32,23 @@ double bdd_bytes_of(const TrajectoryPoint& p) {
 
 bool parse_point(const JsonValue& obj, TrajectoryPoint* out) {
   if (obj.kind != JsonValue::Kind::kObject) return false;
-  if (str_or(obj, "schema") != "minpower.bench_trajectory.v1") return false;
-  out->family = str_or(obj, "family");
+  if (obj.string_or("schema") != "minpower.bench_trajectory.v1") return false;
+  out->family = obj.string_or("family");
   if (out->family.empty()) out->family = "paper-suite";
-  out->seed = u64_or(obj, "seed");
-  out->target_gates = u64_or(obj, "target_gates");
-  out->gates = num_or(obj, "gates");
-  out->suite = num_or(obj, "suite");
-  out->threads = num_or(obj, "threads");
-  out->shards = num_or(obj, "shards");
-  out->wall_ms = num_or(obj, "wall_ms");
-  out->peak_bdd_nodes = num_or(obj, "peak_bdd_nodes");
-  out->peak_bdd_node_bytes = num_or(obj, "peak_bdd_node_bytes");
-  out->peak_bdd_arena_bytes = num_or(obj, "peak_bdd_arena_bytes");
-  out->peak_rss_kb = num_or(obj, "peak_rss_kb");
-  out->degradations = num_or(obj, "degradations");
-  out->failures = num_or(obj, "failures");
-  out->retries = num_or(obj, "retries");
+  out->seed = obj.number_or<std::uint64_t>("seed");
+  out->target_gates = obj.number_or<std::uint64_t>("target_gates");
+  out->gates = obj.number_or("gates");
+  out->suite = obj.number_or("suite");
+  out->threads = obj.number_or("threads");
+  out->shards = obj.number_or("shards");
+  out->wall_ms = obj.number_or("wall_ms");
+  out->peak_bdd_nodes = obj.number_or("peak_bdd_nodes");
+  out->peak_bdd_node_bytes = obj.number_or("peak_bdd_node_bytes");
+  out->peak_bdd_arena_bytes = obj.number_or("peak_bdd_arena_bytes");
+  out->peak_rss_kb = obj.number_or("peak_rss_kb");
+  out->degradations = obj.number_or("degradations");
+  out->failures = obj.number_or("failures");
+  out->retries = obj.number_or("retries");
   return true;
 }
 

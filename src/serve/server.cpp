@@ -568,7 +568,7 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
     }
 
     // Canonical one-shot rendering: the counters a cold single-circuit
-    // FlowEngine run reports, thread count 1, zeroed wall times, no metrics
+    // uncached run reports, thread count 1, zeroed wall times, no metrics
     // block — so a warm response is byte-identical to a cold one and to the
     // one-shot CLI document under the same policy.
     EngineCounters counters;

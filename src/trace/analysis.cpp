@@ -13,8 +13,8 @@ namespace minpower::trace {
 
 namespace {
 
-/// Decomposition group of an engine method label ("I".."VI"); mirrors
-/// flow_engine.cpp's group_of. Returns -1 for anything unrecognized.
+/// Decomposition group of an engine method label ("I".."VI"); mirrors the
+/// engine's rule (method index % 3). Returns -1 for anything unrecognized.
 int group_of_method(const std::string& m) {
   if (m == "I" || m == "IV") return 0;
   if (m == "II" || m == "V") return 1;
@@ -67,12 +67,7 @@ void extract_args(const JsonValue& ev,
 
 /// Optional "pid" field; the in-process exporter historically wrote pid 1,
 /// so that stays the default for flat traces.
-int extract_pid(const JsonValue& ev) {
-  const JsonValue* pid = ev.find("pid");
-  if (pid != nullptr && pid->kind == JsonValue::Kind::kNumber)
-    return static_cast<int>(pid->number);
-  return 1;
-}
+int extract_pid(const JsonValue& ev) { return ev.number_or<int>("pid", 1); }
 
 bool extract_event(const JsonValue& ev, SpanRecord* out, std::string* error) {
   const JsonValue* name = ev.find("name");
@@ -87,9 +82,7 @@ bool extract_event(const JsonValue& ev, SpanRecord* out, std::string* error) {
     return false;
   }
   out->name = name->string;
-  if (const JsonValue* cat = ev.find("cat");
-      cat != nullptr && cat->kind == JsonValue::Kind::kString)
-    out->cat = cat->string;
+  out->cat = ev.string_or("cat", out->cat);
   out->ts_us = to_u64(ts->number);
   out->dur_us = to_u64(dur->number);
   out->pid = extract_pid(ev);
@@ -108,14 +101,10 @@ bool extract_instant(const JsonValue& ev, InstantRecord* out,
     return false;
   }
   out->name = name->string;
-  if (const JsonValue* cat = ev.find("cat");
-      cat != nullptr && cat->kind == JsonValue::Kind::kString)
-    out->cat = cat->string;
+  out->cat = ev.string_or("cat", out->cat);
   out->ts_us = to_u64(ts->number);
   out->pid = extract_pid(ev);
-  if (const JsonValue* tid = ev.find("tid");
-      tid != nullptr && tid->kind == JsonValue::Kind::kNumber)
-    out->tid = static_cast<int>(tid->number);
+  out->tid = ev.number_or<int>("tid", out->tid);
   extract_args(ev, &out->str_args, &out->num_args);
   return true;
 }

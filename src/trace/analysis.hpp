@@ -29,7 +29,7 @@
 //   - per-(pid, tid) utilization (busy = top-level span time; wall =
 //     global trace extent) and stage1/stage2 queue-wait statistics from
 //     the engine's `queue_wait_us` span args;
-//   - per-process critical paths through the FlowEngine's two fan-out
+//   - per-process critical paths through the flow engine's two fan-out
 //     stages, under the engine's actual barrier schedule (slowest stage-1
 //     task + slowest stage-2 task) and under the pure dependency model (a
 //     stage-2 task needs only its own circuit's stage-1 group), whose gap

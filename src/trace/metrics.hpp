@@ -6,7 +6,7 @@
 // unique-table probes, Huffman merges, curve points kept/pruned, checkpoint
 // hits — never timings, so the registry snapshot is byte-identical across
 // thread counts and repeated runs (integer addition and max commute; the
-// FlowEngine performs the same work regardless of scheduling). Wall-clock
+// flow engine performs the same work regardless of scheduling). Wall-clock
 // measurements belong to the span tracer (trace/trace.hpp), not here.
 //
 // Hot-path cost: an increment is one relaxed atomic add. The hottest

@@ -20,7 +20,7 @@
 // Export contract: call write_chrome_trace()/clear()/num_events()/
 // snapshot_events() only after the traced worker threads have been joined
 // and all spans have closed (thread join is the synchronization point that
-// makes the buffers safe to read). The FlowEngine joins its pool before
+// makes the buffers safe to read). FlowSession joins its pool before
 // returning, so exporting after run_suite() is always safe.
 //
 // The emitted file is the Chrome trace-event JSON object form

@@ -1,7 +1,7 @@
 #pragma once
 // Resource governance for the synthesis pipeline.
 //
-// A Budget bounds one unit of work (typically one FlowEngine task): a BDD
+// A Budget bounds one unit of work (typically one flow-engine task): a BDD
 // node cap, an optional wall-clock deadline, and an optional step counter.
 // Exceeding a budget raises ResourceExhausted — a *recoverable* error, in
 // contrast to MP_CHECK, which stays reserved for invariant corruption and

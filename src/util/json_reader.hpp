@@ -34,6 +34,22 @@ struct JsonValue {
     return nullptr;
   }
 
+  /// Member `key` as a number converted to T; `fallback` when it is absent
+  /// or not a number.
+  template <typename T = double>
+  T number_or(const std::string& key, T fallback = T{}) const {
+    const JsonValue* v = find(key);
+    return v != nullptr && v->kind == Kind::kNumber ? static_cast<T>(v->number)
+                                                    : fallback;
+  }
+
+  /// Member `key` as a string; `fallback` when it is absent or not a string.
+  std::string string_or(const std::string& key,
+                        std::string fallback = {}) const {
+    const JsonValue* v = find(key);
+    return v != nullptr && v->kind == Kind::kString ? v->string : fallback;
+  }
+
   const char* kind_name() const {
     switch (kind) {
       case Kind::kNull: return "null";
@@ -296,6 +312,13 @@ class Parser {
 inline std::optional<JsonValue> parse_json(std::string_view text,
                                            std::string* error = nullptr) {
   return json_detail::Parser(text, error).run();
+}
+
+/// Store `message` in `*error` (when non-null) and return false — the
+/// failure idiom of the loaders that read these documents.
+inline bool set_error(std::string* error, const std::string& message) {
+  if (error != nullptr) *error = message;
+  return false;
 }
 
 }  // namespace minpower

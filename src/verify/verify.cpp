@@ -72,22 +72,6 @@ const Cover& gate_cover(const Gate* gate,
       .first->second;
 }
 
-BddRef compose_cover(BddManager& mgr, const Cover& cover,
-                     const std::vector<BddRef>& fanin_refs) {
-  BddRef r = BddManager::kFalse;
-  for (const Cube& c : cover.cubes()) {
-    BddRef cube = BddManager::kTrue;
-    for (std::size_t i = 0; i < fanin_refs.size(); ++i) {
-      if (c.has_pos(static_cast<int>(i)))
-        cube = mgr.and_(cube, fanin_refs[i]);
-      if (c.has_neg(static_cast<int>(i)))
-        cube = mgr.and_(cube, mgr.not_(fanin_refs[i]));
-    }
-    r = mgr.or_(r, cube);
-  }
-  return r;
-}
-
 }  // namespace
 
 bool mapped_network_equivalent(const Network& source,
@@ -98,26 +82,22 @@ bool mapped_network_equivalent(const Network& source,
 
   BddManager mgr;
   const NetworkBdds src(mgr, source);
-  std::unordered_map<std::string, int> var_of;
-  for (std::size_t i = 0; i < source.pis().size(); ++i)
-    var_of[source.node(source.pis()[i]).name] = src.pi_variable(i);
+  std::vector<int> var_of;
+  if (!bind_pis_by_name(source, src.pi_variables(), subject, &var_of))
+    return false;
 
   // Signal BDDs over the subject node ids, against source variables.
   std::vector<BddRef> sig(subject.capacity(), BddManager::kFalse);
-  for (std::size_t i = 0; i < subject.pis().size(); ++i) {
-    const NodeId pi = subject.pis()[i];
-    const auto it = var_of.find(subject.node(pi).name);
-    if (it == var_of.end()) return false;  // PI name mismatch
-    sig[static_cast<std::size_t>(pi)] = mgr.var(it->second);
-  }
+  for (std::size_t i = 0; i < subject.pis().size(); ++i)
+    sig[static_cast<std::size_t>(subject.pis()[i])] = mgr.var(var_of[i]);
   for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id)
     if (subject.node(id).kind == NodeKind::kConstant1)
       sig[static_cast<std::size_t>(id)] = BddManager::kTrue;
 
   std::unordered_map<const Gate*, Cover> covers;
+  std::vector<BddRef> pins;  // reused across gates
   for (const MappedGateInst& g : mapped.gates) {
-    std::vector<BddRef> pins;
-    pins.reserve(g.pin_nodes.size());
+    pins.clear();
     for (NodeId s : g.pin_nodes) pins.push_back(sig[static_cast<std::size_t>(s)]);
     sig[static_cast<std::size_t>(g.root)] =
         compose_cover(mgr, gate_cover(g.gate, covers), pins);

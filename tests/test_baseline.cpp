@@ -16,7 +16,7 @@
 #include <sstream>
 
 #include "benchgen/benchgen.hpp"
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "report/baseline.hpp"
 #include "trace/metrics.hpp"
 
@@ -51,7 +51,7 @@ std::string run_suite_json(std::size_t max_circuits) {
   for (const Network& n : nets) circuits.push_back(&n);
   EngineOptions eo;
   eo.num_threads = 1;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = engine.run_suite(circuits);
   const double elapsed_ms =

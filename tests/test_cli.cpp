@@ -95,4 +95,27 @@ TEST(Cli, MalformedGenlibIsFatalNotAbort) {
         c.message);
 }
 
+TEST(Cli, UnwritableOutputIsFatalNotAbort) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  const std::string out = "/nonexistent/d/y.blif";
+  for (const char* cmd : {"opt", "map"})
+    expect_clean_failure(std::string(cmd) + " " + blif + " -o " + out,
+                         "cannot open output file " + out);
+}
+
+TEST(Cli, MalformedNumericFlagIsFatalNotAbort) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  // Non-numeric text and trailing text are both rejected, naming the flag
+  // and the value.
+  expect_clean_failure("flow " + blif + " --threads abc",
+                       "--threads needs a number, got 'abc'");
+  expect_clean_failure("verify --seed 4x", "--seed needs a number, got '4x'");
+  expect_clean_failure("flow " + blif + " --threads -1",
+                       "--threads needs a number, got '-1'");
+}
+
 }  // namespace

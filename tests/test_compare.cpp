@@ -7,7 +7,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "report/baseline.hpp"
 #include "trace/metrics.hpp"
@@ -271,7 +271,7 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   }
   std::vector<const Network*> circuits;
   for (const Network& n : nets) circuits.push_back(&n);
-  FlowEngine engine(standard_library());
+  FlowSession engine(standard_library());
   const auto results = engine.run_suite(circuits);
 
   std::ostringstream os;

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "flow/flow.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "util/stats.hpp"
 
@@ -17,7 +17,7 @@ TEST(Flow, AllMethodsProduceValidResults) {
   prepare_network(net);
   ASSERT_GT(net.num_internal(), 0u)
       << "degenerate random circuit; pick another seed";
-  const auto rs = run_all_methods(net, standard_library());
+  const auto rs = FlowSession(standard_library()).run_circuit(net);
   ASSERT_EQ(rs.size(), 6u);
   for (const auto& r : rs) {
     EXPECT_GT(r.area, 0.0) << method_name(r.method);
@@ -33,7 +33,7 @@ TEST(Flow, DecompositionPhaseIsSharedAcrossObjectives) {
   // same decomposition diagnostics.
   Network net = testing::random_network(43, 7, 16, 3);
   prepare_network(net);
-  const auto rs = run_all_methods(net, standard_library());
+  const auto rs = FlowSession(standard_library()).run_circuit(net);
   EXPECT_DOUBLE_EQ(rs[0].tree_activity, rs[3].tree_activity);
   EXPECT_DOUBLE_EQ(rs[1].tree_activity, rs[4].tree_activity);
   EXPECT_EQ(rs[0].nand_depth, rs[3].nand_depth);

@@ -1,4 +1,4 @@
-// FlowEngine thread-count independence: the six-method flow over 3 seeded
+// Flow-engine thread-count independence: the six-method flow over 3 seeded
 // circuits must produce byte-identical `minpower.flow.v1` JSON at
 // --threads 1 and --threads 8 (PR 1's determinism claim, locked in here).
 //
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "library/library.hpp"
 #include "trace/metrics.hpp"
@@ -40,8 +40,7 @@ std::string flow_json_at_threads(unsigned num_threads,
   metrics::Registry::global().reset();
   EngineOptions eo;
   eo.num_threads = num_threads;
-  eo.flow.num_threads = num_threads;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   std::vector<const Network*> ptrs;
   for (const Network& c : circuits) ptrs.push_back(&c);
   auto results = engine.run_suite(ptrs);

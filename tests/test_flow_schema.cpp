@@ -16,7 +16,7 @@
 #include <sstream>
 #include <string>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "library/library.hpp"
 #include "util/json_reader.hpp"
@@ -57,7 +57,7 @@ std::string flow_json() {
   Network net = testing::random_network(55, /*num_pi=*/6, /*num_nodes=*/14,
                                         /*num_po=*/3);
   prepare_network(net);
-  FlowEngine engine(standard_library());
+  FlowSession engine(standard_library());
   const std::vector<std::vector<FlowResult>> results{
       engine.run_circuit(net)};
   std::ostringstream os;

@@ -144,5 +144,17 @@ TEST(JsonReader, ObjectOrderAndDuplicateKeysPreserved) {
   EXPECT_EQ(v.find("b")->number, 1.0);
 }
 
+TEST(JsonReader, MemberAccessorsFallBackOnAbsentOrMistyped) {
+  const JsonValue v =
+      parse_ok(R"({"n": 42.9, "s": "text", "ns": "7", "sn": 7})");
+  EXPECT_EQ(v.number_or("n"), 42.9);
+  EXPECT_EQ(v.number_or<std::uint64_t>("n"), 42u);
+  EXPECT_EQ(v.number_or("missing"), 0.0);
+  EXPECT_EQ(v.number_or<int>("ns", -1), -1);  // a string is not a number
+  EXPECT_EQ(v.string_or("s"), "text");
+  EXPECT_EQ(v.string_or("missing"), "");
+  EXPECT_EQ(v.string_or("sn", "?"), "?");  // a number is not a string
+}
+
 }  // namespace
 }  // namespace minpower

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "io/blif.hpp"
 #include "prob/probability.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +127,29 @@ TEST(Equivalence, PiNameMismatchFails) {
   const NodeId y = b.add_pi("y");
   b.add_po("f", y);
   EXPECT_FALSE(networks_equivalent(a, b));
+}
+
+/// f = a·!b + c and a second output `g` = !a·c: neither is symmetric in its
+/// inputs, so a positional (rather than by-name) PI binding changes them.
+std::string asymmetric_blif(const std::string& inputs,
+                            const std::string& g = "g") {
+  return ".model t\n.inputs " + inputs + "\n.outputs f " + g +
+         "\n.names a b c f\n10- 1\n--1 1\n.names a c " + g +
+         "\n01 1\n.end\n";
+}
+
+TEST(Equivalence, PoNameMismatchFails) {
+  const Network a = read_blif_string(asymmetric_blif("a b c"));
+  const Network b = read_blif_string(asymmetric_blif("a b c", "h"));
+  EXPECT_FALSE(networks_equivalent(a, b));
+}
+
+TEST(Equivalence, PermutedPiDeclarationOrderBindsByName) {
+  const Network a = read_blif_string(asymmetric_blif("a b c"));
+  const Network b = read_blif_string(asymmetric_blif("c a b"));
+  ASSERT_NE(a.node(a.pis()[0]).name, b.node(b.pis()[0]).name);
+  EXPECT_TRUE(networks_equivalent(a, b));
+  EXPECT_TRUE(networks_equivalent(b, a));
 }
 
 TEST(Equivalence, InsensitiveToStructure) {

@@ -1,6 +1,6 @@
 // Concurrency stress for the serve layer: many client threads hammer one
 // Server with overlapping and repeated circuits, and every response must be
-// byte-identical to the canonical one-shot FlowEngine rendering of the same
+// byte-identical to the canonical one-shot FlowSession rendering of the same
 // BLIF. Repeat submissions must raise the session cache hit counters above
 // zero. Set MINPOWER_SERVE_SEED to re-run a failing circuit population.
 
@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
@@ -41,7 +41,7 @@ std::string expected_body(const Library& lib, const std::string& blif) {
   std::optional<Network> net = try_read_blif_string(blif, &blif_error);
   EXPECT_TRUE(net.has_value()) << blif_error.message;
   prepare_network(*net);
-  FlowEngine engine(lib);
+  FlowSession engine(lib);
   const std::vector<FlowResult> results = engine.run_circuit(*net);
   EngineCounters counters;
   counters.decomp_passes = 3;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "report/baseline.hpp"
 #include "shard/journal.hpp"
 #include "shard/supervisor.hpp"
@@ -88,7 +88,7 @@ TEST(Shard, CleanRunMatchesInProcessEngineAndIsShardCountIndependent) {
 
   EngineOptions eo;
   eo.num_threads = 1;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   const auto in_process = engine.run_suite(circuits);
 
   shard::ShardOptions so;

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "library/library.hpp"
 #include "trace/metrics.hpp"
@@ -46,8 +46,7 @@ void run_flow_suite(const std::vector<Network>& circuits,
                     unsigned num_threads) {
   EngineOptions eo;
   eo.num_threads = num_threads;
-  eo.flow.num_threads = num_threads;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   std::vector<const Network*> ptrs;
   for (const Network& c : circuits) ptrs.push_back(&c);
   engine.run_suite(ptrs);

@@ -1,4 +1,4 @@
-// Trace export → profile round trip (DESIGN.md §11): run the FlowEngine
+// Trace export → profile round trip (DESIGN.md §11): run the flow engine
 // under the tracer, feed the exported Chrome trace back through
 // analyze_chrome_trace, and check the span forest against the tracer's own
 // event count and the nesting invariants the profiler guarantees; plus
@@ -9,7 +9,7 @@
 #include <map>
 #include <sstream>
 
-#include "flow/flow_engine.hpp"
+#include "flow/session.hpp"
 #include "helpers.hpp"
 #include "trace/analysis.hpp"
 #include "trace/trace.hpp"
@@ -32,7 +32,7 @@ TEST(TraceProfile, RoundTripRecoversEverySpan) {
 
   EngineOptions eo;
   eo.num_threads = 8;
-  FlowEngine engine(standard_library(), eo);
+  FlowSession engine(standard_library(), eo);
   trace::set_enabled(true);
   const auto results = engine.run_suite(circuits);
   trace::set_enabled(false);

@@ -12,6 +12,7 @@
 #include "decomp/package_merge.hpp"
 #include "flow/flow.hpp"
 #include "helpers.hpp"
+#include "io/blif.hpp"
 #include "library/library.hpp"
 #include "map/mapper.hpp"
 #include "power/report.hpp"
@@ -48,6 +49,21 @@ TEST(MappedEquivalence, AcceptsGenuineMapping) {
     EXPECT_TRUE(verify::mapped_network_equivalent(net, r.mapped))
         << "seed " << seed;
   }
+}
+
+TEST(MappedEquivalence, BindsSourcePisByName) {
+  // The same asymmetric functions with the source's PIs declared in another
+  // order: only a by-name binding of the mapped subject's PIs accepts it.
+  const std::string body =
+      "\n.outputs f g\n.names a b c f\n10- 1\n--1 1\n"
+      ".names a c g\n01 1\n.end\n";
+  Network source = read_blif_string(".model t\n.inputs a b c" + body);
+  const Network permuted = read_blif_string(".model t\n.inputs c a b" + body);
+  prepare_network(source);
+  const Network subject = decompose_network(source, {}).network;
+  const MapResult r = map_network(subject, standard_library(), {});
+  EXPECT_TRUE(verify::mapped_network_equivalent(source, r.mapped));
+  EXPECT_TRUE(verify::mapped_network_equivalent(permuted, r.mapped));
 }
 
 TEST(MappedEquivalence, RejectsCorruptedPoBinding) {
