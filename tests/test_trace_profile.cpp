@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -196,6 +197,105 @@ TEST(TraceProfile, RejectsMalformedTraces) {
   EXPECT_FALSE(trace::analyze_chrome_trace(
       R"({"traceEvents": [{"ph": "X", "ts": 0, "dur": 1, "tid": 1}]})", &p,
       &error));
+}
+
+
+std::string golden(const std::string& name) {
+  const std::string path = std::string(MP_TEST_DATA_DIR) + "/golden/" + name;
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+trace::Event golden_event(const char* name, const char* cat, char ph,
+                          std::uint64_t ts, std::uint64_t dur = 0) {
+  trace::Event e;
+  e.name = name;
+  e.cat = cat;
+  e.ph = ph;
+  e.ts_us = ts;
+  e.dur_us = dur;
+  return e;
+}
+
+// Pins the merged-trace encoding and both profile renderers on a fixed
+// two-process lane set: X/i/C events, string (with escapes), negative,
+// unsigned and double args, and two sibling spans with equal (ts, dur) so
+// the profiler's stable tie-break (document order) is part of the output.
+TEST(TraceProfile, GoldenMergedTraceAndProfile) {
+  using U = unsigned long long;
+  std::vector<trace::ProcessLane> lanes(2);
+  lanes[0].pid = 100;
+  lanes[0].name = "supervisor (pid 100)";
+  {
+    trace::ThreadEvents t;
+    t.tid = 1;
+    trace::Event sv = golden_event("supervise", "shard", 'X', 0, 1000);
+    trace::detail::add_arg(sv, "poll_wait_us", U{800});
+    trace::detail::add_arg(sv, "polls", U{20});
+    t.events.push_back(sv);
+    trace::Event ws = golden_event("worker-start", "shard", 'i', 5);
+    trace::detail::add_arg(ws, "pid", 200LL);
+    trace::detail::add_arg(ws, "label", std::string_view("w\"0\\"));
+    t.events.push_back(ws);
+    trace::Event mem = golden_event("mem.worker-0", "shard", 'C', 300);
+    trace::detail::add_arg(mem, "rss_kb", U{4096});
+    trace::detail::add_arg(mem, "hwm_kb", U{5120});
+    t.events.push_back(mem);
+    trace::Event mp = golden_event("mem-pressure", "shard", 'i', 600);
+    trace::detail::add_arg(mp, "level", std::string_view("soft"));
+    trace::detail::add_arg(mp, "ratio", 0.8125);
+    t.events.push_back(mp);
+    lanes[0].threads.push_back(t);
+  }
+  lanes[1].pid = 200;
+  lanes[1].name = "worker-0 (pid 200)";
+  {
+    trace::ThreadEvents t;
+    t.tid = 1;
+    trace::Event s1 = golden_event("stage1", "engine", 'X', 100, 400);
+    trace::detail::add_arg(s1, "circuit", std::string_view("c17"));
+    trace::detail::add_arg(s1, "group", 1LL);
+    trace::detail::add_arg(s1, "task", std::string_view("c17/decomp[1]"));
+    trace::detail::add_arg(s1, "queue_wait_us", U{12});
+    t.events.push_back(s1);
+    trace::Event dc = golden_event("decomp", "decomp", 'X', 110, 100);
+    trace::detail::add_arg(dc, "delta", -3LL);
+    t.events.push_back(dc);
+    trace::Event ac = golden_event("activity", "prob", 'X', 110, 100);
+    trace::detail::add_arg(ac, "score", 0.25);
+    t.events.push_back(ac);
+    trace::Event s2 = golden_event("stage2", "engine", 'X', 520, 300);
+    trace::detail::add_arg(s2, "circuit", std::string_view("c17"));
+    trace::detail::add_arg(s2, "method", std::string_view("V"));
+    trace::detail::add_arg(s2, "task", std::string_view("c17/map[V]"));
+    trace::detail::add_arg(s2, "queue_wait_us", U{7});
+    trace::detail::add_arg(s2, "gain", -1.5);
+    t.events.push_back(s2);
+    lanes[1].threads.push_back(t);
+    trace::ThreadEvents t3;
+    t3.tid = 3;
+    trace::Event mp = golden_event("map", "map", 'X', 530, 50);
+    trace::detail::add_arg(mp, "gates", U{12});
+    t3.events.push_back(mp);
+    lanes[1].threads.push_back(t3);
+  }
+
+  std::ostringstream file;
+  trace::write_merged_chrome_trace(file, lanes);
+  EXPECT_EQ(file.str(), golden("profile_golden.trace.json"));
+
+  trace::TraceProfile p;
+  std::string error;
+  ASSERT_TRUE(trace::analyze_chrome_trace(file.str(), &p, &error)) << error;
+  std::ostringstream json;
+  trace::write_profile_json(json, p, "golden.trace.json", 3);
+  EXPECT_EQ(json.str(), golden("profile_golden.json"));
+  std::ostringstream text;
+  trace::print_profile(text, p, 3);
+  EXPECT_EQ(text.str(), golden("profile_golden.txt"));
 }
 
 }  // namespace
