@@ -177,9 +177,9 @@ class PipeWriter {
     // Ship the observability snapshots before DONE: run_circuit has joined
     // all engine tasks, so the buffers/registry are quiescent here.
     if (trace::enabled()) {
-      std::ostringstream events;
-      trace::write_events_json(events, trace::snapshot_events());
-      if (!out.write_line("TRACE " + events.str() + "\n")) ::_exit(1);
+      std::ostringstream lane;  // one line: the writer ends it with '\n'
+      trace::write_chrome_trace(lane);
+      if (!out.write_line("TRACE " + lane.str())) ::_exit(1);
     }
     {
       std::ostringstream snap;
@@ -240,10 +240,6 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
                        const Library& lib, const FlowOptions& flow,
                        const ShardOptions& options, ShardRun* out,
                        std::string* error) {
-  // Construct the tracer singleton before any fork so every worker inherits
-  // this process's CLOCK_MONOTONIC origin (shared timebase for the merged
-  // trace).
-  trace::ensure_origin();
   const std::size_t n = circuits.size();
   ShardRun run;
   run.mem_limit_mb = options.mem_limit_mb;
@@ -507,15 +503,14 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     }
     if (line.rfind("TRACE ", 0) == 0) {
       std::string parse_error;
-      std::optional<std::vector<trace::ThreadEvents>> threads =
-          trace::parse_events_json(line.substr(6), &parse_error);
-      if (!threads) return false;
-      trace::ProcessLane lane;
+      std::optional<std::vector<trace::ProcessLane>> lanes =
+          trace::parse_chrome_trace(line.substr(6), &parse_error);
+      if (!lanes || lanes->size() != 1) return false;
+      trace::ProcessLane& lane = lanes->front();
       lane.pid = static_cast<int>(w.pid);
       lane.name = "worker-" +
                   std::to_string(static_cast<std::size_t>(&w - workers.data())) +
                   " (pid " + std::to_string(static_cast<int>(w.pid)) + ")";
-      lane.threads = std::move(*threads);
       run.worker_lanes.push_back(std::move(lane));
       return true;
     }

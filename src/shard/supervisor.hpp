@@ -16,19 +16,21 @@
 //                               tick: {"rss_kb":N,"hwm_kb":N} from
 //                               /proc/self/status (VmRSS/VmHWM); one final
 //                               sample is shipped before DONE
-//   TRACE <json>              — span snapshot (trace/wire.hpp), sent once
-//                               right before DONE when tracing is enabled
+//   TRACE <json>              — the worker's own lane as a one-line Chrome
+//                               trace (write_chrome_trace; decoded by
+//                               trace::parse_chrome_trace), sent once right
+//                               before DONE when tracing is enabled
 //   METRICS <json>            — the worker's metrics-registry snapshot
 //                               (write_metrics_json), sent once before DONE
 //   DONE                      — partition complete; the worker exits 0
 //
-// Observability (DESIGN.md §15): workers inherit the supervisor's tracer
-// origin through fork(), so their span timestamps share its timebase; the
-// shipped snapshots become one pid lane per worker incarnation in
-// `ShardRun::worker_lanes`, and `write_shard_trace` merges them with the
-// supervisor's own lane — including `ph:"i"` lifecycle instants
-// (worker-start, heartbeat-timeout, sigkill, worker-restart,
-// budget-tighten, retry-exhausted). Worker registries land in
+// Observability (DESIGN.md §15): workers inherit the tracer origin that
+// set_enabled(true) pinned before the fork, so their span timestamps share
+// the supervisor's timebase; the shipped lanes become one pid lane per
+// worker incarnation in `ShardRun::worker_lanes`, and `write_shard_trace`
+// merges them with the supervisor's own lane — including `ph:"i"`
+// lifecycle instants (worker-start, heartbeat-timeout, sigkill,
+// worker-restart, budget-tighten, retry-exhausted). Worker registries land in
 // `worker_metrics` and `write_shard_metrics_json` folds them into one
 // merged block (counters sum, gauges max, histograms add): on a clean run
 // the merged counters equal a single-process run's registry for the same

@@ -23,24 +23,21 @@
 // makes the buffers safe to read). FlowSession joins its pool before
 // returning, so exporting after run_suite() is always safe.
 //
-// The emitted file is the Chrome trace-event JSON object form
-// ({"traceEvents":[...]}): `ph:"X"` complete events carrying ts/dur in
-// microseconds plus pid/tid and an args object, `ph:"i"` process-scoped
-// instant events (trace::Instant — supervisor lifecycle marks), and
-// `ph:"M"` metadata naming the process and threads. Open it at
-// chrome://tracing or https://ui.perfetto.dev.
+// Chrome trace-event JSON is the one encoding ({"traceEvents":[...]}):
+// `ph:"X"` complete events carrying ts/dur in microseconds plus pid/tid and
+// an args object, `ph:"i"` process-scoped instant events (trace::Instant —
+// supervisor lifecycle marks), `ph:"C"` counter samples, and `ph:"M"`
+// metadata naming the processes and threads. Open it at chrome://tracing
+// or https://ui.perfetto.dev. write_merged_chrome_trace() renders a set of
+// ProcessLanes; write_chrome_trace() is its one-lane (pid 1) case, and a
+// shard worker ships its own lane over the pipe in the same form
+// (trace/wire.hpp decodes it, DESIGN.md §15).
 //
-// Multi-process lanes (DESIGN.md §15): the exported pid defaults to 1 and
-// is settable via set_pid() — the shard supervisor stamps its real pid and
-// each forked worker its own, so merged traces get one lane per process.
-// Cross-process timestamps share one timebase for free: the tracer origin
-// is sampled from CLOCK_MONOTONIC (system-wide) and fork() inherits the
-// already-constructed singleton, so a worker's microseconds are directly
-// comparable to the supervisor's as long as the parent touched
-// Tracer::instance() before forking (`ensure_origin()`).
-// write_merged_chrome_trace() renders a set of ProcessLane event lists —
-// the supervisor's own buffers plus the span snapshots workers ship over
-// the pipe protocol — into one file.
+// Timebase: set_enabled(true) pins the tracer origin, so the first span of
+// a run starts after it. The origin is sampled from CLOCK_MONOTONIC
+// (system-wide) and fork() inherits the singleton, so a worker forked after
+// tracing was enabled stamps microseconds directly comparable to the
+// supervisor's.
 
 #include <algorithm>
 #include <atomic>
@@ -62,9 +59,6 @@ namespace minpower::trace {
 inline std::atomic<bool> g_enabled{false};
 
 inline bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-inline void set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
 
 /// One span argument; the value keeps its native type so the exporter can
 /// emit JSON numbers as numbers.
@@ -173,14 +167,9 @@ class Tracer {
     for (const auto& b : buffers_) b->events.clear();
   }
 
-  /// Exported pid lane (default 1). Multi-process runs stamp the real pid
-  /// so merged traces keep one lane per process.
-  int pid() const { return pid_.load(std::memory_order_relaxed); }
-  void set_pid(int pid) { pid_.store(pid, std::memory_order_relaxed); }
-
   /// Copy of every recorded event, grouped per thread in tid order — the
-  /// unit a shard worker serializes over the pipe and the supervisor merges
-  /// into one file. Same export contract as write_chrome_trace.
+  /// unit a shard worker ships over the pipe and the supervisor merges into
+  /// one file. Same export contract as write_chrome_trace.
   MP_TRACE_COLD std::vector<ThreadEvents> snapshot_events() {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<ThreadEvents> out;
@@ -191,77 +180,6 @@ class Tracer {
                 return a.tid < b.tid;
               });
     return out;
-  }
-
-  /// One Chrome trace-event object (`ph:"X"` complete, `ph:"i"` instant at
-  /// process scope, or `ph:"C"` counter sample) under the given pid/tid
-  /// lane.
-  static void write_event_json(JsonWriter& w, const Event& e, int pid,
-                               int tid) {
-    w.begin_object();
-    w.field("name", e.name);
-    w.field("cat", e.cat);
-    if (e.ph == 'i') {
-      w.field("ph", "i");
-      w.field("s", "p");
-      w.field("ts", static_cast<unsigned long long>(e.ts_us));
-    } else if (e.ph == 'C') {
-      w.field("ph", "C");
-      w.field("ts", static_cast<unsigned long long>(e.ts_us));
-    } else {
-      w.field("ph", "X");
-      w.field("ts", static_cast<unsigned long long>(e.ts_us));
-      w.field("dur", static_cast<unsigned long long>(e.dur_us));
-    }
-    w.field("pid", pid);
-    w.field("tid", tid);
-    w.key("args");
-    w.begin_object();
-    for (const Arg& a : e.args) {
-      w.key(a.key);
-      switch (a.kind) {
-        case Arg::Kind::kString: w.value(a.s); break;
-        case Arg::Kind::kDouble: w.value(a.d); break;
-        case Arg::Kind::kInt: w.value(a.i); break;
-        case Arg::Kind::kUint: w.value(a.u); break;
-      }
-    }
-    w.end_object();
-    w.end_object();
-  }
-
-  static void write_metadata(JsonWriter& w, const char* name, int pid,
-                             int tid, const std::string& value) {
-    w.begin_object();
-    w.field("name", name);
-    w.field("ph", "M");
-    w.field("pid", pid);
-    w.field("tid", tid);
-    w.key("args");
-    w.begin_object();
-    w.field("name", value);
-    w.end_object();
-    w.end_object();
-  }
-
-  /// Emit everything recorded so far as Chrome trace-event JSON.
-  MP_TRACE_COLD void write_chrome_trace(std::ostream& os) {
-    const int pid = this->pid();
-    const std::vector<ThreadEvents> lanes = snapshot_events();
-    JsonWriter w(os, /*pretty=*/false);
-    w.begin_object();
-    w.field("displayTimeUnit", "ms");
-    w.key("traceEvents");
-    w.begin_array();
-    write_metadata(w, "process_name", pid, /*tid=*/0, "minpower");
-    for (const ThreadEvents& t : lanes)
-      write_metadata(w, "thread_name", pid, t.tid,
-                     "thread-" + std::to_string(t.tid));
-    for (const ThreadEvents& t : lanes)
-      for (const Event& e : t.events) write_event_json(w, e, pid, t.tid);
-    w.end_array();
-    w.end_object();
-    os << '\n';
   }
 
  private:
@@ -287,31 +205,31 @@ class Tracer {
 
   Clock::time_point origin_;
   std::mutex mu_;
-  std::atomic<int> pid_{1};
   int next_tid_ = 1;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
-/// RAII span: times the enclosing scope and records a `ph:"X"` event on
-/// destruction. A no-op (one relaxed load, no allocation) when tracing is
-/// disabled; the enabled check happens once, at construction.
-class Span {
+/// Tracing turns on and off process-wide; turning it on constructs the
+/// tracer, which pins the origin every later timestamp is measured from.
+inline void set_enabled(bool on) {
+  if (on) (void)Tracer::instance();
+  g_enabled.store(on, std::memory_order_relaxed);
+}
+
+namespace detail {
+
+/// What Span and Instant share: the enabled check and the clock read, made
+/// once at construction, and the typed arg overloads, each a no-op when the
+/// check failed.
+class EventBuilder {
  public:
-  Span(std::string_view name, std::string_view cat) : active_(enabled()) {
-    if (active_) begin(name, cat);
-  }
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  ~Span() {
-    if (active_) finish();
-  }
+  EventBuilder(const EventBuilder&) = delete;
+  EventBuilder& operator=(const EventBuilder&) = delete;
 
   bool active() const { return active_; }
 
   MP_TRACE_OUTLINE void arg(std::string_view key, std::string_view value) {
-    if (active_) detail::add_arg(event_, key, value);
+    if (active_) add_arg(event_, key, value);
   }
   void arg(std::string_view key, const char* value) {
     arg(key, std::string_view(value));
@@ -320,13 +238,13 @@ class Span {
     arg(key, std::string_view(value));
   }
   MP_TRACE_OUTLINE void arg(std::string_view key, double value) {
-    if (active_) detail::add_arg(event_, key, value);
+    if (active_) add_arg(event_, key, value);
   }
   MP_TRACE_OUTLINE void arg(std::string_view key, long long value) {
-    if (active_) detail::add_arg(event_, key, value);
+    if (active_) add_arg(event_, key, value);
   }
   MP_TRACE_OUTLINE void arg(std::string_view key, unsigned long long value) {
-    if (active_) detail::add_arg(event_, key, value);
+    if (active_) add_arg(event_, key, value);
   }
   void arg(std::string_view key, int value) {
     arg(key, static_cast<long long>(value));
@@ -341,13 +259,42 @@ class Span {
     arg(key, static_cast<unsigned long long>(value));
   }
 
+ protected:
+  EventBuilder(std::string_view name, std::string_view cat, char ph)
+      : active_(enabled()) {
+    if (active_) begin(name, cat, ph);
+  }
+  ~EventBuilder() = default;
+
+  bool active_;
+  Tracer::Clock::time_point start_{};
+  Event event_;
+
  private:
-  MP_TRACE_COLD void begin(std::string_view name, std::string_view cat) {
+  MP_TRACE_COLD void begin(std::string_view name, std::string_view cat,
+                           char ph) {
     event_.name.assign(name.data(), name.size());
     event_.cat.assign(cat.data(), cat.size());
+    event_.ph = ph;
     start_ = Tracer::Clock::now();
   }
+};
 
+}  // namespace detail
+
+/// RAII span: times the enclosing scope and records a `ph:"X"` event on
+/// destruction. A no-op (one relaxed load, no allocation) when tracing is
+/// disabled; the enabled check happens once, at construction.
+class Span : public detail::EventBuilder {
+ public:
+  Span(std::string_view name, std::string_view cat)
+      : EventBuilder(name, cat, 'X') {}
+
+  ~Span() {
+    if (active_) finish();
+  }
+
+ private:
   MP_TRACE_COLD void finish() {
     const auto end = Tracer::Clock::now();
     Tracer& t = Tracer::instance();
@@ -358,86 +305,88 @@ class Span {
     event_.dur_us = detail::to_us(end - t.origin()) - event_.ts_us;
     t.record(std::move(event_));
   }
-
-  bool active_;
-  Tracer::Clock::time_point start_{};
-  Event event_;
 };
 
 /// RAII instant mark: records a process-scoped `ph:"i"` event stamped at
 /// construction time; args may be attached before the scope closes. Used
 /// for supervisor lifecycle marks (worker start, heartbeat timeout,
 /// restart, …). Same disabled-cost contract as Span.
-class Instant {
+class Instant : public detail::EventBuilder {
  public:
-  Instant(std::string_view name, std::string_view cat) : active_(enabled()) {
-    if (active_) begin(name, cat);
-  }
-
-  Instant(const Instant&) = delete;
-  Instant& operator=(const Instant&) = delete;
+  Instant(std::string_view name, std::string_view cat)
+      : EventBuilder(name, cat, 'i') {}
 
   ~Instant() {
-    if (active_) Tracer::instance().record(std::move(event_));
-  }
-
-  bool active() const { return active_; }
-
-  MP_TRACE_OUTLINE void arg(std::string_view key, std::string_view value) {
-    if (active_) detail::add_arg(event_, key, value);
-  }
-  void arg(std::string_view key, const char* value) {
-    arg(key, std::string_view(value));
-  }
-  void arg(std::string_view key, const std::string& value) {
-    arg(key, std::string_view(value));
-  }
-  MP_TRACE_OUTLINE void arg(std::string_view key, double value) {
-    if (active_) detail::add_arg(event_, key, value);
-  }
-  MP_TRACE_OUTLINE void arg(std::string_view key, long long value) {
-    if (active_) detail::add_arg(event_, key, value);
-  }
-  MP_TRACE_OUTLINE void arg(std::string_view key, unsigned long long value) {
-    if (active_) detail::add_arg(event_, key, value);
-  }
-  void arg(std::string_view key, int value) {
-    arg(key, static_cast<long long>(value));
-  }
-  void arg(std::string_view key, unsigned value) {
-    arg(key, static_cast<unsigned long long>(value));
-  }
-  void arg(std::string_view key, unsigned long value) {
-    arg(key, static_cast<unsigned long long>(value));
+    if (active_) finish();
   }
 
  private:
-  MP_TRACE_COLD void begin(std::string_view name, std::string_view cat) {
-    event_.name.assign(name.data(), name.size());
-    event_.cat.assign(cat.data(), cat.size());
-    event_.ph = 'i';
-    event_.ts_us =
-        detail::to_us(Tracer::Clock::now() - Tracer::instance().origin());
+  MP_TRACE_COLD void finish() {
+    Tracer& t = Tracer::instance();
+    event_.ts_us = detail::to_us(start_ - t.origin());
+    t.record(std::move(event_));
   }
-
-  bool active_;
-  Event event_;
 };
 
 inline std::size_t num_events() { return Tracer::instance().num_events(); }
 inline void clear() { Tracer::instance().clear(); }
-inline int pid() { return Tracer::instance().pid(); }
-inline void set_pid(int pid) { Tracer::instance().set_pid(pid); }
 inline std::vector<ThreadEvents> snapshot_events() {
   return Tracer::instance().snapshot_events();
 }
-/// Construct the tracer singleton now so that fork() children inherit this
-/// process's CLOCK_MONOTONIC origin — the shared timebase that makes worker
-/// timestamps directly comparable to the supervisor's in a merged trace.
-inline void ensure_origin() { (void)Tracer::instance().origin(); }
-inline void write_chrome_trace(std::ostream& os) {
-  Tracer::instance().write_chrome_trace(os);
+
+namespace detail {
+
+/// One Chrome trace-event object (`ph:"X"` complete, `ph:"i"` instant at
+/// process scope, or `ph:"C"` counter sample) under the given pid/tid
+/// lane.
+inline void write_event_json(JsonWriter& w, const Event& e, int pid, int tid) {
+  w.begin_object();
+  w.field("name", e.name);
+  w.field("cat", e.cat);
+  if (e.ph == 'i') {
+    w.field("ph", "i");
+    w.field("s", "p");
+    w.field("ts", static_cast<unsigned long long>(e.ts_us));
+  } else if (e.ph == 'C') {
+    w.field("ph", "C");
+    w.field("ts", static_cast<unsigned long long>(e.ts_us));
+  } else {
+    w.field("ph", "X");
+    w.field("ts", static_cast<unsigned long long>(e.ts_us));
+    w.field("dur", static_cast<unsigned long long>(e.dur_us));
+  }
+  w.field("pid", pid);
+  w.field("tid", tid);
+  w.key("args");
+  w.begin_object();
+  for (const Arg& a : e.args) {
+    w.key(a.key);
+    switch (a.kind) {
+      case Arg::Kind::kString: w.value(a.s); break;
+      case Arg::Kind::kDouble: w.value(a.d); break;
+      case Arg::Kind::kInt: w.value(a.i); break;
+      case Arg::Kind::kUint: w.value(a.u); break;
+    }
+  }
+  w.end_object();
+  w.end_object();
 }
+
+inline void write_metadata(JsonWriter& w, const char* name, int pid, int tid,
+                           const std::string& value) {
+  w.begin_object();
+  w.field("name", name);
+  w.field("ph", "M");
+  w.field("pid", pid);
+  w.field("tid", tid);
+  w.key("args");
+  w.begin_object();
+  w.field("name", value);
+  w.end_object();
+  w.end_object();
+}
+
+}  // namespace detail
 
 /// Render a set of per-process event lists (the local tracer's snapshot
 /// plus lanes shipped from remote workers) into one Chrome trace-event
@@ -451,19 +400,24 @@ MP_TRACE_COLD inline void write_merged_chrome_trace(
   w.key("traceEvents");
   w.begin_array();
   for (const ProcessLane& p : lanes) {
-    Tracer::write_metadata(w, "process_name", p.pid, /*tid=*/0,
+    detail::write_metadata(w, "process_name", p.pid, /*tid=*/0,
                            p.name.empty() ? "minpower" : p.name);
     for (const ThreadEvents& t : p.threads)
-      Tracer::write_metadata(w, "thread_name", p.pid, t.tid,
+      detail::write_metadata(w, "thread_name", p.pid, t.tid,
                              "thread-" + std::to_string(t.tid));
   }
   for (const ProcessLane& p : lanes)
     for (const ThreadEvents& t : p.threads)
       for (const Event& e : t.events)
-        Tracer::write_event_json(w, e, p.pid, t.tid);
+        detail::write_event_json(w, e, p.pid, t.tid);
   w.end_array();
   w.end_object();
   os << '\n';
+}
+
+/// Emit everything recorded so far as a one-lane (pid 1) Chrome trace.
+inline void write_chrome_trace(std::ostream& os) {
+  write_merged_chrome_trace(os, {ProcessLane{1, {}, snapshot_events()}});
 }
 
 }  // namespace minpower::trace

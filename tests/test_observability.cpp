@@ -1,6 +1,7 @@
 // Unit tests for the cross-process observability plane (DESIGN.md §15):
-// the span/metrics wire format (trace/wire.hpp) must round-trip exactly,
-// snapshot merging must be partition-invariant, the Prometheus exposition
+// span lanes (Chrome trace JSON, decoded by trace/wire.hpp) and the metrics
+// block must round-trip exactly, snapshot merging must be
+// partition-invariant, the Prometheus exposition
 // (trace/prometheus.hpp) must honor the name charset and cumulative-bucket
 // contracts, the leveled logger (util/log.hpp) must gate by level, and the
 // profiler must rebuild multi-pid traces into per-process forests with
@@ -49,14 +50,16 @@ TEST(Wire, EventsRoundTripExactly) {
   lanes[1].events.push_back(make_event("map", "map", 10, 3));
 
   std::ostringstream os;
-  trace::write_events_json(os, lanes);
+  trace::write_merged_chrome_trace(os, {trace::ProcessLane{1, {}, lanes}});
   const std::string wire = os.str();
-  // One '\n'-framable line: the pipe protocol ships it as `TRACE <json>`.
-  EXPECT_EQ(wire.find('\n'), std::string::npos);
+  // One '\n'-terminated line: the pipe protocol ships it as `TRACE <json>`.
+  EXPECT_EQ(wire.find('\n'), wire.size() - 1);
 
   std::string error;
-  const auto parsed = trace::parse_events_json(wire, &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
+  const auto decoded = trace::parse_chrome_trace(wire, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  ASSERT_EQ(decoded->size(), 1u);
+  const std::vector<trace::ThreadEvents>* parsed = &(*decoded)[0].threads;
   ASSERT_EQ(parsed->size(), 2u);
   const trace::ThreadEvents& t0 = (*parsed)[0];
   EXPECT_EQ(t0.tid, 1);
@@ -81,8 +84,8 @@ TEST(Wire, EventsRoundTripExactly) {
 
 TEST(Wire, RejectsMalformedPayloads) {
   std::string error;
-  EXPECT_FALSE(trace::parse_events_json("not json", &error).has_value());
-  EXPECT_FALSE(trace::parse_events_json("{}", &error).has_value());
+  EXPECT_FALSE(trace::parse_chrome_trace("not json", &error).has_value());
+  EXPECT_FALSE(trace::parse_chrome_trace("{}", &error).has_value());
   EXPECT_FALSE(trace::parse_metrics_json("[1,2]", &error).has_value());
 }
 
@@ -223,8 +226,6 @@ TEST(Logging, LevelGatingAndOverride) {
 TEST(TraceCore, InstantsAndPidLaneExport) {
   trace::clear();
   trace::set_enabled(true);
-  const int old_pid = trace::pid();
-  trace::set_pid(4242);
   {
     trace::Instant i("worker-start", "shard");
     i.arg("pid", 7);
@@ -242,15 +243,13 @@ TEST(TraceCore, InstantsAndPidLaneExport) {
   EXPECT_EQ(instant.args[0].i, 7);
   EXPECT_EQ(lanes[0].events[1].ph, 'X');
 
-  // The exporter stamps the configured pid on every event, and renders the
-  // instant as a process-scoped mark without a duration.
+  // The exporter renders the instant as a process-scoped mark without a
+  // duration.
   std::ostringstream os;
   trace::write_chrome_trace(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"pid\":4242"), std::string::npos) << json;
   EXPECT_NE(json.find("\"ph\":\"i\",\"s\":\"p\""), std::string::npos) << json;
 
-  trace::set_pid(old_pid);
   trace::clear();
 
   // Disabled handles never record.

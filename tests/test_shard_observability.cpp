@@ -61,7 +61,6 @@ struct TraceGuard {
   TraceGuard() {
     trace::clear();
     trace::set_enabled(true);
-    trace::ensure_origin();
   }
   ~TraceGuard() {
     trace::set_enabled(false);

@@ -2,14 +2,16 @@
 // (deterministic, thread-count-independent counters; stable handles across
 // reset) and the span tracer contract (zero events when disabled; exported
 // Chrome trace JSON parses, carries the required keys, and spans nest
-// properly per thread).
+// properly per thread; enabling pins the origin).
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/session.hpp"
@@ -266,6 +268,26 @@ TEST(Trace, SpanArgsAreTyped) {
   EXPECT_EQ(args->find("num")->number, 2.5);
   EXPECT_EQ(args->find("int")->number, -3.0);
   EXPECT_EQ(args->find("uint")->number, 7.0);
+  trace::clear();
+}
+
+// ctest runs each case in its own process, so here set_enabled(true) is
+// the first touch of the tracer: it must pin the origin, or the span's
+// start lands before the origin and is clipped to zero.
+TEST(Trace, EnablingPinsTheOriginBeforeTheFirstSpan) {
+  trace::set_enabled(true);
+  {
+    trace::Span s("held", "test");
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  trace::set_enabled(false);
+  const trace::Event* held = nullptr;
+  const std::vector<trace::ThreadEvents> lanes = trace::snapshot_events();
+  for (const trace::ThreadEvents& t : lanes)
+    for (const trace::Event& e : t.events)
+      if (e.name == "held") held = &e;
+  ASSERT_NE(held, nullptr);
+  EXPECT_GE(held->dur_us, 20000u);
   trace::clear();
 }
 
