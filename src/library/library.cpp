@@ -71,7 +71,7 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
     ++pos;
     Gate g;
     g.name = next();
-    const auto area = parse_double(next());
+    const auto area = parse_number<double>(next());
     if (!area) fail("bad area for gate " + g.name);
     g.area = *area;
     // Function: tokens up to and including the one ending with ';'.
@@ -101,12 +101,12 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
       GatePin p;
       p.name = next();
       next();  // phase (INV/NONINV/UNKNOWN) — not needed for matching
-      const auto cap = parse_double(next());
+      const auto cap = parse_number<double>(next());
       next();  // max-load
-      const auto rb = parse_double(next());
-      const auto rf = parse_double(next());
-      const auto fb = parse_double(next());
-      const auto ff = parse_double(next());
+      const auto rb = parse_number<double>(next());
+      const auto rf = parse_number<double>(next());
+      const auto fb = parse_number<double>(next());
+      const auto ff = parse_number<double>(next());
       if (!(cap && rb && rf && fb && ff))
         fail("bad PIN numbers for pin " + p.name + " of gate " + g.name);
       p.cap = *cap;

@@ -52,6 +52,16 @@ bool parse_point(const JsonValue& obj, TrajectoryPoint* out) {
   return true;
 }
 
+/// The first field a trend fit or point match needs that `obj` lacks as a
+/// number, or nullptr when it has them all.
+const char* missing_field(const JsonValue& obj) {
+  for (const char* key : {"seed", "target_gates", "gates", "suite", "wall_ms"})
+    if (const JsonValue* v = obj.find(key);
+        v == nullptr || v->kind != JsonValue::Kind::kNumber)
+      return key;
+  return nullptr;
+}
+
 }  // namespace
 
 bool load_trajectory(std::string_view text, const std::string& label,
@@ -86,6 +96,10 @@ bool load_trajectory(std::string_view text, const std::string& label,
                                   ": not a minpower.bench_trajectory.v1 "
                                   "record");
     }
+    if (const char* field = missing_field(*doc))
+      return set_error(error, label + ":" + std::to_string(lines[i].first) +
+                                  ": trajectory record lacks required field '" +
+                                  field + "'");
     out->points.push_back(std::move(p));
   }
   if (out->points.empty())

@@ -59,7 +59,8 @@ struct TrajectoryDoc {
 };
 
 /// Parse trajectory JSONL text. A malformed or schema-less final line is
-/// dropped (torn tail); a malformed interior line fails the load.
+/// dropped (torn tail); a malformed interior line, or any record without
+/// seed, target_gates, gates, suite and wall_ms, fails the load.
 bool load_trajectory(std::string_view text, const std::string& label,
                      TrajectoryDoc* out, std::string* error);
 

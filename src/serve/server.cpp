@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "trace/trace.hpp"
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace minpower::serve {
 
@@ -53,18 +55,6 @@ bool send_error(int fd, const std::string& message, int line = 0,
   return send_all(fd, "ERR " + std::to_string(body.size()) + "\n" + body);
 }
 
-bool parse_double(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size() && !text.empty();
-}
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end == text.c_str() + text.size() && !text.empty();
-}
-
 std::vector<std::string> split_tokens(const std::string& line) {
   std::vector<std::string> toks;
   std::istringstream in(line);
@@ -87,24 +77,29 @@ bool apply_option(const std::string& token, FlowOptions* flow,
     *error = "bad value '" + val + "' for option " + key;
     return false;
   };
-  std::uint64_t u = 0;
+  const auto real = [&val](double* out) {
+    const std::optional<double> v = parse_number<double>(val);
+    if (v) *out = *v;
+    return v.has_value();
+  };
+  const std::optional<std::uint64_t> u = parse_number<std::uint64_t>(val);
   if (key == "deadline_ms") {
-    if (!parse_double(val, &flow->task_deadline_ms)) return bad_value();
+    if (!real(&flow->task_deadline_ms)) return bad_value();
   } else if (key == "bdd_limit") {
-    if (!parse_u64(val, &u) || u == 0) return bad_value();
-    flow->bdd_node_limit = u;
+    if (!u || *u == 0) return bad_value();
+    flow->bdd_node_limit = *u;
   } else if (key == "step_limit") {
-    if (!parse_u64(val, &u)) return bad_value();
-    flow->task_step_limit = u;
+    if (!u) return bad_value();
+    flow->task_step_limit = *u;
   } else if (key == "map_curve_cap") {
-    if (!parse_u64(val, &u)) return bad_value();
-    flow->max_curve_points = u;
+    if (!u) return bad_value();
+    flow->max_curve_points = *u;
   } else if (key == "vdd") {
-    if (!parse_double(val, &flow->vdd)) return bad_value();
+    if (!real(&flow->vdd)) return bad_value();
   } else if (key == "t_cycle") {
-    if (!parse_double(val, &flow->t_cycle)) return bad_value();
+    if (!real(&flow->t_cycle)) return bad_value();
   } else if (key == "po_load") {
-    if (!parse_double(val, &flow->po_load)) return bad_value();
+    if (!real(&flow->po_load)) return bad_value();
   } else if (key == "style") {
     if (val == "static") flow->style = CircuitStyle::kStatic;
     else if (val == "dynp") flow->style = CircuitStyle::kDynamicP;
@@ -499,12 +494,14 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
     return send_error(fd, message, blif_line);
   };
   const std::vector<std::string> toks = split_tokens(line);
-  std::uint64_t nbytes = 0;
-  if (toks.size() < 2 || !parse_u64(toks[1], &nbytes)) {
+  const std::optional<std::uint64_t> header_bytes =
+      toks.size() < 2 ? std::nullopt : parse_number<std::uint64_t>(toks[1]);
+  if (!header_bytes) {
     // Without a parsable length the body cannot be skipped: close.
     err("malformed FLOW header (want: FLOW <nbytes> [key=value ...])");
     return false;
   }
+  const std::uint64_t nbytes = *header_bytes;
   if (nbytes == 0) {
     err("empty FLOW payload");
     return false;

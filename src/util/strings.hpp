@@ -2,9 +2,11 @@
 // String helpers shared by the BLIF / genlib parsers and the table printers.
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace minpower {
@@ -35,20 +37,17 @@ inline bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
-inline std::optional<double> parse_double(std::string_view s) {
-  // std::from_chars for double is available in libstdc++ >= 11.
-  double value = 0.0;
-  const char* first = s.data();
+/// The whole of `s` as a T, or nullopt. std::from_chars rules: no leading
+/// whitespace, no '+', and no sign at all on unsigned types; values out of
+/// T's range are rejected, and so are non-finite floating values.
+template <typename T>
+std::optional<T> parse_number(std::string_view s) {
+  T value{};
   const char* last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(first, last, value);
+  const auto [ptr, ec] = std::from_chars(s.data(), last, value);
   if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
-}
-
-inline std::optional<long> parse_long(std::string_view s) {
-  long value = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 

@@ -118,4 +118,38 @@ TEST(Cli, MalformedNumericFlagIsFatalNotAbort) {
                        "--threads needs a number, got '-1'");
 }
 
+TEST(Cli, UnknownMapObjectiveIsFatal) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  expect_clean_failure("map " + blif + " -O nope",
+                       "-O must be power|area, got 'nope'");
+}
+
+TEST(Cli, UnknownDecompAlgorithmIsFatal) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  expect_clean_failure("decomp " + blif + " -a nope",
+                       "-a must be minpower|balanced, got 'nope'");
+}
+
+TEST(Cli, NegativeVerifyCountIsFatal) {
+  expect_clean_failure("verify --count -1", "--count must be at least 1, got -1");
+}
+
+TEST(Cli, OutOfRangeServePortIsFatal) {
+  expect_clean_failure("serve --port 99999999",
+                       "--port needs a number, got '99999999'");
+}
+
+TEST(Cli, TrendRecordWithoutRequiredFieldsIsFatal) {
+  const std::string traj = write_temp(
+      "bare.jsonl",
+      "{\"schema\":\"minpower.bench_trajectory.v1\",\"family\":\"chain\"}\n");
+  expect_clean_failure("trend " + traj,
+                       traj + ":1: trajectory record lacks required field "
+                              "'seed'");
+}
+
 }  // namespace

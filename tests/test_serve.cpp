@@ -145,6 +145,10 @@ TEST(Serve, MalformedRequestsAnswerStructuredErrors) {
         << error;
     EXPECT_FALSE(r.ok);
     EXPECT_NE(error_message(r.body).find("bad value"), std::string::npos);
+    // A sign on an unsigned option is malformed, not a wrapped 2^64 - 5.
+    ASSERT_TRUE(c.flow(small_blif(), {"bdd_limit=-5"}, &r, &error)) << error;
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(error_message(r.body).find("bad value"), std::string::npos);
     ASSERT_TRUE(c.flow(small_blif(), {}, &r, &error)) << error;
     EXPECT_TRUE(r.ok) << "connection unusable after option errors";
   }

@@ -121,15 +121,28 @@ TEST(Strings, Trim) {
 }
 
 TEST(Strings, ParseDouble) {
-  EXPECT_EQ(parse_double("1.5"), 1.5);
-  EXPECT_EQ(parse_double("-2"), -2.0);
-  EXPECT_FALSE(parse_double("1.5x").has_value());
-  EXPECT_FALSE(parse_double("").has_value());
+  EXPECT_EQ(parse_number<double>("1.5"), 1.5);
+  EXPECT_EQ(parse_number<double>("-2"), -2.0);
+  EXPECT_FALSE(parse_number<double>("1.5x").has_value());
+  EXPECT_FALSE(parse_number<double>("").has_value());
 }
 
 TEST(Strings, ParseLong) {
-  EXPECT_EQ(parse_long("42"), 42);
-  EXPECT_FALSE(parse_long("4.2").has_value());
+  EXPECT_EQ(parse_number<long>("42"), 42);
+  EXPECT_FALSE(parse_number<long>("4.2").has_value());
+}
+
+TEST(Strings, ParseNumberRejectsSignsWhitespaceRangeAndNonFinite) {
+  EXPECT_EQ(parse_number<long>("-5"), -5);
+  EXPECT_FALSE(parse_number<std::uint64_t>("-5").has_value());
+  EXPECT_FALSE(parse_number<unsigned>("+5").has_value());
+  EXPECT_FALSE(parse_number<unsigned>(" 5").has_value());
+  EXPECT_FALSE(parse_number<std::uint16_t>("65536").has_value());
+  EXPECT_EQ(parse_number<std::uint16_t>("65535"), 65535);
+  EXPECT_FALSE(parse_number<double>("inf").has_value());
+  EXPECT_FALSE(parse_number<double>("nan").has_value());
+  EXPECT_FALSE(parse_number<double>("1e999").has_value());
+  EXPECT_EQ(parse_number<double>("1e-3"), 1e-3);
 }
 
 }  // namespace

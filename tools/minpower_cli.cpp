@@ -98,18 +98,19 @@
 // 3 = `compare` or `trend` found a regression; 1 = fatal error (bad usage,
 // unreadable input, internal error).
 
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
@@ -177,7 +178,7 @@ struct Args {
   double slope_band = 0.15;   // trend: allowed fitted-slope increase
   std::size_t mem_limit_mb = 0;  // flow --shards: per-worker RSS watermark
   std::size_t map_curve_cap = 0;  // flow: per-node mapper curve width cap
-  int port = -1;              // serve/client: -1 = unset (serve → ephemeral)
+  std::uint16_t port = 0;     // serve/client: 0 = unset (serve → ephemeral)
   std::string host = "127.0.0.1";
   unsigned workers = 4;       // serve: request worker threads
   bool client_stats = false;     // client: print server stats after requests
@@ -212,15 +213,24 @@ Args parse_args(int argc, char** argv, int first) {
     // trailing text, no sign on an unsigned field, in range.
     auto number = [&](auto* out) {
       const std::string text = value(arg.c_str());
-      const char* end = text.data() + text.size();
-      const auto [stop, ec] = std::from_chars(text.data(), end, *out);
-      if (ec != std::errc() || stop != end)
-        fatal(arg + " needs a number, got '" + text + "'");
+      const auto v = parse_number<std::remove_pointer_t<decltype(out)>>(text);
+      if (!v) fatal(arg + " needs a number, got '" + text + "'");
+      *out = *v;
+    };
+    // A keyword flag's value must be one of its listed choices.
+    auto choice = [&](std::initializer_list<const char*> allowed) {
+      const std::string text = value(arg.c_str());
+      std::string list;
+      for (const char* c : allowed) {
+        if (text == c) return text;
+        list += (list.empty() ? "" : "|") + std::string(c);
+      }
+      fatal(arg + " must be " + list + ", got '" + text + "'");
     };
     if (arg == "-o") a.out = value("-o");
     else if (arg == "--genlib") a.genlib = value("--genlib");
-    else if (arg == "-a") a.algorithm = value("-a");
-    else if (arg == "-O") a.objective = value("-O");
+    else if (arg == "-a") a.algorithm = choice({"minpower", "balanced"});
+    else if (arg == "-O") a.objective = choice({"power", "area"});
     else if (arg == "--style") a.style = value("--style");
     else if (arg == "--relax") number(&a.relax);
     else if (arg == "--threads") number(&a.threads);
@@ -620,6 +630,8 @@ int cmd_verify(const Args& a) {
     fatal("verify takes either two BLIF files or no positional args");
 
   // No files: the seeded differential harness (DESIGN.md §8).
+  if (a.count < 1)
+    fatal("--count must be at least 1, got " + std::to_string(a.count));
   verify::VerifyOptions o;
   o.seed = a.seed;
   o.count = a.count;
@@ -765,7 +777,7 @@ int cmd_serve(const Args& a) {
   const Library lib = load_library(a);
   serve::ServerOptions o;
   o.host = a.host;
-  if (a.port > 0) o.port = static_cast<std::uint16_t>(a.port);
+  o.port = a.port;
   o.workers = a.workers;
   o.flow.task_deadline_ms = a.deadline_ms;
   if (a.bdd_limit != 0) o.flow.bdd_node_limit = a.bdd_limit;
@@ -827,7 +839,7 @@ void emit_json_value(JsonWriter& w, const JsonValue& v) {
 }
 
 int cmd_client(const Args& a) {
-  if (a.port <= 0) fatal("client needs --port (a running `minpower serve`)");
+  if (a.port == 0) fatal("client needs --port (a running `minpower serve`)");
   serve::RetryPolicy policy;
   policy.retries = a.client_retries;
   if (a.retry_ms > 0) policy.base_ms = a.retry_ms;
@@ -844,7 +856,7 @@ int cmd_client(const Args& a) {
     client.set_response_timeout_ms(a.timeout_ms);
     unsigned attempts = 0;
     const bool ok = client.connect_with_retry(
-        a.host, static_cast<std::uint16_t>(a.port), policy, &attempts, err);
+        a.host, a.port, policy, &attempts, err);
     total_retries += static_cast<int>(attempts);
     return ok;
   };
