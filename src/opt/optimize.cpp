@@ -488,23 +488,16 @@ int extract_cube_divisors_power(Network& net,
 int simplify_nodes(Network& net) {
   int improved = 0;
   BddManager mgr;
+  std::vector<BddRef> vars;  // cover variable i → BDD variable i; reused
   for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
     Node& n = net.node(id);
     if (!n.is_internal()) continue;
     if (n.cover.num_cubes() < 2) continue;  // nothing to gain
     // Local BDD over the node's own variables.
-    BddRef f = BddManager::kFalse;
-    for (const Cube& c : n.cover.cubes()) {
-      BddRef cube = BddManager::kTrue;
-      for (std::size_t v = 0; v < n.fanins.size(); ++v) {
-        if (c.has_pos(static_cast<int>(v)))
-          cube = mgr.and_(cube, mgr.var(static_cast<int>(v)));
-        if (c.has_neg(static_cast<int>(v)))
-          cube = mgr.and_(cube, mgr.not_(mgr.var(static_cast<int>(v))));
-      }
-      f = mgr.or_(f, cube);
-    }
-    Cover simplified = isop(mgr, f);
+    vars.clear();
+    for (std::size_t v = 0; v < n.fanins.size(); ++v)
+      vars.push_back(mgr.var(static_cast<int>(v)));
+    Cover simplified = isop(mgr, compose_cover(mgr, n.cover, vars));
     simplified.normalize();
     if (simplified.num_literals() < n.cover.num_literals()) {
       n.cover = std::move(simplified);

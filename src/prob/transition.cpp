@@ -127,6 +127,7 @@ std::vector<NodeTransition> transition_probabilities(
   // Build current- and next-cycle BDDs for every node.
   std::vector<BddRef> cur(net.capacity(), BddManager::kFalse);
   std::vector<BddRef> nxt(net.capacity(), BddManager::kFalse);
+  std::vector<BddRef> fanin_refs;  // reused across nodes
   for (NodeId id : net.topo_order()) {
     const Node& n = net.node(id);
     switch (n.kind) {
@@ -144,19 +145,11 @@ std::vector<NodeTransition> transition_probabilities(
         break;
       case NodeKind::kInternal: {
         for (auto* refs : {&cur, &nxt}) {
-          BddRef r = BddManager::kFalse;
-          for (const Cube& c : n.cover.cubes()) {
-            BddRef cube = BddManager::kTrue;
-            for (std::size_t i = 0; i < n.fanins.size(); ++i) {
-              const BddRef fi =
-                  (*refs)[static_cast<std::size_t>(n.fanins[i])];
-              if (c.has_pos(static_cast<int>(i))) cube = mgr.and_(cube, fi);
-              if (c.has_neg(static_cast<int>(i)))
-                cube = mgr.and_(cube, mgr.not_(fi));
-            }
-            r = mgr.or_(r, cube);
-          }
-          (*refs)[static_cast<std::size_t>(id)] = r;
+          fanin_refs.clear();
+          for (const NodeId f : n.fanins)
+            fanin_refs.push_back((*refs)[static_cast<std::size_t>(f)]);
+          (*refs)[static_cast<std::size_t>(id)] =
+              compose_cover(mgr, n.cover, fanin_refs);
         }
         break;
       }

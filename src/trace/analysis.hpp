@@ -1,7 +1,7 @@
 #pragma once
 // Trace profiler: turns the Chrome trace-event JSON exported by
-// trace/trace.hpp back into an analyzable span forest and aggregates it
-// (DESIGN.md §11).
+// trace/trace.hpp, decoded by parse_chrome_trace (trace/wire.hpp), back
+// into an analyzable span forest and aggregates it (DESIGN.md §11).
 //
 // The exporter writes flat `ph:"X"` complete events; nesting is not
 // recorded. Because spans are RAII scopes, events on one thread are
