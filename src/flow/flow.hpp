@@ -92,7 +92,7 @@ struct FlowOptions {
 struct PhaseStats {
   double decomp_ms = 0.0;    // technology decomposition wall time
   double activity_ms = 0.0;  // BDD switching-activity pass wall time
-  double map_ms = 0.0;       // curve construction + gate selection wall time
+  double map_ms = 0.0;       // matching + curve DP + gate selection wall time
   double eval_ms = 0.0;      // mapped-netlist evaluation wall time
 
   std::size_t bdd_nodes = 0;     // BDD unique-table size, activity pass

@@ -35,9 +35,11 @@ constexpr Method kMethods[6] = {Method::kI,  Method::kII, Method::kIII,
 struct DecompGroup {
   NetworkDecompResult nd;
   std::vector<double> activities;
+  SubjectMatches matches;  // enumerate_matches(nd.network), for both methods
   ActivityPassStats astats;
   double decomp_ms = 0.0;
   double activity_ms = 0.0;
+  double match_ms = 0.0;  // counted in both methods' map_ms
   TaskStatus status;
   int exact_fallbacks = 0;
 };
@@ -233,7 +235,8 @@ bool run_ladder(TaskStatus& status, std::size_t bdd_cap,
 
 /// Stage-1 work of decomposition group `group` of `net`: decompose, then run
 /// the activity pass over the subject, each under the degradation ladder
-/// and its own budget ("<circuit>/decomp[g]", "<circuit>/activity[g]"). The
+/// and its own budget ("<circuit>/decomp[g]", "<circuit>/activity[g]"),
+/// then enumerate the subject's matches for both of the group's methods. The
 /// decomposition's exact probability pass builds BDDs too, so it degrades
 /// the same way — re-decomposing over Monte-Carlo probabilities, which
 /// skips that pass — but a failure at its own "decomp" site fails the
@@ -285,6 +288,15 @@ void compute_group(const RunInputs& in, const Network& net, std::size_t group,
             monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
         g.activity_ms += ms_since(t0);
       });
+  if (g.status.state == TaskState::kFailed) return;
+  try {
+    const auto t0 = std::chrono::steady_clock::now();
+    g.matches = enumerate_matches(g.nd.network, in.lib);
+    g.match_ms = ms_since(t0);
+  } catch (const std::exception& e) {
+    g.status.state = TaskState::kFailed;
+    g.status.reason = std::string("match enumeration: ") + e.what();
+  }
 }
 
 /// Stage-2 work of `method` over its group's shared subject `g`: map with
@@ -331,8 +343,8 @@ FlowResult map_method(const RunInputs& in, const Network& prepared,
     MapOptions m = map_options_for(method, in.flow);
     m.activities = g.activities;
     auto t0 = std::chrono::steady_clock::now();
-    const MapResult mapped = map_network(g.nd.network, in.lib, m);
-    r.phases.map_ms = ms_since(t0);
+    const MapResult mapped = map_network(g.nd.network, in.lib, m, g.matches);
+    r.phases.map_ms = g.match_ms + ms_since(t0);
     r.phases.matches = mapped.total_matches;
     r.phases.curve_points = mapped.total_curve_points;
 

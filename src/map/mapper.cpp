@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <limits>
 
 #include "trace/metrics.hpp"
@@ -14,11 +15,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct InputCand {
-  double t;      // contribution to the node's output arrival
-  double cost;   // cheapest accumulated cost of any input point meeting t
-};
-
 /// A memoized candidate list of one input node for one pin timing. The list
 /// depends on nothing else that varies within a pass, so equal keys mean
 /// bit-identical lists.
@@ -29,57 +25,57 @@ struct CandListEntry {
   std::vector<InputCand>* list;  // owned by the pass's list pool
 };
 
-}  // namespace
-
-MapResult map_network(const Network& subject, const Library& lib,
-                      const MapOptions& options) {
-  trace::Span span("map", "map");
-  span.arg("network", subject.name());
-  metrics::counter("map.passes").add(1);
-  subject.check();
-  for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
-    const Node& n = subject.node(id);
-    if (n.is_internal())
-      MP_CHECK_MSG(subject.is_nand2(id) || subject.is_inv(id),
-                   "mapper requires a NAND2/INV subject network");
+/// The envelope a sweep builds. A breakpoint becomes a step when it is
+/// strictly cheaper than the last step and no point of the node's curve
+/// dominates it. Breakpoints come in ascending t, so a cursor over the
+/// curve (arrival ascending, cost descending) reaches the cheapest point
+/// no slower than t. Comparing against the last step kept rather than the
+/// last one found is equivalent: whatever dominated a dropped step also
+/// dominates any later breakpoint that is no cheaper than it.
+class Envelope {
+ public:
+  Envelope(const Curve* curve, std::vector<Curve::Step>& steps)
+      : steps_(steps) {
+    if (curve == nullptr) return;
+    first_ = curve->points().data();
+    next_ = first_;
+    end_ = first_ + curve->size();
   }
 
-  const std::vector<double> activity =
-      options.activities.empty()
-          ? switching_activities(subject, options.style, options.pi_prob1)
-          : options.activities;
-  MP_CHECK(activity.size() == subject.capacity());
-  const double c_def = lib.default_load();
-  const std::vector<NodeId> topo = subject.topo_order();
+  void offer(double t, double cost) {
+    if (!steps_.empty() && cost >= steps_.back().cost) return;
+    while (next_ != end_ && next_->arrival <= t) ++next_;
+    if (next_ != first_ && std::prev(next_)->cost <= cost) return;
+    steps_.push_back({t, cost});
+  }
 
-  MapResult result;
-  std::size_t points_pruned = 0;
+ private:
+  std::vector<Curve::Step>& steps_;
+  const CurvePoint* first_ = nullptr;
+  const CurvePoint* next_ = nullptr;  // first curve point slower than t
+  const CurvePoint* end_ = nullptr;
+};
+
+/// Phase `map.curves`: the postorder pass (Sec. 3.2.1) building every
+/// node's power-delay or area-delay curve from its matches.
+std::vector<Curve> build_curves(const Network& subject,
+                                const MapOptions& options,
+                                const SubjectMatches& matches,
+                                const std::vector<double>& activity,
+                                const std::vector<NodeId>& topo, double c_def,
+                                MapResult& result) {
+  trace::Span span("map.curves", "map");
   std::vector<Curve> curve(subject.capacity());
-  std::vector<std::vector<Match>> matches(subject.capacity());
 
-  // Matches depend only on the subject, so enumerate them all first. Each
-  // node's count of pin bindings across all matches tells when its last
-  // reader is done, so its candidate lists can be recycled.
+  // Each node's count of pin bindings across all matches tells when its
+  // last reader is done, so its candidate lists can be recycled.
   std::vector<int> pending_reads(subject.capacity(), 0);
-  for (NodeId id : topo) {
-    if (!subject.node(id).is_internal()) continue;
-    std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
-    ms = find_matches(subject, id, lib);
-    // Degenerate (zero-size) patterns are rejected by the matcher caller:
-    std::erase_if(ms, [](const Match& m) {
-      return m.covered.empty();
-    });
-    MP_CHECK_MSG(!ms.empty(), "no match at subject node (library too small)");
-    result.total_matches += ms.size();
-    // Per-node registry lookups are too hot for the inner loop; accumulate
-    // locally and flush once per pass (handles stay valid across reset()).
-    static metrics::Histogram& matches_per_node =
-        metrics::histogram("map.matches_per_node");
-    matches_per_node.record(ms.size());
-    for (const Match& m : ms)
+  for (NodeId id : topo)
+    for (const Match& m : matches[static_cast<std::size_t>(id)]) {
+      ++result.total_matches;
       for (NodeId s : m.pin_binding)
         ++pending_reads[static_cast<std::size_t>(s)];
-  }
+    }
 
   // Candidate lists, one per (input node, pin timing): the deque keeps list
   // addresses stable, `free_lists` recycles the lists of finished inputs.
@@ -88,6 +84,11 @@ MapResult map_network(const Network& subject, const Library& lib,
   std::vector<std::vector<CandListEntry>> cand_memo(subject.capacity());
   std::size_t lists_built = 0;
   std::size_t lists_reused = 0;
+  // Method 1 (Eq. 15) charges each input's output-load power at the
+  // consuming match, one value per list; the fanout-edge term is never
+  // divided (Sec. 3.1 discussion).
+  const bool edge_power = options.objective == MapObjective::kPower &&
+                          options.accounting == PowerAccounting::kMethod1;
 
   // Input `s`'s (t, cost) candidates through `pin`, sorted by t with
   // prefix-min cost: list[j].cost is the cheapest way to meet list[j].t.
@@ -112,30 +113,34 @@ MapResult map_network(const Network& subject, const Library& lib,
 
     const Curve& in = curve[static_cast<std::size_t>(s)];
     MP_CHECK(!in.empty());
+    const double pin_delay = pin.intrinsic + pin.drive * c_def;
     const double load_shift = pin.cap - c_def;
     const int fo = subject.fanout_count(s);
     const bool divide = options.dag == DagHeuristic::kFanoutDivision &&
                         subject.node(s).is_internal() && fo > 1;
+    const double edge =
+        edge_power
+            ? load_power_uw(pin.cap, activity[static_cast<std::size_t>(s)],
+                            options.vdd, options.t_cycle)
+            : 0.0;
     std::vector<InputCand>& l = *list;
     l.clear();
     for (const CurvePoint& p : in.points()) {
-      InputCand c;
       // Timing recalculation (Sec. 3.2.3): the input now drives this pin's
       // capacitance instead of the default load.
-      c.t = pin.intrinsic + pin.drive * c_def +
-            (p.arrival + load_shift * p.drive);
-      c.cost = divide ? p.cost / fo : p.cost;
-      if (options.objective == MapObjective::kPower &&
-          options.accounting == PowerAccounting::kMethod1) {
-        // Method 1 (Eq. 15): charge the input's output-load power here; the
-        // fanout-edge term is never divided (Sec. 3.1 discussion).
-        c.cost += load_power_uw(pin.cap, activity[static_cast<std::size_t>(s)],
-                                options.vdd, options.t_cycle);
-      }
+      InputCand c{pin_delay + (p.arrival + load_shift * p.drive),
+                  divide ? p.cost / fo : p.cost};
+      if (edge_power) c.cost += edge;
+      // Insertion sort: the curve is sorted by arrival and only the
+      // per-point load shift reorders it, so entries move a short way.
+      // Entries tied in t keep their curve order; any order would do, as
+      // the sweep reads only the last entry of a tie, whose prefix
+      // minimum covers them all.
+      std::size_t j = l.size();
       l.push_back(c);
+      for (; j > 0 && c.t < l[j - 1].t; --j) l[j] = l[j - 1];
+      l[j] = c;
     }
-    std::sort(l.begin(), l.end(),
-              [](const InputCand& a, const InputCand& b) { return a.t < b.t; });
     for (std::size_t j = 1; j < l.size(); ++j)
       l[j].cost = std::min(l[j].cost, l[j - 1].cost);
     return l;
@@ -144,11 +149,10 @@ MapResult map_network(const Network& subject, const Library& lib,
   // Scratch reused across matches/nodes: the inner loop runs millions of
   // times per pass, so per-match allocations dominate otherwise.
   std::vector<const std::vector<InputCand>*> cands;  // per pin
-  std::vector<std::size_t> next;      // per pin: candidates with t_i <= t
-  std::vector<Curve::Step> steps;     // the match's non-inferior envelope
+  std::vector<Curve::Step> steps;  // the match's non-inferior envelope
   std::vector<CurvePoint> merge_scratch;
+  std::size_t points_pruned = 0;
 
-  // ---- postorder: power-delay / area-delay curves --------------------------
   for (NodeId id : topo) {
     budget_checkpoint("map");
     const Node& n = subject.node(id);
@@ -184,38 +188,7 @@ MapResult map_network(const Network& subject, const Library& lib,
         base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
                               options.vdd, options.t_cycle);
       }
-      // Monotone sweep over the distinct breakpoints t (all candidates' t,
-      // ascending): next[i] counts pin i's candidates with t_i <= t, so
-      // cands[i][next[i] - 1] is pin i's cheapest way to meet t. The summed
-      // cost can only fall as t grows, so the match's non-inferior envelope
-      // is the breakpoints where it strictly drops.
-      next.assign(k, 0);
-      steps.clear();
-      for (;;) {
-        bool more = false;
-        double t = 0.0;
-        for (std::size_t i = 0; i < k; ++i) {
-          const std::vector<InputCand>& c = *cands[i];
-          if (next[i] < c.size() && (!more || c[next[i]].t < t)) {
-            t = c[next[i]].t;
-            more = true;
-          }
-        }
-        if (!more) break;
-        bool ok = true;
-        for (std::size_t i = 0; i < k; ++i) {
-          const std::vector<InputCand>& c = *cands[i];
-          while (next[i] < c.size() && c[next[i]].t <= t) ++next[i];
-          ok = ok && next[i] > 0;
-        }
-        if (!ok) continue;
-        // The same base and pin order at every t keep the sums bit-exact.
-        double cost = base;
-        for (std::size_t i = 0; i < k; ++i)
-          cost += (*cands[i])[next[i] - 1].cost;
-        if (!steps.empty() && cost >= steps.back().cost) continue;
-        steps.push_back({t, cost});
-      }
+      sweep_match(cands, base, &out, steps);
       const double drive = m.gate->max_drive();
       out.merge(steps, merge_scratch, [&](std::size_t, CurvePoint& p) {
         p.match = static_cast<int>(mi);
@@ -241,14 +214,24 @@ MapResult map_network(const Network& subject, const Library& lib,
         memo.clear();
       }
   }
-  metrics::counter("map.match_attempts").add(result.total_matches);
   metrics::counter("map.cand_lists_built").add(lists_built);
   metrics::counter("map.cand_lists_reused").add(lists_reused);
   metrics::counter("map.curve_points_kept").add(result.total_curve_points);
   metrics::counter("map.curve_points_pruned").add(points_pruned);
   metrics::gauge("map.curve_points_max").record_max(result.max_curve_points);
+  return curve;
+}
 
-  // ---- required times at the primary outputs -------------------------------
+/// Phase `map.select`: required times at the primary outputs, then the
+/// preorder (reverse-topological) gate selection (Sec. 3.2.2). Returns each
+/// node's chosen curve point, −1 where no gate is rooted.
+std::vector<int> select_points(const Network& subject,
+                               const MapOptions& options,
+                               const SubjectMatches& matches,
+                               const std::vector<Curve>& curve,
+                               const std::vector<NodeId>& topo, double c_def,
+                               MapResult& result) {
+  trace::Span span("map.select", "map");
   std::vector<double> load(subject.capacity(), 0.0);  // committed loads
   for (const PrimaryOutput& po : subject.pos())
     load[static_cast<std::size_t>(po.driver)] += options.po_load;
@@ -276,7 +259,6 @@ MapResult map_network(const Network& subject, const Library& lib,
     r = std::min(r, req);
   }
 
-  // ---- preorder (reverse-topological) gate selection ------------------------
   // Readers are selected before their inputs, so by the time a node is
   // selected every committed pin load on it is known exactly — the
   // incremental load recalculation of Sec. 3.3.
@@ -324,17 +306,24 @@ MapResult map_network(const Network& subject, const Library& lib,
       r = std::min(r, req_i);
     }
   }
+  return chosen_point;
+}
 
-  // ---- emit the mapped netlist ----------------------------------------------
-  MappedNetwork& mn = result.mapped;
+/// Phase `map.emit`: one gate instance per node with a chosen point, in
+/// topological order.
+void emit_netlist(const Network& subject, const Library& lib,
+                  const SubjectMatches& matches,
+                  const std::vector<Curve>& curve,
+                  const std::vector<int>& chosen_point,
+                  const std::vector<NodeId>& topo, MappedNetwork& mn) {
+  trace::Span span("map.emit", "map");
   mn.subject = &subject;
   mn.lib = &lib;
   for (NodeId id : topo) {
-    if (!needed[static_cast<std::size_t>(id)]) continue;
-    if (chosen_point[static_cast<std::size_t>(id)] < 0) continue;
-    const Curve& c = curve[static_cast<std::size_t>(id)];
+    const int point = chosen_point[static_cast<std::size_t>(id)];
+    if (point < 0) continue;
     const CurvePoint& p =
-        c[static_cast<std::size_t>(chosen_point[static_cast<std::size_t>(id)])];
+        curve[static_cast<std::size_t>(id)][static_cast<std::size_t>(point)];
     const Match& m =
         matches[static_cast<std::size_t>(id)][static_cast<std::size_t>(p.match)];
     MappedGateInst inst;
@@ -346,10 +335,86 @@ MapResult map_network(const Network& subject, const Library& lib,
   for (const PrimaryOutput& po : subject.pos())
     mn.po_signal.push_back(po.driver);
   mn.check();
+}
+
+}  // namespace
+
+void sweep_match(std::span<const std::vector<InputCand>* const> pins,
+                 double base, const Curve* curve,
+                 std::vector<Curve::Step>& steps) {
+  steps.clear();
+  Envelope env(curve, steps);
+  // next[i] counts pin i's candidates with t_i <= t, so pins[i][next[i] - 1]
+  // is pin i's cheapest way to meet t. Breakpoints before the latest of the
+  // pins' fastest candidates leave some pin unreachable, so the sweep
+  // starts there.
+  const std::size_t k = pins.size();
+  if (k == 0) return;
+  double t = -kInf;
+  for (const std::vector<InputCand>* c : pins) {
+    if (c->empty()) return;
+    t = std::max(t, c->front().t);
+  }
+  std::size_t small[8] = {};
+  std::vector<std::size_t> large;
+  std::size_t* next = small;
+  if (k > std::size(small)) {
+    large.resize(k);
+    next = large.data();
+  }
+  for (;;) {
+    // Advance every pin past t; the smallest candidate left is the next
+    // breakpoint.
+    bool more = false;
+    double t_next = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::vector<InputCand>& c = *pins[i];
+      while (next[i] < c.size() && c[next[i]].t <= t) ++next[i];
+      if (next[i] < c.size() && (!more || c[next[i]].t < t_next)) {
+        t_next = c[next[i]].t;
+        more = true;
+      }
+    }
+    double cost = base;
+    for (std::size_t i = 0; i < k; ++i) cost += (*pins[i])[next[i] - 1].cost;
+    env.offer(t, cost);
+    if (!more) break;
+    t = t_next;
+  }
+}
+
+MapResult map_network(const Network& subject, const Library& lib,
+                      const MapOptions& options,
+                      const SubjectMatches& matches) {
+  trace::Span span("map", "map");
+  span.arg("network", subject.name());
+  metrics::counter("map.passes").add(1);
+  MP_CHECK(matches.size() == subject.capacity());
+
+  std::vector<double> computed;
+  if (options.activities.empty())
+    computed = switching_activities(subject, options.style, options.pi_prob1);
+  const std::vector<double>& activity =
+      options.activities.empty() ? computed : options.activities;
+  MP_CHECK(activity.size() == subject.capacity());
+  const double c_def = lib.default_load();
+  const std::vector<NodeId> topo = subject.topo_order();
+
+  MapResult result;
+  const std::vector<Curve> curve =
+      build_curves(subject, options, matches, activity, topo, c_def, result);
+  const std::vector<int> chosen_point =
+      select_points(subject, options, matches, curve, topo, c_def, result);
+  emit_netlist(subject, lib, matches, curve, chosen_point, topo, result.mapped);
   span.arg("matches", static_cast<unsigned long long>(result.total_matches));
   span.arg("curve_points",
            static_cast<unsigned long long>(result.total_curve_points));
   return result;
+}
+
+MapResult map_network(const Network& subject, const Library& lib,
+                      const MapOptions& options) {
+  return map_network(subject, lib, options, enumerate_matches(subject, lib));
 }
 
 }  // namespace minpower

@@ -15,6 +15,7 @@
 // divided by its fanout count (the MIS-style heuristic the paper adopts).
 // Under Method 1 the fanout edge's own load power is never divided.
 
+#include <span>
 #include <vector>
 
 #include "map/curve.hpp"
@@ -92,10 +93,42 @@ struct MapResult {
   std::size_t max_curve_points = 0;      // widest per-node curve seen
 };
 
-/// Map a NAND2/INV subject network onto `lib`. The subject must satisfy
+/// Map a NAND2/INV subject network onto `lib`, given its match lists
+/// `matches` = enumerate_matches(subject, lib). Callers that map one subject
+/// several times (the flow engine's method pairs) enumerate once and share.
+/// Three phases follow, each under its own trace span below `map`:
+/// `map.curves` (the postorder curve DP), `map.select` (required times and
+/// the preorder gate selection) and `map.emit` (the mapped netlist).
+MapResult map_network(const Network& subject, const Library& lib,
+                      const MapOptions& options,
+                      const SubjectMatches& matches);
+
+/// The same, enumerating the matches first. The subject must satisfy
 /// Network::is_nand_network(); every PO must be reachable from gates or PIs.
 MapResult map_network(const Network& subject, const Library& lib,
                       const MapOptions& options);
+
+/// One candidate of a gate pin's input: through that pin, the input
+/// contributes arrival `t` to the gate's output at accumulated cost `cost`.
+/// The curve DP keeps one list per (input node, pin timing), sorted by t
+/// with prefix-minimum cost, so `cost` is the cheapest way to meet `t`.
+struct InputCand {
+  double t;
+  double cost;
+};
+
+/// The breakpoint sweep of one match (Sec. 3.2.1, Lemma 3.1): `pins` holds
+/// each gate pin's candidate list (sorted, prefix-minimum) and `base` the
+/// gate's own cost. Every distinct t at which all pins are reachable is a
+/// breakpoint costing base plus each pin's cheapest candidate meeting t,
+/// summed in pin order; `steps` receives the breakpoints where that sum
+/// strictly drops — the match's non-inferior envelope — except those that
+/// a point of `curve` (null: none) already dominates, being no slower and
+/// no dearer. Curve::merge would drop exactly those, so merging the
+/// filtered steps into `curve` gives the same curve as merging all of them.
+void sweep_match(std::span<const std::vector<InputCand>* const> pins,
+                 double base, const Curve* curve,
+                 std::vector<Curve::Step>& steps);
 
 /// Per-µW scaling of Eq. 1 for a load in capacitance units:
 /// 0.5 · C · Vdd² / Tcycle · E, reported in micro-Watts.

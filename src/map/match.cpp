@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
+
 namespace minpower {
 
 namespace {
@@ -96,6 +99,33 @@ std::vector<Match> find_matches(const Network& subject, NodeId n,
     }
   }
   return out;
+}
+
+SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
+  trace::Span span("match", "map");
+  span.arg("network", subject.name());
+  subject.check();
+  SubjectMatches matches(subject.capacity());
+  std::size_t total = 0;
+  // Per-node registry lookups are too hot for the loop; handles stay valid
+  // across reset().
+  static metrics::Histogram& matches_per_node =
+      metrics::histogram("map.matches_per_node");
+  for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
+    if (!subject.node(id).is_internal()) continue;
+    MP_CHECK_MSG(subject.is_nand2(id) || subject.is_inv(id),
+                 "mapper requires a NAND2/INV subject network");
+    std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
+    ms = find_matches(subject, id, lib);
+    // Degenerate (zero-size) patterns are rejected here, not by the matcher.
+    std::erase_if(ms, [](const Match& m) { return m.covered.empty(); });
+    MP_CHECK_MSG(!ms.empty(), "no match at subject node (library too small)");
+    total += ms.size();
+    matches_per_node.record(ms.size());
+  }
+  metrics::counter("map.match_attempts").add(total);
+  span.arg("matches", static_cast<unsigned long long>(total));
+  return matches;
 }
 
 }  // namespace minpower

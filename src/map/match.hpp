@@ -26,4 +26,15 @@ struct Match {
 std::vector<Match> find_matches(const Network& subject, NodeId n,
                                 const Library& lib);
 
+/// The match lists of a whole subject network, indexed by NodeId; entries of
+/// PIs, constants and dead slots are empty.
+using SubjectMatches = std::vector<std::vector<Match>>;
+
+/// Every internal node's matches (find_matches without degenerate
+/// zero-size ones), the mapper's first phase. They depend only on the
+/// subject and the library, so every mapping of one subject can share
+/// them. The subject must be a NAND2/INV network and every internal node
+/// must have a match (a library without NAND2 and INV has none).
+SubjectMatches enumerate_matches(const Network& subject, const Library& lib);
+
 }  // namespace minpower

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -73,16 +74,29 @@ inline bool is(const JsonValue* v, JsonValue::Kind kind) {
   return v != nullptr && v->kind == kind;
 }
 
+/// Member `key` of `ev` as a pid or tid: `fallback` when it is absent or
+/// not a number, std::nullopt when the number lies outside int range,
+/// where converting it would be undefined.
+inline std::optional<int> lane_id(const JsonValue& ev, const char* key,
+                                  int fallback) {
+  const JsonValue* v = ev.find(key);
+  if (!is(v, JsonValue::Kind::kNumber)) return fallback;
+  if (!(v->number >= std::numeric_limits<int>::min() &&
+        v->number <= std::numeric_limits<int>::max()))
+    return std::nullopt;
+  return static_cast<int>(v->number);
+}
+
 }  // namespace detail
 
 /// Decode a Chrome trace-event document into one ProcessLane per pid (in
 /// order of first appearance) with one ThreadEvents per tid (likewise), so
 /// a document written by write_merged_chrome_trace reads back in its own
-/// order. `ph:"X"` needs name/ts/dur/tid and `ph:"i"` name/ts, or the whole
-/// document is rejected; `ph:"C"` samples are kept as they come; a
-/// process_name record names its lane; other records are skipped. An
-/// absent pid means 1. Returns std::nullopt and fills `error` (when
-/// non-null) on malformed input.
+/// order. `ph:"X"` needs name/ts/dur/tid, `ph:"i"` needs name/ts, and a pid
+/// or tid must fit an int; otherwise the whole document is rejected.
+/// `ph:"C"` samples are kept as they come; a process_name record names its
+/// lane; other records are skipped. An absent pid means 1. Returns
+/// std::nullopt and fills `error` (when non-null) on malformed input.
 MP_TRACE_COLD inline std::optional<std::vector<ProcessLane>>
 parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
   const auto fail = [error](std::string message) {
@@ -111,16 +125,19 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
   for (const JsonValue& ev : events->items) {
     const JsonValue* ph = ev.find("ph");
     if (ph == nullptr) continue;
-    const int pid = ev.number_or<int>("pid", 1);
+    const bool meta = ph->string == "M";
+    if (!meta && ph->string != "X" && ph->string != "i" && ph->string != "C")
+      continue;
+    const std::optional<int> pid = detail::lane_id(ev, "pid", 1);
+    if (!pid) return fail("pid outside int range");
     const JsonValue* args = ev.find("args");
-    if (ph->string == "M") {
-      ProcessLane& p = lane(pid);
+    if (meta) {
+      ProcessLane& p = lane(*pid);
       if (ev.string_or("name") == "process_name" && args != nullptr &&
           detail::is(args->find("name"), Kind::kString))
         p.name = args->string_or("name");
       continue;
     }
-    if (ph->string != "X" && ph->string != "i" && ph->string != "C") continue;
     const bool named = detail::is(ev.find("name"), Kind::kString);
     const bool stamped = detail::is(ev.find("ts"), Kind::kNumber);
     Event e;
@@ -137,11 +154,12 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
     if (e.ph == 'X') e.dur_us = detail::to_u64(ev.number_or("dur", 0.0));
     if (detail::is(args, Kind::kObject))
       for (const auto& [k, v] : args->members) detail::add_json_arg(e, k, v);
-    ProcessLane& p = lane(pid);
-    const int t = ev.number_or<int>("tid", 0);
-    const auto [it, added] = thread_of.emplace(std::pair{pid, t},
+    const std::optional<int> tid = detail::lane_id(ev, "tid", 0);
+    if (!tid) return fail("tid outside int range");
+    ProcessLane& p = lane(*pid);
+    const auto [it, added] = thread_of.emplace(std::pair{*pid, *tid},
                                                p.threads.size());
-    if (added) p.threads.push_back(ThreadEvents{t, {}});
+    if (added) p.threads.push_back(ThreadEvents{*tid, {}});
     p.threads[it->second].events.push_back(std::move(e));
   }
   return lanes;

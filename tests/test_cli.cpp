@@ -152,4 +152,13 @@ TEST(Cli, TrendRecordWithoutRequiredFieldsIsFatal) {
                               "'seed'");
 }
 
+TEST(Cli, ProfileOfTraceWithOutOfRangePidIsFatal) {
+  const std::string trace = write_temp(
+      "huge_pid.trace.json",
+      "{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"a\",\"ts\":1,"
+      "\"dur\":1,\"tid\":1,\"pid\":1e12}]}\n");
+  expect_clean_failure("profile " + trace,
+                       trace + ": pid outside int range");
+}
+
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "decomp/network_decompose.hpp"
 #include "flow/flow.hpp"
 #include "helpers.hpp"
@@ -291,6 +297,60 @@ TEST(Mapper, OutputMatchesPinnedValues) {
   }
 }
 
+/// The subject and options of one kPinnedMappings row.
+struct PinnedCase {
+  Network subject;
+  MapOptions options;
+};
+
+PinnedCase pinned_case(const PinnedMapping& want) {
+  Network net = testing::random_network(want.seed, 12, 60, 5);
+  prepare_network(net);
+  const Method method =
+      static_cast<Method>(want.variant < 6 ? want.variant : 3);
+  const FlowOptions fo;
+  PinnedCase c{decompose_network(net, decomp_options_for(method, fo)).network,
+               map_options_for(method, fo)};
+  if (want.variant == 6) {
+    c.options.epsilon_t = 0.0;
+    c.options.epsilon_c = 0.0;
+    c.options.max_curve_points = 64;
+  }
+  if (want.variant == 7) c.options.epsilon_c = 0.0;
+  if (want.variant == 8) c.options.accounting = PowerAccounting::kMethod2;
+  if (want.variant == 9) c.options.dag = DagHeuristic::kTreePartition;
+  return c;
+}
+
+// Matches depend only on the subject: one enumerate_matches list, shared by
+// every mapping of a subject as the flow engine shares it between a
+// method pair, maps exactly as the enumerating form does.
+TEST(Mapper, SharedMatchesMapLikeTheEnumeratingForm) {
+  for (const PinnedMapping& want : kPinnedMappings) {
+    const PinnedCase c = pinned_case(want);
+    SCOPED_TRACE("seed " + std::to_string(want.seed) + " variant " +
+                 std::to_string(want.variant));
+    const SubjectMatches shared =
+        enumerate_matches(c.subject, standard_library());
+    const MapResult a = map_network(c.subject, standard_library(), c.options);
+    const MapResult b =
+        map_network(c.subject, standard_library(), c.options, shared);
+    EXPECT_EQ(b.total_matches, want.matches);
+    EXPECT_EQ(b.total_matches, a.total_matches);
+    EXPECT_EQ(b.total_curve_points, a.total_curve_points);
+    EXPECT_EQ(b.max_curve_points, a.max_curve_points);
+    EXPECT_EQ(b.po_required_used, a.po_required_used);
+    ASSERT_EQ(b.mapped.gates.size(), a.mapped.gates.size());
+    for (std::size_t i = 0; i < a.mapped.gates.size(); ++i) {
+      EXPECT_EQ(b.mapped.gates[i].gate, a.mapped.gates[i].gate) << i;
+      EXPECT_EQ(b.mapped.gates[i].root, a.mapped.gates[i].root) << i;
+      EXPECT_EQ(b.mapped.gates[i].pin_nodes, a.mapped.gates[i].pin_nodes)
+          << i;
+    }
+    EXPECT_EQ(b.mapped.po_signal, a.mapped.po_signal);
+  }
+}
+
 // The mapper builds one candidate list per (input node, pin timing) and
 // reuses it for every pin with the same (intrinsic, drive, cap). In this
 // library nand2_fast/nand2_slow differ only in pin intrinsic delay,
@@ -337,6 +397,137 @@ TEST(Mapper, CandidateListMemoKeysOnPinTiming) {
     EXPECT_EQ(rep.delay, want.delay);
     EXPECT_EQ(rep.power_uw, want.power_uw);
   }
+}
+
+// ---- the breakpoint sweep ---------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_steps(const std::vector<Curve::Step>& a,
+                const std::vector<Curve::Step>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i].arrival, b[i].arrival) ||
+        !same_bits(a[i].cost, b[i].cost))
+      return false;
+  return true;
+}
+
+bool same_points(const Curve& a, const Curve& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i].arrival, b[i].arrival) ||
+        !same_bits(a[i].cost, b[i].cost) || a[i].match != b[i].match ||
+        !same_bits(a[i].drive, b[i].drive))
+      return false;
+  return true;
+}
+
+/// A candidate list kept the way the mapper keeps one: sorted by t, cost
+/// made a prefix minimum. t and cost come from coarse grids, so entries tie
+/// in t and in cost, with steps and with curve points; `offset` makes the
+/// pin reachable late. Some lists have a single entry. A `cost_unit` that
+/// binary fractions cannot represent makes sums depend on their order.
+std::vector<InputCand> random_cand_list(Rng& rng, double offset,
+                                        double cost_unit) {
+  std::vector<InputCand> l(1 + rng() % 9);
+  for (InputCand& c : l) {
+    c.t = offset + 0.5 * static_cast<double>(rng() % 12);
+    c.cost = cost_unit * static_cast<double>(rng() % 8);
+  }
+  std::stable_sort(l.begin(), l.end(),
+                   [](const InputCand& a, const InputCand& b) {
+                     return a.t < b.t;
+                   });
+  for (std::size_t j = 1; j < l.size(); ++j)
+    l[j].cost = std::min(l[j].cost, l[j - 1].cost);
+  return l;
+}
+
+/// Oracle: at every distinct t where each pin has a candidate, base plus
+/// each pin's cheapest candidate no later than t, summed in pin order; the
+/// envelope keeps the t where that sum strictly drops.
+std::vector<Curve::Step> brute_force_envelope(
+    const std::vector<std::vector<InputCand>>& lists, double base) {
+  std::vector<double> ts;
+  for (const auto& l : lists)
+    for (const InputCand& c : l) ts.push_back(c.t);
+  std::sort(ts.begin(), ts.end());
+  ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+  std::vector<Curve::Step> steps;
+  for (const double t : ts) {
+    double cost = base;
+    bool reachable = true;
+    for (const auto& l : lists) {
+      double best = std::numeric_limits<double>::infinity();
+      for (const InputCand& c : l)
+        if (c.t <= t) best = std::min(best, c.cost);
+      reachable = reachable && best < std::numeric_limits<double>::infinity();
+      cost += best;
+    }
+    if (reachable && (steps.empty() || cost < steps.back().cost))
+      steps.push_back({t, cost});
+  }
+  return steps;
+}
+
+// sweep_match must reproduce the brute-force envelope bit for bit on every
+// pin count, and the dominance filter must drop only steps Curve::merge
+// drops: merging the filtered steps gives the curve that merging all of them
+// does.
+TEST(MapSweep, MatchesBruteForceEnvelope) {
+  Rng rng(20261017);
+  std::size_t filtered = 0;
+  std::size_t late_pins = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t k = 1 + static_cast<std::size_t>(round) % 4;
+    const double cost_unit = round / 4 % 2 == 0 ? 0.25 : 0.1;
+    std::vector<std::vector<InputCand>> lists;
+    for (std::size_t i = 0; i < k; ++i) {
+      const bool late = k > 1 && rng() % 4 == 0;
+      if (late) ++late_pins;
+      lists.push_back(random_cand_list(rng, late ? 5.0 : 0.0, cost_unit));
+    }
+    std::vector<const std::vector<InputCand>*> pins;
+    for (const auto& l : lists) pins.push_back(&l);
+    const double base = cost_unit * static_cast<double>(rng() % 3);
+
+    Curve curve;  // the node's curve before this match's merge
+    for (std::uint64_t n = rng() % 8; n > 0; --n) {
+      CurvePoint p;
+      p.arrival = 0.5 * static_cast<double>(rng() % 24);
+      p.cost = cost_unit * static_cast<double>(rng() % 40);
+      p.match = static_cast<int>(n);
+      p.drive = 0.125 * static_cast<double>(n);
+      curve.insert(p);
+    }
+
+    SCOPED_TRACE("round " + std::to_string(round) + ", " + std::to_string(k) +
+                 " pins");
+    std::vector<Curve::Step> all;
+    sweep_match(pins, base, nullptr, all);
+    ASSERT_TRUE(same_steps(all, brute_force_envelope(lists, base)));
+
+    std::vector<Curve::Step> kept;
+    sweep_match(pins, base, &curve, kept);
+    filtered += all.size() - kept.size();
+
+    std::vector<CurvePoint> scratch;
+    const auto realize = [](std::size_t, CurvePoint& p) {
+      p.match = 100;
+      p.drive = 2.5;
+    };
+    Curve plain = curve;
+    plain.merge(all, scratch, realize);
+    Curve filtered_merge = curve;
+    filtered_merge.merge(kept, scratch, realize);
+    ASSERT_TRUE(same_points(filtered_merge, plain));
+  }
+  // The cases above exercise the filter and the late pins.
+  EXPECT_GT(filtered, 1000u);
+  EXPECT_GT(late_pins, 500u);
 }
 
 }  // namespace

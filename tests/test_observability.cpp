@@ -87,6 +87,24 @@ TEST(Wire, RejectsMalformedPayloads) {
   EXPECT_FALSE(trace::parse_chrome_trace("not json", &error).has_value());
   EXPECT_FALSE(trace::parse_chrome_trace("{}", &error).has_value());
   EXPECT_FALSE(trace::parse_metrics_json("[1,2]", &error).has_value());
+  // A pid or tid outside int range is an error, not a conversion.
+  EXPECT_FALSE(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"X","name":"a","ts":1,"dur":1,)"
+                   R"("tid":1,"pid":1e12}]})",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "pid outside int range");
+  EXPECT_FALSE(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"X","name":"a","ts":1,"dur":1,)"
+                   R"("tid":-3e9}]})",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "tid outside int range");
+  EXPECT_TRUE(trace::parse_chrome_trace(
+                  R"({"traceEvents":[{"ph":"X","name":"a","ts":1,"dur":1,)"
+                  R"("tid":-2147483648,"pid":2147483647}]})",
+                  &error)
+                  .has_value());
 }
 
 metrics::Snapshot snapshot_of(

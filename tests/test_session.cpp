@@ -18,6 +18,7 @@
 #include "helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
+#include "trace/metrics.hpp"
 
 namespace minpower {
 namespace {
@@ -301,6 +302,28 @@ TEST(FlowSession, BoundedCachesEvict) {
   prepare_network(last);
   session.run_circuit(last, session.options().flow, &delta);
   EXPECT_EQ(delta.result_hits, 6u);
+}
+
+// Stage 1 enumerates each decomposition group's matches once and both of
+// the group's methods map with them: a suite circuit's match attempts are
+// half the matches its six methods report.
+TEST(FlowSession, MatchesAreEnumeratedOncePerGroup) {
+  Network net = generate_benchmark(paper_suite().front());
+  prepare_network(net);
+  FlowSession session(standard_library());
+  metrics::Counter& attempts = metrics::counter("map.match_attempts");
+  const std::uint64_t before = attempts.value();
+  const std::vector<FlowResult> rs = session.run_circuit(net);
+  const std::uint64_t enumerated = attempts.value() - before;
+
+  std::uint64_t mapped = 0;
+  for (const FlowResult& r : rs) {
+    EXPECT_EQ(r.status.state, TaskState::kOk) << method_name(r.method);
+    EXPECT_GT(r.phases.matches, 0u) << method_name(r.method);
+    mapped += r.phases.matches;
+  }
+  EXPECT_EQ(session.counters().map_passes, 6);
+  EXPECT_EQ(2 * enumerated, mapped);
 }
 
 TEST(FlowSession, FaultInjectionBypassesCache) {
