@@ -16,6 +16,7 @@
 #include "prob/probability.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
+#include "trace/wire.hpp"
 #include "util/budget.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
@@ -804,6 +805,21 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   return out;
 }
 
+TaskTally tally_tasks(const std::vector<std::vector<FlowResult>>& per_circuit) {
+  TaskTally t;
+  for (const std::vector<FlowResult>& methods : per_circuit)
+    for (const FlowResult& r : methods) {
+      switch (r.status.state) {
+        case TaskState::kOk: ++t.ok; break;
+        case TaskState::kDegraded: ++t.degraded; break;
+        case TaskState::kFailed: ++t.failed; break;
+      }
+      t.retries += static_cast<std::uint64_t>(
+          r.status.retries < 0 ? 0 : r.status.retries);
+    }
+  return t;
+}
+
 void write_flow_json(std::ostream& os,
                      const std::vector<std::vector<FlowResult>>& per_circuit,
                      const EngineCounters& counters, unsigned num_threads,
@@ -811,17 +827,7 @@ void write_flow_json(std::ostream& os,
                      const FlowJsonPolicy& policy) {
   // Task rollup: every (circuit × method) result carries the status of the
   // tasks that produced it.
-  int ok = 0;
-  int degraded = 0;
-  int failed = 0;
-  for (const std::vector<FlowResult>& methods : per_circuit)
-    for (const FlowResult& r : methods) {
-      switch (r.status.state) {
-        case TaskState::kOk: ++ok; break;
-        case TaskState::kDegraded: ++degraded; break;
-        case TaskState::kFailed: ++failed; break;
-      }
-    }
+  const TaskTally tasks = tally_tasks(per_circuit);
   auto worst_of = [](const std::vector<FlowResult>& methods) {
     TaskState worst = TaskState::kOk;
     for (const FlowResult& r : methods)
@@ -847,9 +853,9 @@ void write_flow_json(std::ostream& os,
   w.end_object();
   w.key("tasks");
   w.begin_object();
-  w.field("ok", ok);
-  w.field("degraded", degraded);
-  w.field("failed", failed);
+  w.field("ok", tasks.ok);
+  w.field("degraded", tasks.degraded);
+  w.field("failed", tasks.failed);
   w.end_object();
   if (policy.include_metrics) {
     w.key("metrics");
@@ -938,19 +944,17 @@ bool cell_number(const JsonValue& obj, const char* key, double* out,
   return true;
 }
 
-bool cell_int(const JsonValue& obj, const char* key, int* out,
-              std::string* error) {
-  double d = 0.0;
-  if (!cell_number(obj, key, &d, error)) return false;
-  *out = static_cast<int>(d);
-  return true;
-}
-
-bool cell_size(const JsonValue& obj, const char* key, std::size_t* out,
-               std::string* error) {
-  double d = 0.0;
-  if (!cell_number(obj, key, &d, error)) return false;
-  *out = static_cast<std::size_t>(d);
+template <typename T>
+bool cell_integer(const JsonValue& obj, const char* key, T* out,
+                  std::string* error) {
+  const JsonValue* v =
+      cell_member(obj, key, JsonValue::Kind::kNumber, error);
+  if (v == nullptr) return false;
+  const std::optional<T> i = json_integer<T>(v->number);
+  if (!i)
+    return set_error(error, std::string("field '") + key +
+                                "' is not an integer in range");
+  *out = *i;
   return true;
 }
 
@@ -977,11 +981,11 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
   if (!cell_number(v, "area", &out->area, error) ||
       !cell_number(v, "delay_ns", &out->delay, error) ||
       !cell_number(v, "power_uw", &out->power_uw, error) ||
-      !cell_size(v, "gates", &out->gates, error) ||
+      !cell_integer(v, "gates", &out->gates, error) ||
       !cell_number(v, "tree_activity", &out->tree_activity, error) ||
-      !cell_int(v, "nand_depth", &out->nand_depth, error) ||
-      !cell_size(v, "nand_nodes", &out->nand_nodes, error) ||
-      !cell_int(v, "redecomposed", &out->redecomposed, error))
+      !cell_integer(v, "nand_depth", &out->nand_depth, error) ||
+      !cell_integer(v, "nand_nodes", &out->nand_nodes, error) ||
+      !cell_integer(v, "redecomposed", &out->redecomposed, error))
     return false;
 
   const JsonValue* status =
@@ -996,7 +1000,7 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
       cell_member(*status, "reason", JsonValue::Kind::kString, error);
   if (reason == nullptr) return false;
   out->status.reason = reason->string;
-  if (!cell_int(*status, "retries", &out->status.retries, error))
+  if (!cell_integer(*status, "retries", &out->status.retries, error))
     return false;
   const JsonValue* fallbacks =
       cell_member(*status, "fallbacks", JsonValue::Kind::kArray, error);
@@ -1015,17 +1019,68 @@ bool parse_flow_result_json(const JsonValue& v, FlowResult* out,
          cell_number(*phases, "activity_ms", &p.activity_ms, error) &&
          cell_number(*phases, "map_ms", &p.map_ms, error) &&
          cell_number(*phases, "eval_ms", &p.eval_ms, error) &&
-         cell_size(*phases, "bdd_nodes", &p.bdd_nodes, error) &&
-         cell_size(*phases, "matches", &p.matches, error) &&
-         cell_size(*phases, "curve_points", &p.curve_points, error) &&
-         cell_int(*phases, "redecomp_iterations", &p.redecomp_iterations,
-                  error) &&
+         cell_integer(*phases, "bdd_nodes", &p.bdd_nodes, error) &&
+         cell_integer(*phases, "matches", &p.matches, error) &&
+         cell_integer(*phases, "curve_points", &p.curve_points, error) &&
+         cell_integer(*phases, "redecomp_iterations", &p.redecomp_iterations,
+                      error) &&
          cell_bool(*phases, "shared_decomp", &p.shared_decomp, error) &&
          cell_bool(*phases, "shared_activity", &p.shared_activity, error) &&
-         cell_int(*phases, "decomp_passes", &p.decomp_passes, error) &&
-         cell_int(*phases, "activity_passes", &p.activity_passes, error) &&
-         cell_int(*phases, "exact_fallbacks", &p.exact_fallbacks, error) &&
-         cell_int(*phases, "activity_retries", &p.activity_retries, error);
+         cell_integer(*phases, "decomp_passes", &p.decomp_passes, error) &&
+         cell_integer(*phases, "activity_passes", &p.activity_passes, error) &&
+         cell_integer(*phases, "exact_fallbacks", &p.exact_fallbacks, error) &&
+         cell_integer(*phases, "activity_retries", &p.activity_retries, error);
+}
+
+bool parse_flow_json(const JsonValue& doc, FlowDoc* out, std::string* error) {
+  *out = FlowDoc{};
+  using Kind = JsonValue::Kind;
+  const JsonValue* library = cell_member(doc, "library", Kind::kString, error);
+  if (library == nullptr ||
+      !cell_integer(doc, "num_threads", &out->num_threads, error) ||
+      !cell_number(doc, "elapsed_ms", &out->elapsed_ms, error))
+    return false;
+  out->library = library->string;
+  const JsonValue* engine = cell_member(doc, "engine", Kind::kObject, error);
+  EngineCounters& c = out->counters;
+  if (engine == nullptr ||
+      !cell_integer(*engine, "decomp_passes", &c.decomp_passes, error) ||
+      !cell_integer(*engine, "activity_passes", &c.activity_passes, error) ||
+      !cell_integer(*engine, "map_passes", &c.map_passes, error))
+    return false;
+  if (const JsonValue* metrics = doc.find("metrics")) {
+    std::string metrics_error;
+    std::optional<metrics::Snapshot> snapshot =
+        trace::parse_metrics_value(*metrics, &metrics_error);
+    if (!snapshot) return set_error(error, "metrics: " + metrics_error);
+    out->metrics = std::move(*snapshot);
+  }
+
+  const JsonValue* circuits = cell_member(doc, "circuits", Kind::kArray, error);
+  if (circuits == nullptr) return false;
+  for (std::size_t ci = 0; ci < circuits->items.size(); ++ci) {
+    const JsonValue& circuit = circuits->items[ci];
+    const std::string where = "circuits[" + std::to_string(ci) + "]";
+    if (circuit.kind != Kind::kObject)
+      return set_error(error, where + " is not an object");
+    std::string cell_error;
+    const JsonValue* name =
+        cell_member(circuit, "name", Kind::kString, &cell_error);
+    const JsonValue* methods =
+        name == nullptr
+            ? nullptr
+            : cell_member(circuit, "methods", Kind::kArray, &cell_error);
+    if (methods == nullptr) return set_error(error, where + ": " + cell_error);
+    std::vector<FlowResult>& row = out->per_circuit.emplace_back();
+    for (std::size_t mi = 0; mi < methods->items.size(); ++mi) {
+      FlowResult& r = row.emplace_back();
+      if (!parse_flow_result_json(methods->items[mi], &r, &cell_error))
+        return set_error(error, where + " '" + name->string + "' methods[" +
+                                    std::to_string(mi) + "]: " + cell_error);
+      r.circuit = name->string;
+    }
+  }
+  return true;
 }
 
 }  // namespace minpower

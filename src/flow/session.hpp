@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "flow/flow.hpp"
+#include "trace/metrics.hpp"
 #include "util/budget.hpp"
 #include "util/hash.hpp"
 
@@ -195,6 +196,19 @@ class FlowSession {
   SessionStats stats_;
 };
 
+/// Cell outcomes over a [circuit][method] result grid: the `tasks` block of
+/// `minpower.flow.v1`, the `tasks:` summary lines of the CLI and the
+/// degradation counts of a bench trajectory record.
+struct TaskTally {
+  int ok = 0;
+  int degraded = 0;
+  int failed = 0;
+  /// Budget-shrunk retries summed over every cell's status.
+  std::uint64_t retries = 0;
+};
+
+TaskTally tally_tasks(const std::vector<std::vector<FlowResult>>& per_circuit);
+
 /// Serialization policy for `write_flow_json`. The defaults produce the
 /// classic CLI/bench document; serve responses zero the wall-time fields
 /// and drop the (process-global, request-order-dependent) metrics snapshot
@@ -222,6 +236,25 @@ void write_flow_json(std::ostream& os,
 /// as %.17g, which strtod recovers exactly).
 void write_flow_result_json(JsonWriter& w, const FlowResult& r,
                             const FlowJsonPolicy& policy = {});
+
+/// A decoded `minpower.flow.v1` document: what write_flow_json was given.
+struct FlowDoc {
+  std::string library;
+  unsigned num_threads = 0;
+  double elapsed_ms = 0.0;
+  EngineCounters counters;
+  /// [circuit][method] in document order, FlowResult::circuit filled in.
+  std::vector<std::vector<FlowResult>> per_circuit;
+  /// The `metrics` block; empty when the document has none.
+  metrics::Snapshot metrics;
+};
+
+/// Inverse of write_flow_json over a parsed JSON document (the `schema`
+/// marker is the caller's to check; the derived `tasks` block and circuit
+/// `status` are not read). False (with `error` naming the circuit, method
+/// and field) on a missing or mistyped member, an unknown enum name, an
+/// integer out of range or a malformed metrics block.
+bool parse_flow_json(const JsonValue& doc, FlowDoc* out, std::string* error);
 
 /// Inverse of write_flow_result_json over a parsed JSON object. The circuit
 /// name is not part of the method object; callers fill `out->circuit`.

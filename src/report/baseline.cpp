@@ -7,13 +7,15 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 
 namespace minpower::report {
 
-std::uint64_t histogram_percentile(const HistSnapshot& h, double q) {
+std::uint64_t histogram_percentile(const metrics::Snapshot::Hist& h,
+                                   double q) {
   if (h.count == 0 || h.buckets.empty()) return 0;
   double rank = std::ceil(q * static_cast<double>(h.count));
   if (rank < 1.0) rank = 1.0;
@@ -27,8 +29,6 @@ std::uint64_t histogram_percentile(const HistSnapshot& h, double q) {
 
 bool load_flow_report(std::string_view json_text, const std::string& label,
                       FlowReportDoc* out, std::string* error) {
-  *out = FlowReportDoc{};
-  out->path = label;
   std::string parse_error;
   const auto doc = parse_json(json_text, &parse_error);
   if (!doc)
@@ -39,75 +39,10 @@ bool load_flow_report(std::string_view json_text, const std::string& label,
   if (schema != "minpower.flow.v1")
     return set_error(error, label + ": unexpected schema '" + schema +
                                 "' (want minpower.flow.v1)");
-  out->library = doc->string_or("library");
-  out->num_threads = doc->number_or("num_threads");
-  out->elapsed_ms = doc->number_or("elapsed_ms");
-
-  const JsonValue* circuits = doc->find("circuits");
-  if (circuits == nullptr || circuits->kind != JsonValue::Kind::kArray)
-    return set_error(error, label + ": missing circuits array");
-  for (const JsonValue& c : circuits->items) {
-    if (c.kind != JsonValue::Kind::kObject) continue;
-    const std::string name = c.string_or("name");
-    out->circuits.push_back(name);
-    const JsonValue* methods = c.find("methods");
-    if (methods == nullptr || methods->kind != JsonValue::Kind::kArray)
-      return set_error(error,
-                       label + ": circuit " + name + " has no methods array");
-    for (const JsonValue& m : methods->items) {
-      QorCell cell;
-      cell.circuit = name;
-      cell.method = m.string_or("method");
-      cell.area = m.number_or("area");
-      cell.delay_ns = m.number_or("delay_ns");
-      cell.power_uw = m.number_or("power_uw");
-      cell.gates = m.number_or("gates");
-      if (const JsonValue* status = m.find("status");
-          status != nullptr && status->kind == JsonValue::Kind::kObject)
-        cell.state = status->string_or("state");
-      if (const JsonValue* phases = m.find("phases");
-          phases != nullptr && phases->kind == JsonValue::Kind::kObject) {
-        cell.decomp_ms = phases->number_or("decomp_ms");
-        cell.activity_ms = phases->number_or("activity_ms");
-        cell.map_ms = phases->number_or("map_ms");
-        cell.eval_ms = phases->number_or("eval_ms");
-      }
-      out->cells.push_back(std::move(cell));
-    }
-  }
-
-  if (const JsonValue* metrics = doc->find("metrics");
-      metrics != nullptr && metrics->kind == JsonValue::Kind::kObject) {
-    auto read_pairs =
-        [&](const char* key,
-            std::vector<std::pair<std::string, std::uint64_t>>& into) {
-          const JsonValue* arr = metrics->find(key);
-          if (arr == nullptr || arr->kind != JsonValue::Kind::kArray) return;
-          for (const JsonValue& e : arr->items)
-            if (e.kind == JsonValue::Kind::kObject)
-              into.emplace_back(e.string_or("name"),
-                                e.number_or<std::uint64_t>("value"));
-        };
-    read_pairs("counters", out->counters);
-    read_pairs("gauges", out->gauges);
-    if (const JsonValue* hists = metrics->find("histograms");
-        hists != nullptr && hists->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& e : hists->items) {
-        if (e.kind != JsonValue::Kind::kObject) continue;
-        HistSnapshot h;
-        h.name = e.string_or("name");
-        h.count = e.number_or<std::uint64_t>("count");
-        h.sum = e.number_or<std::uint64_t>("sum");
-        if (const JsonValue* buckets = e.find("buckets");
-            buckets != nullptr && buckets->kind == JsonValue::Kind::kArray)
-          for (const JsonValue& b : buckets->items)
-            if (b.kind == JsonValue::Kind::kObject)
-              h.buckets.emplace_back(b.number_or<std::uint64_t>("lo"),
-                                     b.number_or<std::uint64_t>("count"));
-        out->histograms.push_back(std::move(h));
-      }
-    }
-  }
+  std::string decode_error;
+  if (!parse_flow_json(*doc, out, &decode_error))
+    return set_error(error, label + ": " + decode_error);
+  out->path = label;
   return true;
 }
 
@@ -168,85 +103,98 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
   r.base_elapsed_ms = base.elapsed_ms;
   r.cand_elapsed_ms = cand.elapsed_ms;
 
-  std::map<std::pair<std::string, std::string>, const QorCell*> cand_cells;
-  for (const QorCell& c : cand.cells) cand_cells[{c.circuit, c.method}] = &c;
-  std::map<std::pair<std::string, std::string>, const QorCell*> base_cells;
-  for (const QorCell& c : base.cells) base_cells[{c.circuit, c.method}] = &c;
+  using CellKey = std::pair<std::string, std::string>;  // circuit, method
+  const auto key_of = [](const FlowResult& x) {
+    return CellKey{x.circuit, method_name(x.method)};
+  };
+  std::map<CellKey, const FlowResult*> cand_cells;
+  for (const std::vector<FlowResult>& row : cand.per_circuit)
+    for (const FlowResult& c : row) cand_cells[key_of(c)] = &c;
+  std::map<CellKey, const FlowResult*> base_cells;
+  for (const std::vector<FlowResult>& row : base.per_circuit)
+    for (const FlowResult& b : row) base_cells[key_of(b)] = &b;
 
   // Baseline-driven pass: every baseline cell gets a verdict.
-  for (const QorCell& b : base.cells) {
-    CellResult cell;
-    cell.circuit = b.circuit;
-    cell.method = b.method;
-    const auto it = cand_cells.find({b.circuit, b.method});
-    if (it == cand_cells.end()) {
-      cell.verdict = Verdict::kSkipped;
-      r.skipped += 1;
-      r.cells.push_back(std::move(cell));
-      continue;
-    }
-    const QorCell& c = *it->second;
-    const std::pair<const char*, double QorCell::*> qor[] = {
-        {"power_uw", &QorCell::power_uw},
-        {"area", &QorCell::area},
-        {"delay_ns", &QorCell::delay_ns},
-        {"gates", &QorCell::gates},
-    };
-    for (const auto& [name, field] : qor) {
-      const double bv = b.*field;
-      const double cv = c.*field;
-      if (qor_within(bv, cv, options)) continue;
-      cell.deltas.push_back({name, bv, cv});
-      raise_verdict(cell, cv > bv ? Verdict::kQorRegressed
-                                  : Verdict::kQorImproved);
-    }
-    if (c.state != b.state) {
-      cell.deltas.push_back({"status:" + b.state + "->" + c.state, 0, 0});
-      raise_verdict(cell, Verdict::kStatusChanged);
-    }
-    if (options.time_band >= 0.0) {
-      const std::pair<const char*, double QorCell::*> times[] = {
-          {"decomp_ms", &QorCell::decomp_ms},
-          {"activity_ms", &QorCell::activity_ms},
-          {"map_ms", &QorCell::map_ms},
-          {"eval_ms", &QorCell::eval_ms},
-      };
-      for (const auto& [name, field] : times) {
-        const double bv = b.*field;
-        const double cv = c.*field;
-        if (bv < options.time_floor_ms) continue;
-        if (cv <= bv * (1.0 + options.time_band)) continue;
-        cell.deltas.push_back({name, bv, cv});
-        raise_verdict(cell, Verdict::kSlow);
+  for (const std::vector<FlowResult>& row : base.per_circuit)
+    for (const FlowResult& b : row) {
+      CellResult cell;
+      std::tie(cell.circuit, cell.method) = key_of(b);
+      const auto it = cand_cells.find(key_of(b));
+      if (it == cand_cells.end()) {
+        cell.verdict = Verdict::kSkipped;
+        r.skipped += 1;
+        r.cells.push_back(std::move(cell));
+        continue;
       }
+      const FlowResult& c = *it->second;
+      const std::tuple<const char*, double, double> qor[] = {
+          {"power_uw", b.power_uw, c.power_uw},
+          {"area", b.area, c.area},
+          {"delay_ns", b.delay, c.delay},
+          {"gates", static_cast<double>(b.gates),
+           static_cast<double>(c.gates)},
+      };
+      for (const auto& [name, bv, cv] : qor) {
+        if (qor_within(bv, cv, options)) continue;
+        cell.deltas.push_back({name, bv, cv});
+        raise_verdict(cell, cv > bv ? Verdict::kQorRegressed
+                                    : Verdict::kQorImproved);
+      }
+      if (c.status.state != b.status.state) {
+        cell.deltas.push_back({std::string("status:") +
+                                   task_state_name(b.status.state) + "->" +
+                                   task_state_name(c.status.state),
+                               0, 0});
+        raise_verdict(cell, Verdict::kStatusChanged);
+      }
+      if (options.time_band >= 0.0) {
+        const std::pair<const char*, double PhaseStats::*> times[] = {
+            {"decomp_ms", &PhaseStats::decomp_ms},
+            {"activity_ms", &PhaseStats::activity_ms},
+            {"map_ms", &PhaseStats::map_ms},
+            {"eval_ms", &PhaseStats::eval_ms},
+        };
+        for (const auto& [name, field] : times) {
+          const double bv = b.phases.*field;
+          const double cv = c.phases.*field;
+          if (bv < options.time_floor_ms) continue;
+          if (cv <= bv * (1.0 + options.time_band)) continue;
+          cell.deltas.push_back({name, bv, cv});
+          raise_verdict(cell, Verdict::kSlow);
+        }
+      }
+      switch (cell.verdict) {
+        case Verdict::kOk: r.ok += 1; break;
+        case Verdict::kQorRegressed: r.qor_regressed += 1; break;
+        case Verdict::kQorImproved: r.qor_improved += 1; break;
+        case Verdict::kStatusChanged: r.status_changed += 1; break;
+        case Verdict::kSlow: r.slow += 1; break;
+        default: break;
+      }
+      r.cells.push_back(std::move(cell));
     }
-    switch (cell.verdict) {
-      case Verdict::kOk: r.ok += 1; break;
-      case Verdict::kQorRegressed: r.qor_regressed += 1; break;
-      case Verdict::kQorImproved: r.qor_improved += 1; break;
-      case Verdict::kStatusChanged: r.status_changed += 1; break;
-      case Verdict::kSlow: r.slow += 1; break;
-      default: break;
-    }
-    r.cells.push_back(std::move(cell));
-  }
   // Candidate-only cells are informational.
-  for (const QorCell& c : cand.cells) {
-    if (base_cells.count({c.circuit, c.method})) continue;
-    CellResult cell;
-    cell.circuit = c.circuit;
-    cell.method = c.method;
-    cell.verdict = Verdict::kNew;
-    r.added += 1;
-    r.cells.push_back(std::move(cell));
-  }
+  for (const std::vector<FlowResult>& row : cand.per_circuit)
+    for (const FlowResult& c : row) {
+      if (base_cells.count(key_of(c))) continue;
+      CellResult cell;
+      std::tie(cell.circuit, cell.method) = key_of(c);
+      cell.verdict = Verdict::kNew;
+      r.added += 1;
+      r.cells.push_back(std::move(cell));
+    }
 
   // Registry metrics: exact, but only comparable over identical circuit
   // sets (counters are whole-run totals).
-  std::vector<std::string> base_names = base.circuits;
-  std::vector<std::string> cand_names = cand.circuits;
-  std::sort(base_names.begin(), base_names.end());
-  std::sort(cand_names.begin(), cand_names.end());
+  const auto circuit_names = [](const FlowDoc& d) {
+    std::vector<std::string> names;
+    for (const std::vector<FlowResult>& row : d.per_circuit)
+      names.push_back(row.empty() ? std::string() : row.front().circuit);
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> base_names = circuit_names(base);
+  const std::vector<std::string> cand_names = circuit_names(cand);
   if (!options.check_metrics) {
     r.metrics_checked = false;
     r.metrics_skip_reason = "disabled (--qor-only)";
@@ -270,15 +218,16 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
           for (const auto& [name, cv] : cm)
             if (!bm.count(name) && cv != 0) out.push_back({name, 0, cv});
         };
-    diff_pairs(base.counters, cand.counters, r.counter_diffs);
-    diff_pairs(base.gauges, cand.gauges, r.gauge_diffs);
+    diff_pairs(base.metrics.counters, cand.metrics.counters, r.counter_diffs);
+    diff_pairs(base.metrics.gauges, cand.metrics.gauges, r.gauge_diffs);
 
-    std::map<std::string, const HistSnapshot*> cand_hists;
-    for (const HistSnapshot& h : cand.histograms) cand_hists[h.name] = &h;
-    std::map<std::string, const HistSnapshot*> base_hists;
-    for (const HistSnapshot& h : base.histograms) base_hists[h.name] = &h;
-    static const HistSnapshot kEmpty;
-    auto hist_diff = [&](const HistSnapshot& b, const HistSnapshot& c,
+    using Hist = metrics::Snapshot::Hist;
+    std::map<std::string, const Hist*> cand_hists;
+    for (const Hist& h : cand.metrics.histograms) cand_hists[h.name] = &h;
+    std::map<std::string, const Hist*> base_hists;
+    for (const Hist& h : base.metrics.histograms) base_hists[h.name] = &h;
+    static const Hist kEmpty;
+    auto hist_diff = [&](const Hist& b, const Hist& c,
                          const std::string& name) {
       if (b.count == c.count && b.sum == c.sum && b.buckets == c.buckets)
         return;

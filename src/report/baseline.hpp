@@ -32,51 +32,25 @@
 #include <string>
 #include <vector>
 
-namespace minpower::report {
+#include "flow/session.hpp"
 
-/// One histogram from a report's metrics block (log-2 buckets, sparse).
-struct HistSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;  // (lo, n)
-};
+namespace minpower::report {
 
 /// Nearest-rank q-quantile estimated from the log-2 buckets: the inclusive
 /// lower bound of the bucket containing the ⌈q·count⌉-th sample. Exact for
 /// the bucket, a factor-2 under-estimate of the sample at worst.
-std::uint64_t histogram_percentile(const HistSnapshot& h, double q);
+std::uint64_t histogram_percentile(const metrics::Snapshot::Hist& h,
+                                   double q);
 
-/// One (circuit × method) result of a flow report.
-struct QorCell {
-  std::string circuit;
-  std::string method;
-  std::string state;  // task status: ok / degraded / failed
-  double area = 0.0;
-  double delay_ns = 0.0;
-  double power_uw = 0.0;
-  double gates = 0.0;
-  double decomp_ms = 0.0;
-  double activity_ms = 0.0;
-  double map_ms = 0.0;
-  double eval_ms = 0.0;
+/// A `minpower.flow.v1` report, decoded by parse_flow_json, with the path
+/// that labels it in messages and compare reports.
+struct FlowReportDoc : FlowDoc {
+  std::string path;
 };
 
-/// A parsed `minpower.flow.v1` document, reduced to what compare needs.
-struct FlowReportDoc {
-  std::string path;     // label for messages/reports
-  std::string library;
-  double num_threads = 0.0;
-  double elapsed_ms = 0.0;
-  std::vector<std::string> circuits;  // order of appearance
-  std::vector<QorCell> cells;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, std::uint64_t>> gauges;
-  std::vector<HistSnapshot> histograms;
-};
-
-/// Parse a report from JSON text. Returns false (with `error`) on
-/// malformed JSON or a wrong/missing schema marker.
+/// Parse a report from JSON text. Returns false (with `error`, prefixed by
+/// `label`) on malformed JSON, a wrong or missing schema marker, or any
+/// defect parse_flow_json reports.
 bool load_flow_report(std::string_view json_text, const std::string& label,
                       FlowReportDoc* out, std::string* error);
 

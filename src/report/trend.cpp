@@ -52,14 +52,18 @@ bool parse_point(const JsonValue& obj, TrajectoryPoint* out) {
   return true;
 }
 
-/// The first field a trend fit or point match needs that `obj` lacks as a
-/// number, or nullptr when it has them all.
-const char* missing_field(const JsonValue& obj) {
+/// What is wrong with the first field a trend fit or point match needs:
+/// absent or not a number, or (seed, target_gates) not a non-negative
+/// integer. Empty when every field is usable.
+std::string bad_field(const JsonValue& obj) {
   for (const char* key : {"seed", "target_gates", "gates", "suite", "wall_ms"})
     if (const JsonValue* v = obj.find(key);
         v == nullptr || v->kind != JsonValue::Kind::kNumber)
-      return key;
-  return nullptr;
+      return std::string("lacks required field '") + key + "'";
+  for (const char* key : {"seed", "target_gates"})
+    if (!json_integer<std::uint64_t>(obj.find(key)->number))
+      return std::string("field '") + key + "' is not a non-negative integer";
+  return {};
 }
 
 }  // namespace
@@ -96,10 +100,9 @@ bool load_trajectory(std::string_view text, const std::string& label,
                                   ": not a minpower.bench_trajectory.v1 "
                                   "record");
     }
-    if (const char* field = missing_field(*doc))
+    if (const std::string bad = bad_field(*doc); !bad.empty())
       return set_error(error, label + ":" + std::to_string(lines[i].first) +
-                                  ": trajectory record lacks required field '" +
-                                  field + "'");
+                                  ": trajectory record " + bad);
     out->points.push_back(std::move(p));
   }
   if (out->points.empty())

@@ -88,11 +88,16 @@ bool load_journal(const std::string& path, Journal* out, std::string* error) {
       return fail(error,
                   path + ":" + std::to_string(lineno) + ": malformed cell");
     JournalCell jc;
-    jc.ci = static_cast<std::size_t>(ci->number);
-    jc.mi = static_cast<std::size_t>(mi->number);
-    if (jc.ci >= out->circuits.size() || jc.mi >= 6)
+    const std::optional<std::size_t> cell_ci =
+        json_integer<std::size_t>(ci->number);
+    const std::optional<std::size_t> cell_mi =
+        json_integer<std::size_t>(mi->number);
+    if (!cell_ci || !cell_mi || *cell_ci >= out->circuits.size() ||
+        *cell_mi >= 6)
       return fail(error, path + ":" + std::to_string(lineno) +
                              ": cell index out of range");
+    jc.ci = *cell_ci;
+    jc.mi = *cell_mi;
     std::string cell_error;
     if (!parse_flow_result_json(*cell, &jc.result, &cell_error))
       return fail(error,

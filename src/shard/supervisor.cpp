@@ -492,13 +492,8 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
       const std::optional<JsonValue> v =
           parse_json(line.substr(4), &parse_error);
       if (!v || v->kind != JsonValue::Kind::kObject) return false;
-      std::size_t rss_kb = 0;
-      std::size_t hwm_kb = 0;
-      if (const JsonValue* r = v->find("rss_kb"))
-        rss_kb = r->number > 0 ? static_cast<std::size_t>(r->number) : 0;
-      if (const JsonValue* h = v->find("hwm_kb"))
-        hwm_kb = h->number > 0 ? static_cast<std::size_t>(h->number) : 0;
-      note_worker_memory(w, rss_kb, hwm_kb);
+      note_worker_memory(w, v->number_or<std::size_t>("rss_kb"),
+                         v->number_or<std::size_t>("hwm_kb"));
       return true;
     }
     if (line.rfind("TRACE ", 0) == 0) {

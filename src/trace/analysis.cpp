@@ -297,32 +297,38 @@ bool analyze_chrome_trace(std::string_view json, TraceProfile* out,
   std::map<int, std::map<std::pair<std::string, int>, const SpanRecord*>>
       stage1_by_pid;  // pid → (circuit × group) → slowest attempt
   std::map<int, std::vector<const SpanRecord*>> stage2_by_pid;
+  // A span-arg count; one that is negative, fractional or too large counts
+  // as 0.
+  const auto count_of = [](double v) {
+    return json_integer<std::uint64_t>(v).value_or(0);
+  };
   for (const SpanRecord& s : out->spans) {
     if (s.cat == "shard" && s.name == "supervise") {
       out->supervisor.available = true;
       out->supervisor.supervise_us += s.dur_us;
       if (const double* w = s.find_num("poll_wait_us"))
-        out->supervisor.poll_wait_us += detail::to_u64(*w);
+        out->supervisor.poll_wait_us += count_of(*w);
       if (const double* n = s.find_num("polls"))
-        out->supervisor.polls += detail::to_u64(*n);
+        out->supervisor.polls += count_of(*n);
       continue;
     }
     if (s.cat != "engine") continue;
     if (s.name == "stage1") {
       if (const double* w = s.find_num("queue_wait_us"))
-        wait1.push_back(detail::to_u64(*w));
+        wait1.push_back(count_of(*w));
       const std::string* circuit = s.find_str("circuit");
-      const double* group = s.find_num("group");
-      if (circuit != nullptr && group != nullptr) {
+      const double* g = s.find_num("group");
+      const std::optional<int> group =
+          g != nullptr ? json_integer<int>(*g) : std::nullopt;
+      if (circuit != nullptr && group) {
         // Keep the slowest attempt if a (circuit, group) repeats (e.g. two
         // run_suite calls in one trace) — conservative for the path.
-        const SpanRecord*& slot =
-            stage1_by_pid[s.pid][{*circuit, static_cast<int>(*group)}];
+        const SpanRecord*& slot = stage1_by_pid[s.pid][{*circuit, *group}];
         if (slot == nullptr || s.dur_us > slot->dur_us) slot = &s;
       }
     } else if (s.name == "stage2") {
       if (const double* w = s.find_num("queue_wait_us"))
-        wait2.push_back(detail::to_u64(*w));
+        wait2.push_back(count_of(*w));
       stage2_by_pid[s.pid].push_back(&s);
     }
   }

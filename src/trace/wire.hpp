@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -45,11 +44,6 @@
 namespace minpower::trace {
 
 namespace detail {
-
-/// A JSON number as a non-negative integer (negatives clamp to 0).
-inline std::uint64_t to_u64(double d) {
-  return d > 0.0 ? static_cast<std::uint64_t>(d) : 0;
-}
 
 /// A JSON arg value back to its exporter type: integral numbers below 2^53
 /// become kInt (negative) or kUint, other numbers kDouble. Non-scalar kinds
@@ -74,17 +68,14 @@ inline bool is(const JsonValue* v, JsonValue::Kind kind) {
   return v != nullptr && v->kind == kind;
 }
 
-/// Member `key` of `ev` as a pid or tid: `fallback` when it is absent or
-/// not a number, std::nullopt when the number lies outside int range,
-/// where converting it would be undefined.
-inline std::optional<int> lane_id(const JsonValue& ev, const char* key,
-                                  int fallback) {
-  const JsonValue* v = ev.find(key);
+/// Member `key` of `obj` as an integer of type T: `fallback` when it is
+/// absent or not a number, std::nullopt when json_integer rejects it.
+template <typename T>
+std::optional<T> integer_member(const JsonValue& obj, const char* key,
+                                std::optional<T> fallback) {
+  const JsonValue* v = obj.find(key);
   if (!is(v, JsonValue::Kind::kNumber)) return fallback;
-  if (!(v->number >= std::numeric_limits<int>::min() &&
-        v->number <= std::numeric_limits<int>::max()))
-    return std::nullopt;
-  return static_cast<int>(v->number);
+  return json_integer<T>(v->number);
 }
 
 }  // namespace detail
@@ -128,7 +119,7 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
     const bool meta = ph->string == "M";
     if (!meta && ph->string != "X" && ph->string != "i" && ph->string != "C")
       continue;
-    const std::optional<int> pid = detail::lane_id(ev, "pid", 1);
+    const std::optional<int> pid = detail::integer_member<int>(ev, "pid", 1);
     if (!pid) return fail("pid outside int range");
     const JsonValue* args = ev.find("args");
     if (meta) {
@@ -150,11 +141,16 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
       return fail("instant event missing name/ts");
     e.name = ev.string_or("name");
     e.cat = ev.string_or("cat");
-    e.ts_us = detail::to_u64(ev.number_or("ts", 0.0));
-    if (e.ph == 'X') e.dur_us = detail::to_u64(ev.number_or("dur", 0.0));
+    const std::optional<std::uint64_t> ts =
+        detail::integer_member<std::uint64_t>(ev, "ts", 0);
+    const std::optional<std::uint64_t> dur =
+        detail::integer_member<std::uint64_t>(ev, "dur", 0);
+    if (!ts || !dur) return fail("ts or dur is not a non-negative integer");
+    e.ts_us = *ts;
+    if (e.ph == 'X') e.dur_us = *dur;
     if (detail::is(args, Kind::kObject))
       for (const auto& [k, v] : args->members) detail::add_json_arg(e, k, v);
-    const std::optional<int> tid = detail::lane_id(ev, "tid", 0);
+    const std::optional<int> tid = detail::integer_member<int>(ev, "tid", 0);
     if (!tid) return fail("tid outside int range");
     ProcessLane& p = lane(*pid);
     const auto [it, added] = thread_of.emplace(std::pair{*pid, *tid},
@@ -166,52 +162,62 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
 }
 
 /// Parse a metrics block produced by metrics::write_metrics_json (either a
-/// standalone document or an already-located JSON object value).
+/// standalone document or an already-located JSON object value). A value,
+/// count, sum or bucket field that is not a non-negative integer rejects the
+/// block, naming the entry and the field.
 MP_TRACE_COLD inline std::optional<metrics::Snapshot> parse_metrics_value(
     const JsonValue& doc, std::string* error = nullptr) {
-  if (doc.kind != JsonValue::Kind::kObject) {
-    if (error && error->empty()) *error = "metrics block is not an object";
-    return std::nullopt;
-  }
+  std::string why;  // the first defect found
+  // Field `field` of an entry of array `key` as a count: false, with `why`
+  // set, unless it is a non-negative integer.
+  const auto count = [&why](const JsonValue& e, const char* key,
+                            const char* field, std::uint64_t* out) {
+    const std::optional<std::uint64_t> v =
+        detail::integer_member<std::uint64_t>(e, field, std::nullopt);
+    if (!v)
+      why = std::string(key) + " entry '" + e.string_or("name") + "': '" +
+            field + "' is not a non-negative integer";
+    *out = v.value_or(0);
+    return v.has_value();
+  };
+  // The entries of array `key` of `obj`; none when it is absent.
+  const auto items = [](const JsonValue& obj,
+                        const char* key) -> const std::vector<JsonValue>& {
+    static const std::vector<JsonValue> kNone;
+    const JsonValue* arr = obj.find(key);
+    return detail::is(arr, JsonValue::Kind::kArray) ? arr->items : kNone;
+  };
+  const auto read = [&](metrics::Snapshot& s) {
+    if (doc.kind != JsonValue::Kind::kObject) {
+      why = "metrics block is not an object";
+      return false;
+    }
+    for (const auto& [key, into] :
+         {std::pair{"counters", &s.counters}, std::pair{"gauges", &s.gauges}})
+      for (const JsonValue& e : items(doc, key)) {
+        std::uint64_t value = 0;
+        if (!count(e, key, "value", &value)) return false;
+        into->emplace_back(e.string_or("name"), value);
+      }
+    for (const JsonValue& h : items(doc, "histograms")) {
+      metrics::Snapshot::Hist& out = s.histograms.emplace_back();
+      out.name = h.string_or("name");
+      if (!count(h, "histograms", "count", &out.count) ||
+          !count(h, "histograms", "sum", &out.sum))
+        return false;
+      for (const JsonValue& b : items(h, "buckets")) {
+        auto& [lo, n] = out.buckets.emplace_back();
+        if (!count(b, "buckets", "lo", &lo) ||
+            !count(b, "buckets", "count", &n))
+          return false;
+      }
+    }
+    return true;
+  };
   metrics::Snapshot s;
-  if (const JsonValue* arr = doc.find("counters");
-      arr && arr->kind == JsonValue::Kind::kArray)
-    for (const JsonValue& c : arr->items) {
-      const JsonValue* name = c.find("name");
-      const JsonValue* value = c.find("value");
-      if (name && value)
-        s.counters.emplace_back(name->string, detail::to_u64(value->number));
-    }
-  if (const JsonValue* arr = doc.find("gauges");
-      arr && arr->kind == JsonValue::Kind::kArray)
-    for (const JsonValue& g : arr->items) {
-      const JsonValue* name = g.find("name");
-      const JsonValue* value = g.find("value");
-      if (name && value)
-        s.gauges.emplace_back(name->string, detail::to_u64(value->number));
-    }
-  if (const JsonValue* arr = doc.find("histograms");
-      arr && arr->kind == JsonValue::Kind::kArray)
-    for (const JsonValue& h : arr->items) {
-      const JsonValue* name = h.find("name");
-      if (!name) continue;
-      metrics::Snapshot::Hist out;
-      out.name = name->string;
-      if (const JsonValue* v = h.find("count"))
-        out.count = detail::to_u64(v->number);
-      if (const JsonValue* v = h.find("sum")) out.sum = detail::to_u64(v->number);
-      if (const JsonValue* buckets = h.find("buckets");
-          buckets && buckets->kind == JsonValue::Kind::kArray)
-        for (const JsonValue& b : buckets->items) {
-          const JsonValue* lo = b.find("lo");
-          const JsonValue* n = b.find("count");
-          if (lo && n)
-            out.buckets.emplace_back(detail::to_u64(lo->number),
-                                     detail::to_u64(n->number));
-        }
-      s.histograms.push_back(std::move(out));
-    }
-  return s;
+  if (read(s)) return s;
+  if (error != nullptr && error->empty()) *error = why;
+  return std::nullopt;
 }
 
 MP_TRACE_COLD inline std::optional<metrics::Snapshot> parse_metrics_json(

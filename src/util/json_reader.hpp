@@ -9,14 +9,31 @@
 // unpaired surrogates, malformed numbers, and trailing garbage are errors.
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace minpower {
+
+/// A JSON number as an integer of type T: std::nullopt when it is not
+/// integral or lies outside T's range (a negative number for an unsigned T
+/// included). Every integral read of a JSON number goes through here — a
+/// bare static_cast of an out-of-range double is undefined behaviour.
+template <typename T>
+std::optional<T> json_integer(double d) {
+  static_assert(std::is_integral_v<T>);
+  // 2^digits is max()+1, exactly representable as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lowest = std::is_signed_v<T> ? -limit : 0.0;
+  if (!(d >= lowest && d < limit) || d != std::floor(d)) return std::nullopt;
+  return static_cast<T>(d);
+}
 
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -35,12 +52,16 @@ struct JsonValue {
   }
 
   /// Member `key` as a number converted to T; `fallback` when it is absent
-  /// or not a number.
+  /// or not a number, and for an integral T also when json_integer rejects
+  /// it.
   template <typename T = double>
   T number_or(const std::string& key, T fallback = T{}) const {
     const JsonValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kNumber ? static_cast<T>(v->number)
-                                                    : fallback;
+    if (v == nullptr || v->kind != Kind::kNumber) return fallback;
+    if constexpr (std::is_integral_v<T>)
+      return json_integer<T>(v->number).value_or(fallback);
+    else
+      return static_cast<T>(v->number);
   }
 
   /// Member `key` as a string; `fallback` when it is absent or not a string.

@@ -78,19 +78,21 @@ TEST(Baseline, SuitePrefixMatchesCommittedBaseline) {
   ASSERT_TRUE(report::load_flow_report_file(baseline_path(), &base, &error))
       << error
       << " — run with MINPOWER_REGEN_BASELINE=1 to create the baseline";
-  ASSERT_EQ(base.cells.size(), base.circuits.size() * 6);
+  for (const std::vector<FlowResult>& row : base.per_circuit)
+    ASSERT_EQ(row.size(), 6u);
   EXPECT_EQ(base.library, standard_library().name());
 
   // A 4-circuit prefix keeps the lock cheap enough for sanitizer CI; the
   // full suite runs under MINPOWER_REGEN_BASELINE and in the bench itself.
   constexpr std::size_t kPrefix = 4;
-  ASSERT_GE(base.circuits.size(), kPrefix);
+  ASSERT_GE(base.per_circuit.size(), kPrefix);
   report::FlowReportDoc cand;
   ASSERT_TRUE(report::load_flow_report(run_suite_json(kPrefix), "rerun",
                                        &cand, &error))
       << error;
   for (std::size_t i = 0; i < kPrefix; ++i)
-    EXPECT_EQ(cand.circuits[i], base.circuits[i]) << i;
+    EXPECT_EQ(cand.per_circuit[i][0].circuit, base.per_circuit[i][0].circuit)
+        << i;
 
   report::CompareOptions opt;  // QoR exact…
   opt.time_band = -1.0;        // …wall times not comparable across machines
@@ -104,7 +106,8 @@ TEST(Baseline, SuitePrefixMatchesCommittedBaseline) {
          "is intentional, regenerate with MINPOWER_REGEN_BASELINE=1\n"
       << verdict.str();
   EXPECT_EQ(r.ok, static_cast<int>(kPrefix * 6));
-  EXPECT_EQ(r.skipped, static_cast<int>(base.cells.size() - kPrefix * 6));
+  EXPECT_EQ(r.skipped,
+            static_cast<int>((base.per_circuit.size() - kPrefix) * 6));
   // Subset run: registry totals must be skipped, not diffed.
   EXPECT_FALSE(r.metrics_checked);
 }

@@ -5,7 +5,9 @@
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -150,6 +152,21 @@ TEST(Cli, TrendRecordWithoutRequiredFieldsIsFatal) {
   expect_clean_failure("trend " + traj,
                        traj + ":1: trajectory record lacks required field "
                               "'seed'");
+}
+
+TEST(Cli, CompareOfMalformedReportIsFatal) {
+  const std::string base =
+      std::string(MP_TEST_DATA_DIR) + "/baselines/flow_suite.json";
+  std::ifstream in(base);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const std::size_t at = text.find("\"area\": 168,");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, std::strlen("\"area\": 168,"), "\"area\": \"168\",");
+  const std::string mutant = write_temp("string_area.json", text);
+  expect_clean_failure("compare " + base + " " + mutant + " --qor-only",
+                       mutant + ": circuits[0] 's208' methods[0]: missing or "
+                                "mistyped field 'area'");
 }
 
 TEST(Cli, ProfileOfTraceWithOutOfRangePidIsFatal) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "flow/session.hpp"
@@ -18,9 +20,8 @@ namespace {
 using report::CompareOptions;
 using report::CompareReport;
 using report::FlowReportDoc;
-using report::HistSnapshot;
-using report::QorCell;
 using report::Verdict;
+using Hist = metrics::Snapshot::Hist;
 
 /// A minimal two-circuit report with non-trivial phase times.
 FlowReportDoc small_doc() {
@@ -29,33 +30,38 @@ FlowReportDoc small_doc() {
   doc.library = "paperlib";
   doc.num_threads = 2;
   doc.elapsed_ms = 100.0;
-  doc.circuits = {"alpha", "beta"};
-  const char* methods[] = {"I", "II"};
-  for (const std::string& c : doc.circuits)
-    for (const char* m : methods) {
-      QorCell cell;
+  for (const char* c : {"alpha", "beta"}) {
+    std::vector<FlowResult>& row = doc.per_circuit.emplace_back();
+    for (const Method m : {Method::kI, Method::kII}) {
+      FlowResult cell;
       cell.circuit = c;
       cell.method = m;
-      cell.state = "ok";
       cell.area = 1000.0;
-      cell.delay_ns = 5.25;
+      cell.delay = 5.25;
       cell.power_uw = 211.34703457355499;
-      cell.gates = 42.0;
-      cell.decomp_ms = 10.0;
-      cell.activity_ms = 4.0;
-      cell.map_ms = 20.0;
-      cell.eval_ms = 0.25;  // below the 1 ms floor — never gated
-      doc.cells.push_back(cell);
+      cell.gates = 42;
+      cell.phases.decomp_ms = 10.0;
+      cell.phases.activity_ms = 4.0;
+      cell.phases.map_ms = 20.0;
+      cell.phases.eval_ms = 0.25;  // below the 1 ms floor — never gated
+      row.push_back(cell);
     }
-  doc.counters = {{"map.matches", 1234}, {"decomp.nodes", 77}};
-  doc.gauges = {{"pool.threads", 2}};
-  HistSnapshot h;
+  }
+  doc.metrics.counters = {{"map.matches", 1234}, {"decomp.nodes", 77}};
+  doc.metrics.gauges = {{"pool.threads", 2}};
+  Hist h;
   h.name = "map.match_us";
   h.count = 20;
   h.sum = 500;
   h.buckets = {{1, 3}, {8, 17}};
-  doc.histograms = {h};
+  doc.metrics.histograms = {h};
   return doc;
+}
+
+/// Cell `i` of small_doc's grid, circuit-major: 0..3 are alpha/I, alpha/II,
+/// beta/I, beta/II.
+FlowResult& cell_at(FlowReportDoc& doc, std::size_t i) {
+  return doc.per_circuit[i / 2][i % 2];
 }
 
 const report::CellResult* find_cell(const CompareReport& r,
@@ -81,8 +87,8 @@ TEST(Compare, IdenticalReportsPass) {
 TEST(Compare, OneUlpPowerDriftFailsExactLockAndNamesTheCell) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[1].power_uw =
-      std::nextafter(cand.cells[1].power_uw, 1e9);  // alpha / II, +1 ulp
+  cell_at(cand, 1).power_uw =
+      std::nextafter(cell_at(cand, 1).power_uw, 1e9);  // alpha / II, +1 ulp
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -102,7 +108,7 @@ TEST(Compare, OneUlpPowerDriftFailsExactLockAndNamesTheCell) {
 TEST(Compare, ImprovementAlsoFailsTheExactLock) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[2].area -= 1.0;  // beta / I got better
+  cell_at(cand, 2).area -= 1.0;  // beta / I got better
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -113,7 +119,7 @@ TEST(Compare, ImprovementAlsoFailsTheExactLock) {
 TEST(Compare, ToleranceAdmitsSmallDrift) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[0].power_uw *= 1.0 + 1e-12;
+  cell_at(cand, 0).power_uw *= 1.0 + 1e-12;
   CompareOptions opt;
   opt.qor_rel_tol = 1e-9;
   const CompareReport r = report::compare_flow_reports(base, cand, opt);
@@ -124,7 +130,8 @@ TEST(Compare, ToleranceAdmitsSmallDrift) {
 TEST(Compare, DoubledPhaseTimeFailsTheSlowdownBand) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[3].map_ms *= 2.0;  // beta / II: 20 ms → 40 ms, band is +20%
+  // beta / II: 20 ms → 40 ms, band is +20%
+  cell_at(cand, 3).phases.map_ms *= 2.0;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -139,8 +146,9 @@ TEST(Compare, DoubledPhaseTimeFailsTheSlowdownBand) {
 TEST(Compare, SpeedupAndSubFloorTimesNeverFail) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[0].map_ms /= 4.0;    // big speedup — fine
-  cand.cells[1].eval_ms *= 10.0;  // 0.25 ms → 2.5 ms, but base < floor
+  cell_at(cand, 0).phases.map_ms /= 4.0;  // big speedup — fine
+  // 0.25 ms → 2.5 ms, but the base is below the floor.
+  cell_at(cand, 1).phases.eval_ms *= 10.0;
   cand.elapsed_ms *= 0.5;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
@@ -150,7 +158,7 @@ TEST(Compare, SpeedupAndSubFloorTimesNeverFail) {
 TEST(Compare, NegativeBandDisablesAllTimeChecks) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[3].map_ms *= 50.0;
+  cell_at(cand, 3).phases.map_ms *= 50.0;
   cand.elapsed_ms *= 50.0;
   CompareOptions opt;
   opt.time_band = -1.0;
@@ -171,7 +179,7 @@ TEST(Compare, ElapsedSlowdownGates) {
 TEST(Compare, StatusChangeFails) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.cells[1].state = "degraded";
+  cell_at(cand, 1).status.state = TaskState::kDegraded;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -183,8 +191,7 @@ TEST(Compare, SubsetCandidateSkipsWithoutFailing) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
   // Candidate ran only "alpha".
-  cand.circuits = {"alpha"};
-  cand.cells.resize(2);
+  cand.per_circuit.resize(1);
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_FALSE(r.regression());
@@ -203,8 +210,7 @@ TEST(Compare, SubsetCandidateSkipsWithoutFailing) {
 TEST(Compare, CandidateOnlyCellsAreNewAndNeverFail) {
   const FlowReportDoc cand = small_doc();
   FlowReportDoc base = cand;
-  base.circuits = {"alpha"};
-  base.cells.resize(2);
+  base.per_circuit.resize(1);
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_FALSE(r.regression());
@@ -215,7 +221,7 @@ TEST(Compare, CandidateOnlyCellsAreNewAndNeverFail) {
 TEST(Compare, CounterDriftFails) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.counters[0].second += 1;
+  cand.metrics.counters[0].second += 1;
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -228,8 +234,8 @@ TEST(Compare, CounterDriftFails) {
 TEST(Compare, HistogramDriftReportsPercentileShift) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cand.histograms[0].count = 25;
-  cand.histograms[0].buckets = {{1, 3}, {8, 17}, {64, 5}};
+  cand.metrics.histograms[0].count = 25;
+  cand.metrics.histograms[0].buckets = {{1, 3}, {8, 17}, {64, 5}};
   const CompareReport r =
       report::compare_flow_reports(base, cand, CompareOptions{});
   EXPECT_TRUE(r.regression());
@@ -240,7 +246,7 @@ TEST(Compare, HistogramDriftReportsPercentileShift) {
 }
 
 TEST(Compare, HistogramPercentileNearestRank) {
-  HistSnapshot h;
+  Hist h;
   h.count = 20;
   h.buckets = {{1, 3}, {8, 17}};
   // rank(0.5) = 10th sample → second bucket.
@@ -250,10 +256,10 @@ TEST(Compare, HistogramPercentileNearestRank) {
   EXPECT_EQ(report::histogram_percentile(h, 0.99), 8u);
   EXPECT_EQ(report::histogram_percentile(h, 1.0), 8u);
 
-  HistSnapshot empty;
+  Hist empty;
   EXPECT_EQ(report::histogram_percentile(empty, 0.5), 0u);
 
-  HistSnapshot zero;
+  Hist zero;
   zero.count = 5;
   zero.buckets = {{0, 5}};
   EXPECT_EQ(report::histogram_percentile(zero, 0.5), 0u);
@@ -282,16 +288,17 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   std::string error;
   ASSERT_TRUE(report::load_flow_report(os.str(), "run.json", &doc, &error))
       << error;
-  EXPECT_EQ(doc.circuits.size(), circuits.size());
-  EXPECT_EQ(doc.cells.size(), circuits.size() * 6);
+  ASSERT_EQ(doc.per_circuit.size(), circuits.size());
+  for (const std::vector<FlowResult>& row : doc.per_circuit)
+    EXPECT_EQ(row.size(), 6u);
   EXPECT_EQ(doc.library, standard_library().name());
   EXPECT_EQ(doc.elapsed_ms, 12.5);
-  EXPECT_FALSE(doc.counters.empty());
+  EXPECT_FALSE(doc.metrics.counters.empty());
 
   const CompareReport r =
       report::compare_flow_reports(doc, doc, CompareOptions{});
   EXPECT_FALSE(r.regression());
-  EXPECT_EQ(r.ok, static_cast<int>(doc.cells.size()));
+  EXPECT_EQ(r.ok, static_cast<int>(circuits.size() * 6));
 
   std::ostringstream cj;
   report::write_compare_json(cj, r);
@@ -306,6 +313,40 @@ TEST(Compare, LoaderRejectsWrongSchema) {
   EXPECT_FALSE(report::load_flow_report(
       R"({"schema": "minpower.bench.v1"})", "x", &doc, &error));
   EXPECT_FALSE(report::load_flow_report("not json", "x", &doc, &error));
+
+  // One-edit mutants of the committed baseline: each must fail to load
+  // with an error naming the defective field, never slip through the gate.
+  std::ifstream in(std::string(MP_TEST_DATA_DIR) +
+                   "/baselines/flow_suite.json");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string baseline = buf.str();
+  ASSERT_TRUE(report::load_flow_report(baseline, "base", &doc, &error))
+      << error;
+  const struct {
+    const char* from;
+    const char* to;
+    const char* named;  // must appear in the error
+  } mutants[] = {
+      {R"("circuits": [)", R"("circuits": [7,)", "circuits[0] is not an object"},
+      {R"("methods": [)", R"("methods": [7,)", "methods[0]"},
+      {R"("method": "I",)", R"("method": "VII",)", "unknown method 'VII'"},
+      {R"("area": 168,)", "", "'area'"},
+      {R"("area": 168,)", R"("area": "168",)", "'area'"},
+      {R"("value": 24393)", R"("value": -5)", "'value'"},
+      {R"("value": 24393)", R"("value": 1e30)", "'value'"},
+  };
+  for (const auto& m : mutants) {
+    std::string text = baseline;
+    const std::size_t at = text.find(m.from);
+    ASSERT_NE(at, std::string::npos) << m.from;
+    text.replace(at, std::strlen(m.from), m.to);
+    error.clear();
+    EXPECT_FALSE(report::load_flow_report(text, "mutant", &doc, &error))
+        << m.to;
+    EXPECT_EQ(error.rfind("mutant: ", 0), 0u) << error;
+    EXPECT_NE(error.find(m.named), std::string::npos) << error;
+  }
 }
 
 }  // namespace

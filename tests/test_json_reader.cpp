@@ -148,12 +148,33 @@ TEST(JsonReader, MemberAccessorsFallBackOnAbsentOrMistyped) {
   const JsonValue v =
       parse_ok(R"({"n": 42.9, "s": "text", "ns": "7", "sn": 7})");
   EXPECT_EQ(v.number_or("n"), 42.9);
-  EXPECT_EQ(v.number_or<std::uint64_t>("n"), 42u);
+  EXPECT_EQ(v.number_or<std::uint64_t>("sn"), 7u);
+  EXPECT_EQ(v.number_or<std::uint64_t>("n", 5), 5u);  // 42.9 is no integer
   EXPECT_EQ(v.number_or("missing"), 0.0);
   EXPECT_EQ(v.number_or<int>("ns", -1), -1);  // a string is not a number
   EXPECT_EQ(v.string_or("s"), "text");
   EXPECT_EQ(v.string_or("missing"), "");
   EXPECT_EQ(v.string_or("sn", "?"), "?");  // a number is not a string
+}
+
+TEST(JsonReader, IntegerConversionRejectsWhatDoesNotFit) {
+  EXPECT_EQ(json_integer<int>(-7.0), -7);
+  EXPECT_EQ(json_integer<std::uint64_t>(9007199254740992.0),
+            9007199254740992u);
+  EXPECT_EQ(json_integer<std::uint64_t>(-0.0), 0u);
+  EXPECT_FALSE(json_integer<std::uint64_t>(-5.0));      // negative, unsigned
+  EXPECT_FALSE(json_integer<std::uint64_t>(1e30));      // above 2^64
+  EXPECT_FALSE(json_integer<std::uint64_t>(18446744073709551616.0));  // 2^64
+  EXPECT_FALSE(json_integer<int>(2147483648.0));        // INT_MAX + 1
+  EXPECT_EQ(json_integer<int>(-2147483648.0), -2147483647 - 1);
+  EXPECT_FALSE(json_integer<std::size_t>(1e300));
+  EXPECT_FALSE(json_integer<int>(0.5));                 // not integral
+  EXPECT_FALSE(json_integer<int>(std::nan("")));
+  EXPECT_FALSE(json_integer<int>(HUGE_VAL));
+  const JsonValue v = parse_ok(R"({"big": 1e30, "neg": -5})");
+  EXPECT_EQ(v.number_or<std::uint64_t>("big", 3), 3u);
+  EXPECT_EQ(v.number_or<std::uint64_t>("neg", 3), 3u);
+  EXPECT_EQ(v.number_or<int>("neg"), -5);
 }
 
 }  // namespace

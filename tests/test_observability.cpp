@@ -100,6 +100,25 @@ TEST(Wire, RejectsMalformedPayloads) {
                    &error)
                    .has_value());
   EXPECT_EQ(error, "tid outside int range");
+  // A metrics value that is no uint64 is an error, not a conversion.
+  for (const char* value : {"-5", "1e30", "2.5"}) {
+    error.clear();
+    EXPECT_FALSE(trace::parse_metrics_json(
+                     std::string(R"({"counters":[{"name":"c","value":)") +
+                         value + "}]}",
+                     &error)
+                     .has_value())
+        << value;
+    EXPECT_EQ(error, "counters entry 'c': 'value' is not a non-negative "
+                     "integer");
+  }
+  error.clear();
+  EXPECT_FALSE(trace::parse_chrome_trace(
+                   R"({"traceEvents":[{"ph":"X","name":"a","ts":1e30,)"
+                   R"("dur":1,"tid":1}]})",
+                   &error)
+                   .has_value());
+  EXPECT_EQ(error, "ts or dur is not a non-negative integer");
   EXPECT_TRUE(trace::parse_chrome_trace(
                   R"({"traceEvents":[{"ph":"X","name":"a","ts":1,"dur":1,)"
                   R"("tid":-2147483648,"pid":2147483647}]})",

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -265,6 +267,32 @@ TEST(Shard, ResumeRejectsMismatchedSuite) {
   const std::vector<Network> other = suite_prefix(1);
   EXPECT_FALSE(shard::run_sharded_suite(pointers(other), standard_library(),
                                         FlowOptions{}, ro, &run, &error));
+  std::remove(journal.c_str());
+}
+
+TEST(Shard, JournalCellWithOutOfRangeIntegerIsRejected) {
+  const std::string journal =
+      ::testing::TempDir() + "shard_huge_gates_journal.jsonl";
+  std::string cell = canonical_cell(FlowResult{});
+  const std::size_t at = cell.find("\"gates\":0");
+  ASSERT_NE(at, std::string::npos) << cell;
+  cell.replace(at, std::strlen("\"gates\":0"), "\"gates\":1e300");
+  std::ofstream(journal)
+      << "{\"schema\":\"minpower.shard.v1\",\"library\":\"lib\","
+         "\"suite_hash\":\"0\",\"circuits\":[\"a\"]}\n"
+      << "{\"ci\":0,\"mi\":0,\"cell\":" << cell << "}\n";
+  shard::Journal j;
+  std::string error;
+  EXPECT_FALSE(shard::load_journal(journal, &j, &error));
+  EXPECT_EQ(error, journal + ":2: field 'gates' is not an integer in range");
+
+  std::ofstream(journal)
+      << "{\"schema\":\"minpower.shard.v1\",\"library\":\"lib\","
+         "\"suite_hash\":\"0\",\"circuits\":[\"a\"]}\n"
+      << "{\"ci\":1e300,\"mi\":0,\"cell\":" << canonical_cell(FlowResult{})
+      << "}\n";
+  EXPECT_FALSE(shard::load_journal(journal, &j, &error));
+  EXPECT_EQ(error, journal + ":2: cell index out of range");
   std::remove(journal.c_str());
 }
 

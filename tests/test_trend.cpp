@@ -68,6 +68,18 @@ TEST(Trend, LoadRejectsMalformedInteriorLine) {
   EXPECT_NE(error.find("t.jsonl"), std::string::npos);
 }
 
+TEST(Trend, LoadRejectsSeedOutsideUint64) {
+  std::string text = line("chain", 100, 100, 50, 1, 1);
+  const std::size_t at = text.find("\"seed\":");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, text.find(',', at) - at, "\"seed\":1e30");
+  TrajectoryDoc doc;
+  std::string error;
+  EXPECT_FALSE(load_trajectory(text, "t.jsonl", &doc, &error));
+  EXPECT_EQ(error, "t.jsonl:1: trajectory record field 'seed' is not a "
+                   "non-negative integer");
+}
+
 TEST(Trend, SlopeFitRecoversPowerLawExponent) {
   const TrajectoryDoc doc = power_law("chain", 2.0, 1.0);
   const TrendReport r = analyze_trend(doc, nullptr, TrendOptions{});

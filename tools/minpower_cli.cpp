@@ -437,29 +437,17 @@ int cmd_map(const Args& a) {
   return 0;
 }
 
-struct TaskTally {
-  int ok = 0;
-  int degraded = 0;
-  int failed = 0;
-};
-
 /// Print the per-cell result table (stdout) and non-ok task diagnostics
 /// (stderr); shared by the in-process and sharded flow paths.
 TaskTally print_flow_table(
     const std::vector<std::vector<FlowResult>>& per_circuit) {
   std::printf("%-10s %-8s %8s %8s %10s %7s %-9s\n", "circuit", "method",
               "area", "delay", "power", "gates", "status");
-  TaskTally t;
   for (const std::vector<FlowResult>& rs : per_circuit)
     for (const FlowResult& r : rs) {
       std::printf("%-10s %-8s %8.0f %8.2f %10.1f %7zu %-9s\n",
                   r.circuit.c_str(), method_name(r.method), r.area, r.delay,
                   r.power_uw, r.gates, task_state_name(r.status.state));
-      switch (r.status.state) {
-        case TaskState::kOk: ++t.ok; break;
-        case TaskState::kDegraded: ++t.degraded; break;
-        case TaskState::kFailed: ++t.failed; break;
-      }
       if (r.status.state != TaskState::kOk)
         std::fprintf(stderr, "task %s/%s: %s (%s%s; retries=%d)\n",
                      r.circuit.c_str(), method_name(r.method),
@@ -469,7 +457,7 @@ TaskTally print_flow_table(
                          : ("; fallback " + r.status.fallbacks.back()).c_str(),
                      r.status.retries);
     }
-  return t;
+  return tally_tasks(per_circuit);
 }
 
 /// `flow --shards N` / `--resume F`: the crash-isolated multi-process path
@@ -814,30 +802,6 @@ int cmd_serve(const Args& a) {
   return 0;
 }
 
-/// Re-emit a parsed JSON value (used to splice per-request response
-/// documents into one merged report).
-void emit_json_value(JsonWriter& w, const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNull: w.null(); break;
-    case JsonValue::Kind::kBool: w.value(v.boolean); break;
-    case JsonValue::Kind::kNumber: w.value(v.number); break;
-    case JsonValue::Kind::kString: w.value(v.string); break;
-    case JsonValue::Kind::kArray:
-      w.begin_array();
-      for (const JsonValue& item : v.items) emit_json_value(w, item);
-      w.end_array();
-      break;
-    case JsonValue::Kind::kObject:
-      w.begin_object();
-      for (const auto& [key, member] : v.members) {
-        w.key(key);
-        emit_json_value(w, member);
-      }
-      w.end_object();
-      break;
-  }
-}
-
 int cmd_client(const Args& a) {
   if (a.port == 0) fatal("client needs --port (a running `minpower serve`)");
   serve::RetryPolicy policy;
@@ -872,7 +836,7 @@ int cmd_client(const Args& a) {
   // minpower.flow.v1 document. Transport failures and retryable server
   // errors (busy admission queue, graceful drain, idle reap) re-connect and
   // re-send up to --retries times with capped jittered backoff.
-  std::vector<JsonValue> docs;
+  FlowDoc merged;  // every response's circuits, engine counters summed
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (const std::string& path : a.positional) {
@@ -906,68 +870,35 @@ int cmd_client(const Args& a) {
         message = e->string_or("message", message);
       fatal(path + ": server error: " + message);
     }
-    docs.push_back(std::move(*doc));
+    FlowDoc response;
+    if (!parse_flow_json(*doc, &response, &parse_error))
+      fatal(path + ": malformed server response: " + parse_error);
+    if (merged.library.empty()) merged.library = response.library;
+    merged.counters.decomp_passes += response.counters.decomp_passes;
+    merged.counters.activity_passes += response.counters.activity_passes;
+    merged.counters.map_passes += response.counters.map_passes;
+    for (std::vector<FlowResult>& row : response.per_circuit)
+      merged.per_circuit.push_back(std::move(row));
   }
 
-  int ok = 0;
-  int degraded = 0;
-  int failed = 0;
-  EngineCounters counters;
-  for (const JsonValue& d : docs) {
-    if (const JsonValue* t = d.find("tasks")) {
-      ok += t->number_or<int>("ok");
-      degraded += t->number_or<int>("degraded");
-      failed += t->number_or<int>("failed");
-    }
-    if (const JsonValue* e = d.find("engine")) {
-      counters.decomp_passes += e->number_or<int>("decomp_passes");
-      counters.activity_passes += e->number_or<int>("activity_passes");
-      counters.map_passes += e->number_or<int>("map_passes");
-    }
-  }
-
-  if (!docs.empty()) {
-    const std::string library = docs.front().string_or("library", "?");
-    std::ostringstream merged;
-    {
-      JsonWriter w(merged);
-      w.begin_object();
-      w.field("schema", "minpower.flow.v1");
-      w.field("library", library);
-      w.field("num_threads", 1);
-      w.field("elapsed_ms", 0.0);
-      w.key("engine");
-      w.begin_object();
-      w.field("decomp_passes", counters.decomp_passes);
-      w.field("activity_passes", counters.activity_passes);
-      w.field("map_passes", counters.map_passes);
-      w.end_object();
-      w.key("tasks");
-      w.begin_object();
-      w.field("ok", ok);
-      w.field("degraded", degraded);
-      w.field("failed", failed);
-      w.end_object();
-      w.key("client");
-      w.begin_object();
-      w.field("retries", total_retries);
-      w.end_object();
-      w.key("circuits");
-      w.begin_array();
-      for (const JsonValue& d : docs)
-        if (const JsonValue* circuits = d.find("circuits");
-            circuits != nullptr && circuits->kind == JsonValue::Kind::kArray)
-          for (const JsonValue& c : circuits->items) emit_json_value(w, c);
-      w.end_array();
-      w.end_object();
-    }
-    merged << '\n';
+  if (!merged.per_circuit.empty()) {
+    // Rendered under the serve policy, like each response: no metrics
+    // block, zeroed wall times. Retries are transport noise and go to the
+    // stderr summary only.
+    FlowJsonPolicy serve_policy;
+    serve_policy.include_metrics = false;
+    serve_policy.zero_wall_times = true;
+    const auto render = [&](std::ostream& os) {
+      write_flow_json(os, merged.per_circuit, merged.counters,
+                      /*num_threads=*/1, /*elapsed_ms=*/0.0, merged.library,
+                      serve_policy);
+    };
     if (a.json) {
       std::ofstream out(*a.json);
       if (!out.good()) fatal("cannot open JSON output file " + *a.json);
-      out << merged.str();
+      render(out);
     } else {
-      std::cout << merged.str();
+      render(std::cout);
     }
   }
 
@@ -977,14 +908,15 @@ int cmd_client(const Args& a) {
     std::fputs(r.body.c_str(), stderr);
   }
   if (a.client_shutdown && !client.shutdown_server(&error)) fatal(error);
+  const TaskTally t = tally_tasks(merged.per_circuit);
   std::fprintf(stderr,
                "client: %zu circuits via %s:%d; cache hits=%llu misses=%llu; "
                "retries=%d; tasks: %d ok, %d degraded, %d failed\n",
-               docs.size(), a.host.c_str(), a.port,
+               merged.per_circuit.size(), a.host.c_str(), a.port,
                static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses), total_retries, ok,
-               degraded, failed);
-  return degraded + failed > 0 ? 2 : 0;
+               static_cast<unsigned long long>(misses), total_retries, t.ok,
+               t.degraded, t.failed);
+  return t.degraded + t.failed > 0 ? 2 : 0;
 }
 
 }  // namespace
