@@ -50,6 +50,7 @@ const char* phase_of_label(const std::string& label) {
       slash == std::string::npos
           ? std::string_view(label)
           : std::string_view(label).substr(slash + 1);
+  if (tail == "source") return "source";
   if (tail.rfind("decomp[", 0) == 0) return "decomp";
   if (tail.rfind("activity[", 0) == 0) return "activity";
   if (tail.rfind("map[", 0) == 0) return "map";
@@ -122,8 +123,8 @@ BddManager::~BddManager() {
   scratch_peak.record_max(scratch_bytes());
   arena_peak.record_max(arena_bytes());
   // Per-phase high-water mark, attributed through the owning Budget label
-  // ("<circuit>/decomp[g]" → phase "decomp"). Phase names are a small fixed
-  // set, so the handle lookup stays off every hot path (dtor only).
+  // ("<circuit>/activity[g]" → phase "activity"). Phase names are a small
+  // fixed set, so the handle lookup stays off every hot path (dtor only).
   const Budget* b = Budget::current();
   const char* phase =
       b != nullptr ? phase_of_label(b->label) : phase_of_label(std::string());

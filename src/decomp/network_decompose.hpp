@@ -55,10 +55,10 @@ struct NetworkDecompOptions {
 
   /// Precomputed per-node 1-probabilities (indexed by NodeId up to
   /// Network::capacity()): when non-empty, the internal BDD probability
-  /// pass is skipped entirely. This is the degradation hook — the engine
-  /// re-runs a decomposition whose exact pass blew its BDD budget with
-  /// Monte-Carlo probabilities instead. Ignored when `correlations` or
-  /// `temporal` drive the probabilities.
+  /// pass is skipped entirely. The flow engine computes them once per
+  /// circuit (its stage-0 source pass, exact or Monte-Carlo) and hands the
+  /// same vector to all three decomposition groups. Ignored when
+  /// `correlations` or `temporal` drive the probabilities.
   std::vector<double> node_prob;
 };
 

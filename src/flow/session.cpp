@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <ostream>
 #include <shared_mutex>
@@ -31,14 +30,22 @@ namespace {
 constexpr Method kMethods[6] = {Method::kI,  Method::kII, Method::kIII,
                                 Method::kIV, Method::kV,  Method::kVI};
 
+/// The stage-0 product of one circuit: its source network's per-node signal
+/// probabilities, which every decomposition group of the circuit reads.
+struct SourcePass {
+  std::vector<double> prob;
+  double ms = 0.0;
+  TaskStatus status;
+};
+
 /// One decomposed subject network shared by a method pair — the stage-1
-/// product and the value cached by the session's group cache.
+/// product. Its status starts from the circuit's source status.
 struct DecompGroup {
   NetworkDecompResult nd;
   std::vector<double> activities;
   SubjectMatches matches;  // enumerate_matches(nd.network), for both methods
   ActivityPassStats astats;
-  double decomp_ms = 0.0;
+  double decomp_ms = 0.0;  // includes the circuit's shared source pass
   double activity_ms = 0.0;
   double match_ms = 0.0;  // counted in both methods' map_ms
   TaskStatus status;
@@ -80,41 +87,29 @@ std::string exhausted_reason(const ResourceExhausted& e,
          " bdd_limit=" + std::to_string(bdd_cap) + ": " + e.what();
 }
 
-/// Whole lines only, under one mutex: concurrent tasks never interleave
-/// partial status output.
-void emit_status_line(const std::string& line) {
+/// Report a finished task's status on stderr: whole lines only, under one
+/// mutex, so concurrent tasks never interleave partial output.
+void report_status(const char* stage, const std::string& label,
+                   const TaskStatus& status) {
+  std::string line = "[flow] ";
+  line += stage;
+  line += ' ';
+  line += label;
+  line += ' ';
+  line += task_state_name(status.state);
+  if (status.retries > 0) line += " retries=" + std::to_string(status.retries);
+  for (const std::string& f : status.fallbacks) line += " fallback=" + f;
+  if (!status.reason.empty()) line += " (" + status.reason + ")";
+  line += '\n';
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);
   std::fputs(line.c_str(), stderr);
 }
 
-/// Scope guard that reports a task's final status once its slot has been
-/// written — including the early-return failure paths.
-struct StatusLine {
-  bool enabled;
-  const char* stage;
-  const std::string& label;
-  const TaskStatus& status;
-  ~StatusLine() {
-    if (!enabled) return;
-    std::string line = "[flow] ";
-    line += stage;
-    line += ' ';
-    line += label;
-    line += ' ';
-    line += task_state_name(status.state);
-    if (status.retries > 0) line += " retries=" + std::to_string(status.retries);
-    for (const std::string& f : status.fallbacks) line += " fallback=" + f;
-    if (!status.reason.empty()) line += " (" + status.reason + ")";
-    line += '\n';
-    emit_status_line(line);
-  }
-};
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point t0,
-                       std::chrono::steady_clock::time_point t1) {
-  const auto us =
-      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
+std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
+  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
   return us > 0 ? static_cast<std::uint64_t>(us) : 0;
 }
 
@@ -124,27 +119,37 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Run fn(0..n-1) across `threads` workers. Tasks are claimed from an
-/// atomic counter; each task writes only its own output slot, so results
-/// are independent of the interleaving.
-void parallel_for(std::size_t n, unsigned threads,
-                  const std::function<void(std::size_t)>& fn) {
-  if (threads > n) threads = static_cast<unsigned>(n);
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
+/// What a finished task reports: its label and the status slot it wrote.
+struct TaskSlot {
+  std::string label;
+  const TaskStatus* status;
+};
+
+/// Run one fan-out stage: `task(t, span)` for every slot t in `tasks`, each
+/// inside its own `stage` span carrying the task's queue wait. The task
+/// names itself in the span's args and returns its TaskSlot, which a
+/// verbose run reports. `threads` workers claim tasks from an atomic
+/// counter; each task writes only its own slot, so results are independent
+/// of the interleaving.
+template <typename Task>
+void run_stage(const char* stage, const std::vector<std::size_t>& tasks,
+               unsigned threads, bool verbose, const Task& task) {
+  const auto stage_t0 = std::chrono::steady_clock::now();
   std::atomic<std::size_t> next{0};
-  auto worker = [&] {
+  const auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      fn(i);
+      if (i >= tasks.size()) return;
+      trace::Span span(stage, "engine");
+      span.arg("queue_wait_us", us_since(stage_t0));
+      const TaskSlot slot = task(tasks[i], span);
+      if (verbose) report_status(stage, slot.label, *slot.status);
     }
   };
   std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker);
+  for (std::size_t t = 1; t < std::min<std::size_t>(threads, tasks.size());
+       ++t)
+    pool.emplace_back(worker);
   worker();
   for (std::thread& t : pool) t.join();
 }
@@ -158,13 +163,14 @@ struct StagePlan {
   std::vector<std::size_t> compute;
 };
 
-/// Plan `slots` work units: `skip(t)` resolves slot t without computing it
-/// (not needed, or a cache hit); `key(t)` is called for the remaining slots
-/// and deduplicates them. Without sharing every slot is computed, so every
+/// Plan one work unit per slot of `keys`: `skip(t)` resolves slot t without
+/// computing it (not needed, or a cache hit); the remaining slots are
+/// deduplicated by key. Without sharing every slot is computed, so every
 /// slot of the fault-injection ordinal scheme stays a live task.
-template <typename Skip, typename Key>
-StagePlan plan_stage(std::size_t slots, bool share, const Skip& skip,
-                     const Key& key) {
+template <typename Skip>
+StagePlan plan_stage(const std::vector<Hash128>& keys, bool share,
+                     const Skip& skip) {
+  const std::size_t slots = keys.size();
   StagePlan p;
   p.alias.resize(slots);
   p.compute.reserve(slots);
@@ -176,7 +182,7 @@ StagePlan plan_stage(std::size_t slots, bool share, const Skip& skip,
       continue;
     }
     if (skip(t)) continue;
-    const auto [it, fresh] = owner.try_emplace(key(t), t);
+    const auto [it, fresh] = owner.try_emplace(keys[t], t);
     if (fresh)
       p.compute.push_back(t);
     else
@@ -193,34 +199,36 @@ void note_fallback(TaskStatus& status, const char* name) {
   status.fallbacks.push_back(name);
 }
 
-/// The degradation ladder of one stage-1 pass: `pass(cap)` at the full BDD
-/// node cap, one retry at half the cap, then the BDD-free `fallback()`
-/// (Monte-Carlo probabilities), recorded as "mc-activity". A deadline, a
-/// blown budget at `fatal_site` (null: none), and any other error — the
-/// fallback's included — fail the task instead. False when `status` failed.
+/// The degradation ladder of one BDD probability pass: `pass()` under the
+/// budget of task `ordinal` at the full BDD node cap, one retry at half the
+/// cap, then the BDD-free `fallback()` (Monte-Carlo probabilities),
+/// recorded as "mc-activity". A deadline and any other error — the
+/// fallback's included — fail the task instead.
 template <typename Pass, typename Fallback>
-bool run_ladder(TaskStatus& status, std::size_t bdd_cap,
-                const char* fatal_site, const Pass& pass,
+void run_ladder(const RunInputs& in, long ordinal, const std::string& label,
+                TaskStatus& status, const Pass& pass,
                 const Fallback& fallback) {
   const auto fail = [&status](std::string reason) {
     status.state = TaskState::kFailed;
     status.reason = std::move(reason);
-    return false;
   };
-  std::size_t cap = bdd_cap;  // watermark of the latest attempt
+  std::size_t cap = in.flow.bdd_node_limit;  // watermark of the latest try
+  const auto attempt = [&] {
+    Budget budget = in.budget(ordinal, label, cap);
+    BudgetScope scope(budget);
+    pass();
+  };
   try {
     try {
-      pass(cap);
+      attempt();
     } catch (const ResourceExhausted& e) {
       if (e.site() == "deadline") throw;
       status.retries += 1;
-      cap = std::max<std::size_t>(bdd_cap / 2, 2);
-      pass(cap);
+      cap = std::max<std::size_t>(cap / 2, 2);
+      attempt();
     }
   } catch (const ResourceExhausted& e) {
-    if (e.site() == "deadline" ||
-        (fatal_site != nullptr && e.site() == fatal_site))
-      return fail(exhausted_reason(e, cap));
+    if (e.site() == "deadline") return fail(exhausted_reason(e, cap));
     try {
       fallback();
     } catch (const std::exception& e2) {
@@ -229,74 +237,80 @@ bool run_ladder(TaskStatus& status, std::size_t bdd_cap,
     if (status.reason.empty()) status.reason = exhausted_reason(e, cap);
     note_fallback(status, "mc-activity");
   } catch (const std::exception& e) {
-    return fail(e.what());
+    fail(e.what());
   }
-  return true;
 }
 
-/// Stage-1 work of decomposition group `group` of `net`: decompose, then run
-/// the activity pass over the subject, each under the degradation ladder
-/// and its own budget ("<circuit>/decomp[g]", "<circuit>/activity[g]"),
-/// then enumerate the subject's matches for both of the group's methods. The
-/// decomposition's exact probability pass builds BDDs too, so it degrades
-/// the same way — re-decomposing over Monte-Carlo probabilities, which
-/// skips that pass — but a failure at its own "decomp" site fails the
-/// group: Monte-Carlo probabilities would not avoid it.
-void compute_group(const RunInputs& in, const Network& net, std::size_t group,
-                   long ordinal, const std::string& decomp_label,
-                   DecompGroup& g) {
-  const FlowOptions& flow = in.flow;
-  const NetworkDecompOptions d = decomp_options_for(kMethods[group], flow);
-  const auto decompose = [&](std::size_t cap,
-                             const std::vector<double>* node_prob) {
-    Budget budget = in.budget(ordinal, decomp_label, cap);
-    BudgetScope scope(budget);
-    NetworkDecompOptions dd = d;
-    if (node_prob != nullptr) dd.node_prob = *node_prob;
-    const auto t0 = std::chrono::steady_clock::now();
-    g.nd = decompose_network(net, dd);
-    g.decomp_ms += ms_since(t0);
-  };
-  reset_bounded_exact_fallbacks();
-  const bool decomposed = run_ladder(
-      g.status, flow.bdd_node_limit, "decomp",
-      [&](std::size_t cap) { decompose(cap, nullptr); },
+/// Stage-0 work of one circuit: the source network's signal probabilities
+/// (the paper's calculate_switching_and_correlation_probabilities(Γ)),
+/// under the degradation ladder.
+void compute_source(const RunInputs& in, const Network& net, long ordinal,
+                    const std::string& label, SourcePass& s) {
+  const auto t0 = std::chrono::steady_clock::now();
+  run_ladder(
+      in, ordinal, label, s.status,
+      [&] { s.prob = signal_probabilities(net, in.flow.pi_prob1); },
       [&] {
         // MC signal probabilities: activity under kDynamicP is P(=1).
-        const std::vector<double> mc_prob = monte_carlo_activities(
-            net, CircuitStyle::kDynamicP, flow.pi_prob1);
-        decompose(flow.bdd_node_limit, &mc_prob);
+        s.prob = monte_carlo_activities(net, CircuitStyle::kDynamicP,
+                                        in.flow.pi_prob1);
       });
-  if (!decomposed) return;
+  s.ms = ms_since(t0);
+}
+
+/// Stage-1 work of decomposition group `group` of `net`: decompose over the
+/// circuit's stage-0 probabilities (no BDDs), run the activity pass over
+/// the subject under the degradation ladder, each under its own budget
+/// ("<circuit>/decomp[g]", "<circuit>/activity[g]"), then enumerate the
+/// subject's matches for both of the group's methods. A group of a circuit
+/// whose source pass failed inherits the failure and does no work.
+void compute_group(const RunInputs& in, const Network& net, std::size_t group,
+                   long ordinal, const std::string& decomp_label,
+                   const SourcePass& source, DecompGroup& g) {
+  const FlowOptions& flow = in.flow;
+  g.status = source.status;
+  if (g.status.state == TaskState::kFailed) return;
+  const auto fail = [&g](std::string reason) {
+    g.status.state = TaskState::kFailed;
+    g.status.reason = std::move(reason);
+  };
+  NetworkDecompOptions d = decomp_options_for(kMethods[group], flow);
+  d.node_prob = source.prob;
+  reset_bounded_exact_fallbacks();
+  try {
+    Budget budget = in.budget(ordinal, decomp_label, flow.bdd_node_limit);
+    BudgetScope scope(budget);
+    const auto t0 = std::chrono::steady_clock::now();
+    g.nd = decompose_network(net, d);
+    g.decomp_ms = source.ms + ms_since(t0);
+  } catch (const ResourceExhausted& e) {
+    return fail(exhausted_reason(e, flow.bdd_node_limit));
+  } catch (const std::exception& e) {
+    return fail(e.what());
+  }
   g.exact_fallbacks = static_cast<int>(bounded_exact_fallbacks());
   if (g.exact_fallbacks > 0) note_fallback(g.status, "greedy-ladder");
 
-  const std::string activity_label =
-      net.name() + "/activity[" + std::to_string(group) + "]";
+  const auto t0 = std::chrono::steady_clock::now();
   run_ladder(
-      g.status, flow.bdd_node_limit, nullptr,
-      [&](std::size_t cap) {
-        Budget budget = in.budget(ordinal, activity_label, cap);
-        BudgetScope scope(budget);
-        const auto t0 = std::chrono::steady_clock::now();
+      in, ordinal, net.name() + "/activity[" + std::to_string(group) + "]",
+      g.status,
+      [&] {
         g.activities = switching_activities(g.nd.network, flow.style,
                                             flow.pi_prob1, &g.astats);
-        g.activity_ms += ms_since(t0);
       },
       [&] {
-        const auto t0 = std::chrono::steady_clock::now();
         g.activities =
             monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
-        g.activity_ms += ms_since(t0);
       });
+  g.activity_ms = ms_since(t0);
   if (g.status.state == TaskState::kFailed) return;
   try {
     const auto t0 = std::chrono::steady_clock::now();
     g.matches = enumerate_matches(g.nd.network, in.lib);
     g.match_ms = ms_since(t0);
   } catch (const std::exception& e) {
-    g.status.state = TaskState::kFailed;
-    g.status.reason = std::string("match enumeration: ") + e.what();
+    fail(std::string("match enumeration: ") + e.what());
   }
 }
 
@@ -366,22 +380,32 @@ FlowResult map_method(const RunInputs& in, const Network& prepared,
 }
 
 /// Task-outcome metrics over the executed tasks (cache hits and batch
-/// duplicates did not run). Retries and fallbacks originate in stage 1 and
-/// are counted there only: stage-2 results inherit the group status.
-void count_task_outcomes(
-    const std::vector<std::size_t>& stage1,
-    const std::vector<std::shared_ptr<const DecompGroup>>& groups,
-    const std::vector<std::size_t>& stage2,
-    const std::vector<std::vector<FlowResult>>& out) {
+/// duplicates did not run). Retries and fallbacks are counted in the stage
+/// that took them: a group's status starts from its circuit's source
+/// status, so only what it added counts in stage 1, and stage-2 results
+/// inherit the group status and count nothing.
+void count_task_outcomes(const std::vector<std::size_t>& stage0,
+                         const std::vector<SourcePass>& sources,
+                         const std::vector<std::size_t>& stage1,
+                         const std::vector<DecompGroup>& groups,
+                         const std::vector<std::size_t>& stage2,
+                         const std::vector<std::vector<FlowResult>>& out) {
   std::uint64_t by_state[3] = {0, 0, 0};  // TaskState order
   std::uint64_t retries = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t exact_fb = 0;
+  for (const std::size_t c : stage0) {
+    const TaskStatus& s = sources[c].status;
+    ++by_state[static_cast<int>(s.state)];
+    retries += static_cast<std::uint64_t>(s.retries);
+    fallbacks += s.fallbacks.size();
+  }
   for (const std::size_t t : stage1) {
-    const DecompGroup& g = *groups[t];
+    const DecompGroup& g = groups[t];
+    const TaskStatus& source = sources[t / 3].status;
     ++by_state[static_cast<int>(g.status.state)];
-    retries += static_cast<std::uint64_t>(g.status.retries);
-    fallbacks += g.status.fallbacks.size();
+    retries += static_cast<std::uint64_t>(g.status.retries - source.retries);
+    fallbacks += g.status.fallbacks.size() - source.fallbacks.size();
     exact_fb += static_cast<std::uint64_t>(g.exact_fallbacks);
   }
   for (const std::size_t t : stage2)
@@ -394,7 +418,7 @@ void count_task_outcomes(
   metrics::counter("engine.exact_fallbacks").add(exact_fb);
 }
 
-/// Cache key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
+/// Work key: structural hash ⊕ option fingerprint ⊕ a work-unit tag
 /// (decomposition group 0–2 for stage 1, 8+method index for stage 2).
 Hash128 work_key(const Hash128& net, const Hash128& opts, std::uint64_t tag) {
   StreamHash s;
@@ -403,65 +427,6 @@ Hash128 work_key(const Hash128& net, const Hash128& opts, std::uint64_t tag) {
   s.u64(tag);
   return s.digest();
 }
-
-/// Bounded LRU keyed on Hash128, guarded for concurrent readers: lookups
-/// take the shared lock and refresh the entry's recency with a relaxed
-/// atomic stamp; inserts take the exclusive lock and evict the
-/// least-recently-stamped entries past capacity (an O(size) scan —
-/// capacities are small and inserts are rare next to the synthesis work an
-/// entry represents). Values are shared_ptr-owned, so a returned hit stays
-/// valid after its entry is evicted.
-template <typename V>
-class LruCache {
- public:
-  explicit LruCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  std::shared_ptr<const V> lookup(const Hash128& key) {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    it->second.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
-    return it->second.value;
-  }
-
-  /// Returns the number of entries evicted to stay within capacity.
-  std::size_t insert(const Hash128& key, std::shared_ptr<const V> value) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry& e = map_[key];
-    e.value = std::move(value);
-    e.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    std::size_t evicted = 0;
-    while (map_.size() > capacity_) {
-      auto victim = map_.begin();
-      for (auto it = map_.begin(); it != map_.end(); ++it)
-        if (it->second.stamp.load(std::memory_order_relaxed) <
-            victim->second.stamp.load(std::memory_order_relaxed))
-          victim = it;
-      map_.erase(victim);
-      ++evicted;
-    }
-    return evicted;
-  }
-
-  std::size_t size() const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    return map_.size();
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const V> value;
-    std::atomic<std::uint64_t> stamp{0};
-  };
-
-  const std::size_t capacity_;
-  mutable std::shared_mutex mu_;
-  std::atomic<std::uint64_t> clock_{0};
-  std::unordered_map<Hash128, Entry, Hash128Fold> map_;
-};
 
 }  // namespace
 
@@ -579,19 +544,66 @@ Hash128 option_fingerprint(const FlowOptions& o, const Network& net) {
   return s.digest();
 }
 
-struct FlowSession::Caches {
-  LruCache<DecompGroup> groups;
-  LruCache<FlowResult> results;
-  Caches(std::size_t group_capacity, std::size_t result_capacity)
-      : groups(group_capacity), results(result_capacity) {}
+/// The result cache: a bounded LRU keyed on Hash128, guarded for
+/// concurrent readers. Lookups take the shared lock and refresh the entry's
+/// recency with a relaxed atomic stamp; inserts take the exclusive lock and
+/// evict the least-recently-stamped entries past capacity (an O(size) scan
+/// — inserts are rare next to the synthesis work an entry represents).
+/// Values are shared_ptr-owned, so a returned hit stays valid after its
+/// entry is evicted.
+class FlowSession::ResultCache {
+ public:
+  explicit ResultCache(std::size_t capacity)
+      : capacity_(std::max<std::size_t>(capacity, 1)) {}
+
+  std::shared_ptr<const FlowResult> lookup(const Hash128& key) {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    const auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    it->second.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                           std::memory_order_relaxed);
+    return it->second.value;
+  }
+
+  /// Returns the number of entries evicted to stay within capacity.
+  std::size_t insert(const Hash128& key,
+                     std::shared_ptr<const FlowResult> value) {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    Entry& e = map_[key];
+    e.value = std::move(value);
+    e.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+    std::size_t evicted = 0;
+    while (map_.size() > capacity_) {
+      auto victim = map_.begin();
+      for (auto it = map_.begin(); it != map_.end(); ++it)
+        if (it->second.stamp.load(std::memory_order_relaxed) <
+            victim->second.stamp.load(std::memory_order_relaxed))
+          victim = it;
+      map_.erase(victim);
+      ++evicted;
+    }
+    return evicted;
+  }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const FlowResult> value;
+    std::atomic<std::uint64_t> stamp{0};
+  };
+
+  const std::size_t capacity_;
+  mutable std::shared_mutex mu_;
+  std::atomic<std::uint64_t> clock_{0};
+  std::unordered_map<Hash128, Entry, Hash128Fold> map_;
 };
 
 FlowSession::FlowSession(const Library& lib, EngineOptions options,
                          SessionOptions session)
     : lib_(lib), options_(std::move(options)), session_options_(session) {
   if (session_options_.enable_cache)
-    caches_ = std::make_unique<Caches>(session_options_.group_cache_capacity,
-                                       session_options_.result_cache_capacity);
+    cache_ =
+        std::make_unique<ResultCache>(session_options_.result_cache_capacity);
 }
 
 FlowSession::~FlowSession() = default;
@@ -648,31 +660,33 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
   const RunInputs in{lib_, flow, injections};
 
   // Identical work units are shared within the batch (and, when caching is
-  // on, across runs). Armed faults disable both, so every task ordinal in
-  // the injection scheme stays a live task.
+  // on, method results across runs). Armed faults disable both, so every
+  // task ordinal in the injection scheme stays a live task.
   const bool share = injections.empty();
   const bool cached = share && session_options_.enable_cache;
   SessionStats run_stats;
 
-  std::vector<Hash128> net_hash(n);
-  std::vector<Hash128> opt_hash(n);
+  // Work keys of the stage-1 slots (group g of circuit i: tag g) and of
+  // the stage-2 slots (method m: tag 8 + m).
+  std::vector<Hash128> key1(n * 3);
+  std::vector<Hash128> key2(n * 6);
   if (share)
     for (std::size_t i = 0; i < n; ++i) {
-      net_hash[i] = structural_hash(*circuits[i]);
-      opt_hash[i] = option_fingerprint(flow, *circuits[i]);
+      const Hash128 net = structural_hash(*circuits[i]);
+      const Hash128 opts = option_fingerprint(flow, *circuits[i]);
+      for (std::size_t g = 0; g < 3; ++g)
+        key1[i * 3 + g] = work_key(net, opts, g);
+      for (std::size_t m = 0; m < 6; ++m)
+        key2[i * 6 + m] = work_key(net, opts, 8 + m);
     }
 
-  // ---- stage 0: resolve whole (subject × method) results from the cache
-  // before any planning. A fully warm circuit touches neither stage — in
-  // particular its decomposition groups are never fetched or recomputed,
-  // even after they were evicted. ------------------------------------------
+  // ---- result lookup: resolve whole (subject × method) results from the
+  // cache before any planning. A fully warm circuit runs no stage at all.
   std::vector<std::vector<FlowResult>> out(n, std::vector<FlowResult>(6));
-  std::vector<Hash128> slot2_key(n * 6);
   std::vector<char> resolved(n * 6, 0);
   if (cached)
     for (std::size_t t = 0; t < n * 6; ++t) {
-      slot2_key[t] = work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
-      if (auto hit = caches_->results.lookup(slot2_key[t])) {
+      if (auto hit = cache_->lookup(key2[t])) {
         FlowResult r = *hit;
         r.circuit = circuits[t / 6]->name();
         out[t / 6][t % 6] = std::move(r);
@@ -682,94 +696,76 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     }
 
   // ---- stage 1 planning: one decomposition + one activity pass per
-  // *distinct* subject still needed by an unresolved method (cache hits are
-  // taken here, serially, so results and counters are independent of thread
-  // count). Group g serves methods g and g+3. ------------------------------
-  std::vector<std::shared_ptr<const DecompGroup>> groups(n * 3);
-  std::vector<Hash128> slot_key(n * 3);
-  const StagePlan plan1 = plan_stage(
-      n * 3, share,
-      [&](std::size_t t) {
-        const std::size_t first = (t / 3) * 6 + t % 3;
-        if (resolved[first] && resolved[first + 3]) return true;
-        slot_key[t] = work_key(net_hash[t / 3], opt_hash[t / 3], t % 3);
-        if (cached) groups[t] = caches_->groups.lookup(slot_key[t]);
-        if (groups[t]) ++run_stats.group_hits;
-        return groups[t] != nullptr;
-      },
-      [&](std::size_t t) { return slot_key[t]; });
-
-  // ---- stage 1 execution. Each task is fault-isolated: a blown budget
-  // degrades or fails this group only (compute_group). ----------------------
-  const auto stage1_t0 = std::chrono::steady_clock::now();
-  std::vector<DecompGroup> scratch(n * 3);
-  parallel_for(plan1.compute.size(), threads, [&](std::size_t i) {
-    const std::size_t t = plan1.compute[i];
-    const auto task_start = std::chrono::steady_clock::now();
-    const Network& net = *circuits[t / 3];
-    const std::string label =
-        net.name() + "/decomp[" + std::to_string(t % 3) + "]";
-    trace::Span task_span("stage1", "engine");
-    task_span.arg("task", label);
-    task_span.arg("circuit", net.name());
-    task_span.arg("group", static_cast<unsigned long long>(t % 3));
-    task_span.arg("queue_wait_us", us_since(stage1_t0, task_start));
-    const StatusLine report{options_.verbose, "stage1", label,
-                            scratch[t].status};
-    compute_group(in, net, t % 3, static_cast<long>(t), label, scratch[t]);
+  // *distinct* subject still needed by an unresolved method (serially, so
+  // results and counters are independent of thread count). Group g serves
+  // methods g and g+3. --------------------------------------------------------
+  const StagePlan plan1 = plan_stage(key1, share, [&](std::size_t t) {
+    const std::size_t first = (t / 3) * 6 + t % 3;
+    return resolved[first] && resolved[first + 3];
   });
-  for (const std::size_t t : plan1.compute) {
-    auto sp = std::make_shared<const DecompGroup>(std::move(scratch[t]));
-    // Failed groups are load-specific (deadlines, injected faults never
-    // reach here, fatal errors) — recompute them next time.
-    if (cached && sp->status.state != TaskState::kFailed)
-      run_stats.evictions += caches_->groups.insert(slot_key[t], sp);
-    groups[t] = std::move(sp);
-  }
-  scratch.clear();
-  for (std::size_t t = 0; t < n * 3; ++t)
-    if (!groups[t]) groups[t] = groups[plan1.alias[t]];
+
+  // ---- stage 0: one source probability pass per circuit with a group to
+  // compute (plan1.compute is in slot order, so a circuit's groups are
+  // adjacent). ----------------------------------------------------------------
+  std::vector<std::size_t> stage0;
+  for (const std::size_t t : plan1.compute)
+    if (stage0.empty() || stage0.back() != t / 3) stage0.push_back(t / 3);
+  std::vector<SourcePass> sources(n);
+  run_stage("stage0", stage0, threads, options_.verbose,
+            [&](std::size_t c, trace::Span& span) {
+              const Network& net = *circuits[c];
+              const std::string label = net.name() + "/source";
+              span.arg("task", label);
+              span.arg("circuit", net.name());
+              compute_source(in, net, static_cast<long>(9 * n + c), label,
+                             sources[c]);
+              return TaskSlot{label, &sources[c].status};
+            });
+
+  // ---- stage 1: each group is fault-isolated — a blown budget degrades or
+  // fails this group only (compute_group). ------------------------------------
+  std::vector<DecompGroup> groups(n * 3);
+  run_stage("stage1", plan1.compute, threads, options_.verbose,
+            [&](std::size_t t, trace::Span& span) {
+              const Network& net = *circuits[t / 3];
+              const std::string label =
+                  net.name() + "/decomp[" + std::to_string(t % 3) + "]";
+              span.arg("task", label);
+              span.arg("circuit", net.name());
+              span.arg("group", static_cast<unsigned long long>(t % 3));
+              compute_group(in, net, t % 3, static_cast<long>(t), label,
+                            sources[t / 3], groups[t]);
+              return TaskSlot{label, &groups[t].status};
+            });
 
   // ---- stage 2 planning: map + evaluate each *distinct* (subject ×
-  // method) not already resolved from the cache in stage 0; duplicates
-  // reuse the result with the circuit name rewritten. ----------------------
+  // method) not already resolved from the cache; duplicates reuse the
+  // result with the circuit name rewritten. -----------------------------------
   const StagePlan plan2 = plan_stage(
-      n * 6, share, [&](std::size_t t) { return resolved[t] != 0; },
-      [&](std::size_t t) {
-        return slot2_key[t] =
-                   work_key(net_hash[t / 6], opt_hash[t / 6], 8 + t % 6);
-      });
-  if (cached) {
-    run_stats.group_misses += plan1.compute.size();
-    run_stats.result_misses += plan2.compute.size();
-  }
+      key2, share, [&](std::size_t t) { return resolved[t] != 0; });
+  if (cached) run_stats.result_misses += plan2.compute.size();
 
-  // ---- stage 2 execution over the shared subjects (map_method). ----------
-  const auto stage2_t0 = std::chrono::steady_clock::now();
-  parallel_for(plan2.compute.size(), threads, [&](std::size_t i) {
-    const std::size_t t = plan2.compute[i];
-    const auto task_start = std::chrono::steady_clock::now();
-    const std::size_t ci = t / 6;
-    const Method method = kMethods[t % 6];
-    const Network& prepared = *circuits[ci];
-    const std::string label =
-        prepared.name() + "/map[" + method_name(method) + "]";
-    trace::Span task_span("stage2", "engine");
-    task_span.arg("task", label);
-    task_span.arg("circuit", prepared.name());
-    task_span.arg("method", method_name(method));
-    task_span.arg("queue_wait_us", us_since(stage2_t0, task_start));
-    const StatusLine report{options_.verbose, "stage2", label,
-                            out[ci][t % 6].status};
-    out[ci][t % 6] =
-        map_method(in, prepared, method, *groups[ci * 3 + t % 3],
-                   static_cast<long>(3 * n + t), label);
-  });
+  // ---- stage 2 over the shared subjects (map_method). ---------------------
+  run_stage("stage2", plan2.compute, threads, options_.verbose,
+            [&](std::size_t t, trace::Span& span) {
+              const Network& net = *circuits[t / 6];
+              const Method method = kMethods[t % 6];
+              const std::string label =
+                  net.name() + "/map[" + method_name(method) + "]";
+              span.arg("task", label);
+              span.arg("circuit", net.name());
+              span.arg("method", method_name(method));
+              FlowResult& r = out[t / 6][t % 6];
+              r = map_method(in, net, method,
+                             groups[plan1.alias[t / 6 * 3 + t % 3]],
+                             static_cast<long>(3 * n + t), label);
+              return TaskSlot{label, &r.status};
+            });
   for (const std::size_t t : plan2.compute) {
     const FlowResult& r = out[t / 6][t % 6];
     if (cached && r.status.state != TaskState::kFailed)
-      run_stats.evictions += caches_->results.insert(
-          slot2_key[t], std::make_shared<const FlowResult>(r));
+      run_stats.evictions +=
+          cache_->insert(key2[t], std::make_shared<const FlowResult>(r));
   }
   for (std::size_t t = 0; t < n * 6; ++t) {
     const std::size_t owner = plan2.alias[t];
@@ -779,13 +775,12 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     out[t / 6][t % 6] = std::move(r);
   }
 
-  count_task_outcomes(plan1.compute, groups, plan2.compute, out);
+  count_task_outcomes(stage0, sources, plan1.compute, groups, plan2.compute,
+                      out);
   if (cached) {
     // Mirror cache traffic into the registry (serve dashboards); uncached
     // one-shot runs never touch these names, keeping their metrics block
     // byte-compatible with committed baselines.
-    metrics::counter("session.group_hits").add(run_stats.group_hits);
-    metrics::counter("session.group_misses").add(run_stats.group_misses);
     metrics::counter("session.result_hits").add(run_stats.result_hits);
     metrics::counter("session.result_misses").add(run_stats.result_misses);
     metrics::counter("session.evictions").add(run_stats.evictions);
@@ -795,8 +790,6 @@ std::vector<std::vector<FlowResult>> FlowSession::run_suite(
     counters_.decomp_passes += static_cast<int>(plan1.compute.size());
     counters_.activity_passes += static_cast<int>(plan1.compute.size());
     counters_.map_passes += static_cast<int>(plan2.compute.size());
-    stats_.group_hits += run_stats.group_hits;
-    stats_.group_misses += run_stats.group_misses;
     stats_.result_hits += run_stats.result_hits;
     stats_.result_misses += run_stats.result_misses;
     stats_.evictions += run_stats.evictions;

@@ -5,11 +5,14 @@
 //
 // The method pairs I/IV, II/V and III/VI differ only in the mapping
 // objective — they operate on the *same* decomposed subject network. A run
-// therefore splits into two fan-out stages:
+// therefore splits into three fan-out stages:
 //
+//   stage 0  (circuit, 1 per circuit):
+//            one BDD signal-probability pass over the source network (the
+//            paper's calculate_switching_and_correlation_probabilities(Γ));
 //   stage 1  (circuit × decomposition group, 3 per circuit):
-//            decompose once, run one BDD switching-activity pass over the
-//            resulting subject network;
+//            decompose over the stage-0 probabilities (no BDDs), run one
+//            BDD switching-activity pass over the resulting subject network;
 //   stage 2  (circuit × method, 6 per circuit):
 //            map the shared subject with the method's objective and
 //            evaluate the mapped netlist, reusing the shared activities.
@@ -18,14 +21,15 @@
 // them from an atomic index. Every task that needs BDDs builds its own
 // BddManager — the manager is not thread-safe and is never shared. Shared
 // inputs (Network, Library, options) are read-only during a run, and results
-// land in pre-sized (circuit, method) slots, so output order and every
-// computed value are independent of the thread count.
+// land in pre-sized slots, so output order and every computed value are
+// independent of the thread count.
 //
 // Fault isolation: every task runs under its own Budget (FlowOptions carries
-// the per-task limits). A task that exhausts its budget degrades (halved-cap
-// retry, then Monte-Carlo probabilities; heuristic-ladder decomposition) or
-// fails, recording a TaskStatus in its slot; sibling tasks and the pool are
-// untouched and the run completes with partial results.
+// the per-task limits). A BDD pass that exhausts its budget degrades
+// (halved-cap retry, then Monte-Carlo probabilities) or fails, recording a
+// TaskStatus in its slot; a group's status starts from its circuit's
+// source status, and a method's from its group's. Sibling circuits and the
+// pool are untouched and the run completes with partial results.
 //
 // Fault injection (EngineOptions::injections, MINPOWER_INJECT_FAULT) matches
 // tasks by *ordinal* — the task's slot index, not a temporal counter — so an
@@ -33,33 +37,29 @@
 //   stage-1 task (decomp + activity):  ordinal = circuit*3 + group
 //   stage-2 task (map + evaluate):     ordinal = 3*num_circuits
 //                                                + circuit*6 + method_index
-// (a single-circuit run thus has stage-1 ordinals 0–2, stage-2 3–8).
+//   stage-0 task (source pass):        ordinal = 9*num_circuits + circuit
+// (a single-circuit run thus has stage-1 ordinals 0–2, stage-2 3–8 and
+// stage-0 ordinal 9).
 //
 // Caching: the flow is a pure function of the (sub)network and the options,
-// so its expensive intermediates are memoizable. A session keys them on a
+// so its results are memoizable. A session keys each method result on a
 // canonical 128-bit structural hash of the network plus an option
-// fingerprint and keeps them in bounded LRU caches:
+// fingerprint and the method, and keeps the mapped QoR rows in one bounded
+// LRU result cache (curves are consumed during mapping, so the cached unit
+// is the final method result). Lookups take a shared lock and stamp the
+// entry's recency with a relaxed atomic, inserts take the exclusive lock
+// and evict the least-recently-stamped entry past capacity. Values are
+// shared_ptr-owned, so a hit stays valid after eviction. Only ok/degraded
+// results are cached — a failed task (deadline, fatal error) is load- or
+// request-specific and recomputes next time. Caching is off by default
+// (SessionOptions), so a plain session computes every distinct unit afresh
+// on each run; `minpower serve` turns it on.
 //
-//   * decomposition group cache: (net, options, group) → decomposed subject
-//     network + switching-activity vector (the stage-1 product);
-//   * result cache: (net, options, method) → mapped QoR (the stage-2
-//     product — curves are consumed during mapping, so the cached unit is
-//     the final method result).
-//
-// Both caches are guarded for concurrent readers: lookups take a shared
-// lock and stamp the entry's recency with a relaxed atomic, inserts take
-// the exclusive lock and evict the least-recently-stamped entry past
-// capacity. Values are shared_ptr-owned, so a hit stays valid after
-// eviction. Only ok/degraded results are cached — a failed task (deadline,
-// fatal error) is load- or request-specific and recomputes next time.
-// Caching is off by default (SessionOptions), so a plain session computes
-// every distinct unit afresh on each run; `minpower serve` turns it on.
-//
-// Determinism: cache lookups happen during (serial) run planning, and
+// Determinism: the result lookup happens during (serial) run planning, and
 // identical stage-1/stage-2 work within one batch is deduplicated by key
 // before fan-out, so results and pass counters are independent of thread
 // count and arrival interleaving. A run with armed faults bypasses the
-// caches and the dedup, so every ordinal above stays a live task.
+// cache and the dedup, so every ordinal above stays a live task.
 
 #include <cstdint>
 #include <iosfwd>
@@ -83,7 +83,7 @@ struct EngineOptions {
   unsigned num_threads = 1;
   /// Armed faults, merged with MINPOWER_INJECT_FAULT at each run_suite
   /// call (see the ordinal scheme above). A run with armed faults bypasses
-  /// the caches and the intra-batch dedup so every task ordinal stays live.
+  /// the cache and the intra-batch dedup so every task ordinal stays live.
   std::vector<FaultInjection> injections;
   /// Emit one live stderr status line per finished task. Lines are built
   /// whole and written under a mutex, so threads never interleave output.
@@ -92,35 +92,29 @@ struct EngineOptions {
 
 /// Cumulative computed-pass counts over the session's lifetime. Cache hits
 /// and intra-batch duplicates do not count — these are passes actually run.
+/// Stage-0 source passes are not among them (the `activity.passes` metric
+/// counts every BDD probability pass).
 struct EngineCounters {
   int decomp_passes = 0;    // decompose_network invocations
-  int activity_passes = 0;  // switching_activities invocations
+  int activity_passes = 0;  // subject switching_activities invocations
   int map_passes = 0;       // map_network invocations
 };
 
 struct SessionOptions {
-  /// Cross-run memoization. Off by default (one-shot runs); `minpower
-  /// serve` turns it on.
+  /// Cross-run memoization of method results. Off by default (one-shot
+  /// runs); `minpower serve` turns it on.
   bool enable_cache = false;
-  /// Bounded LRU capacities, in entries. A decomposition-group entry holds
-  /// a subject network + activity vector; a result entry holds one QoR row.
-  std::size_t group_cache_capacity = 256;
+  /// Bounded LRU capacity of the result cache, in entries (one QoR row
+  /// each).
   std::size_t result_cache_capacity = 4096;
 };
 
-/// Cumulative cache traffic. Mirrored into the global metrics registry
-/// (session.* counters) whenever caching is enabled.
+/// Cumulative result-cache traffic. Mirrored into the global metrics
+/// registry (session.* counters) whenever caching is enabled.
 struct SessionStats {
-  std::uint64_t group_hits = 0;
-  std::uint64_t group_misses = 0;
   std::uint64_t result_hits = 0;
   std::uint64_t result_misses = 0;
   std::uint64_t evictions = 0;
-
-  std::uint64_t hits() const { return group_hits + result_hits; }
-  std::uint64_t lookups() const {
-    return group_hits + group_misses + result_hits + result_misses;
-  }
 };
 
 /// Canonical structural hash of a network: invariant under PI/node
@@ -151,17 +145,17 @@ class FlowSession {
   std::vector<FlowResult> run_circuit(const Network& prepared);
 
   /// Fan out (circuit × method) over the pool; result [i] holds circuit i's
-  /// six methods in Method order. With caching enabled, memoized
-  /// decomposition groups and method results are reused across calls; when
-  /// `delta` is non-null it receives this run's cache traffic only.
+  /// six methods in Method order. With caching enabled, memoized method
+  /// results are reused across calls; when `delta` is non-null it receives
+  /// this run's cache traffic only.
   std::vector<std::vector<FlowResult>> run_suite(
       const std::vector<const Network*>& circuits,
       SessionStats* delta = nullptr);
 
   /// Per-request variants for the serve path: run with `flow` in place of
   /// the session's default FlowOptions (the option fingerprint keys the
-  /// caches, so requests with different options never share entries).
-  /// Concurrent calls on one session are safe — caches and counters are
+  /// cache, so requests with different options never share entries).
+  /// Concurrent calls on one session are safe — the cache and counters are
   /// internally locked, and each call fans out its own workers.
   std::vector<FlowResult> run_circuit(const Network& prepared,
                                       const FlowOptions& flow,
@@ -184,12 +178,12 @@ class FlowSession {
   bool caching() const { return session_options_.enable_cache; }
 
  private:
-  struct Caches;  // LRU tables; defined in session.cpp
+  class ResultCache;  // bounded LRU; defined in session.cpp
 
   const Library& lib_;
   EngineOptions options_;
   SessionOptions session_options_;
-  std::unique_ptr<Caches> caches_;
+  std::unique_ptr<ResultCache> cache_;
   /// Guards counters_ and stats_ (concurrent run_suite calls accumulate).
   mutable std::mutex stats_mu_;
   EngineCounters counters_;

@@ -77,14 +77,17 @@ bool apply_option(const std::string& token, FlowOptions* flow,
     *error = "bad value '" + val + "' for option " + key;
     return false;
   };
-  const auto real = [&val](double* out) {
+  // A real value must parse and lie in its option's domain: `min` is the
+  // smallest accepted value, exclusive when `open`.
+  const auto real = [&val](double* out, double min, bool open) {
     const std::optional<double> v = parse_number<double>(val);
-    if (v) *out = *v;
-    return v.has_value();
+    if (!v || *v < min || (open && *v == min)) return false;
+    *out = *v;
+    return true;
   };
   const std::optional<std::uint64_t> u = parse_number<std::uint64_t>(val);
   if (key == "deadline_ms") {
-    if (!real(&flow->task_deadline_ms)) return bad_value();
+    if (!real(&flow->task_deadline_ms, 0.0, false)) return bad_value();
   } else if (key == "bdd_limit") {
     if (!u || *u == 0) return bad_value();
     flow->bdd_node_limit = *u;
@@ -95,11 +98,11 @@ bool apply_option(const std::string& token, FlowOptions* flow,
     if (!u) return bad_value();
     flow->max_curve_points = *u;
   } else if (key == "vdd") {
-    if (!real(&flow->vdd)) return bad_value();
+    if (!real(&flow->vdd, 0.0, true)) return bad_value();
   } else if (key == "t_cycle") {
-    if (!real(&flow->t_cycle)) return bad_value();
+    if (!real(&flow->t_cycle, 0.0, true)) return bad_value();
   } else if (key == "po_load") {
-    if (!real(&flow->po_load)) return bad_value();
+    if (!real(&flow->po_load, 0.0, false)) return bad_value();
   } else if (key == "style") {
     if (val == "static") flow->style = CircuitStyle::kStatic;
     else if (val == "dynp") flow->style = CircuitStyle::kDynamicP;
@@ -440,8 +443,6 @@ void Server::serve_connection(int fd) {
           w.end_object();
           w.key("session");
           w.begin_object();
-          w.field("group_hits", ss.group_hits);
-          w.field("group_misses", ss.group_misses);
           w.field("result_hits", ss.result_hits);
           w.field("result_misses", ss.result_misses);
           w.field("evictions", ss.evictions);
@@ -559,9 +560,8 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
       span.arg("circuit", net->name());
       prepare_network(*net);
       results = session_.run_circuit(*net, flow, &delta);
-      span.arg("cache_hits", static_cast<long long>(delta.hits()));
-      span.arg("cache_misses", static_cast<long long>(delta.group_misses +
-                                                      delta.result_misses));
+      span.arg("cache_hits", static_cast<long long>(delta.result_hits));
+      span.arg("cache_misses", static_cast<long long>(delta.result_misses));
     }
 
     // Canonical one-shot rendering: the counters a cold single-circuit
@@ -583,13 +583,12 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
     }
     const std::string text = body.str();
     acc->bytes_out = text.size();
-    acc->hits = delta.hits();
-    acc->misses = delta.group_misses + delta.result_misses;
-    const std::string head =
-        "OK " + std::to_string(text.size()) +
-        " hits=" + std::to_string(delta.hits()) +
-        " misses=" + std::to_string(delta.group_misses + delta.result_misses) +
-        "\n";
+    acc->hits = delta.result_hits;
+    acc->misses = delta.result_misses;
+    const std::string head = "OK " + std::to_string(text.size()) +
+                             " hits=" + std::to_string(delta.result_hits) +
+                             " misses=" + std::to_string(delta.result_misses) +
+                             "\n";
     acc->outcome = "ok";
     // Count before the send: the flow itself succeeded, and a METRICS
     // scrape racing the response must already see it.

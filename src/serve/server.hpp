@@ -3,8 +3,8 @@
 // (DESIGN.md §13).
 //
 // One caching FlowSession is shared by every request, so repeated or
-// structurally identical circuits hit the session's decomposition-group and
-// method-result caches instead of recomputing. Concurrency comes from
+// structurally identical circuits hit the session's method-result cache
+// instead of recomputing. Concurrency comes from
 // serving requests in parallel (each request runs the flow single-threaded);
 // admission control is a bounded pending-connection queue — when it is full
 // the server answers a structured busy error instead of queueing unbounded

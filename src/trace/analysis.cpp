@@ -49,60 +49,77 @@ WaitStats wait_stats(std::vector<std::uint64_t> samples) {
   return w;
 }
 
-/// Critical path of one process's engine stage1/stage2 spans (barrier and
-/// dependency models — see the header comment).
-CriticalPath engine_critical_path(
-    const std::map<std::pair<std::string, int>, const SpanRecord*>& stage1,
-    const std::vector<const SpanRecord*>& stage2) {
+/// Keep the slower of `slot` and `s` in `slot`.
+void keep_slowest(const SpanRecord*& slot, const SpanRecord* s) {
+  if (slot == nullptr || s->dur_us > slot->dur_us) slot = s;
+}
+
+/// One process's engine spans: stage 0 by circuit, stage 1 by (circuit,
+/// group) — the slowest attempt of each if one repeats (e.g. two run_suite
+/// calls in one trace), conservative for the path — and every stage-2 task.
+struct EngineSpans {
+  std::map<std::string, const SpanRecord*> stage0;
+  std::map<std::pair<std::string, int>, const SpanRecord*> stage1;
+  std::vector<const SpanRecord*> stage2;
+};
+
+/// Critical path of one process's engine spans (barrier and dependency
+/// models — see the header comment).
+CriticalPath engine_critical_path(const EngineSpans& e) {
   CriticalPath cp;
-  if (stage1.empty() && stage2.empty()) return cp;
+  if (e.stage0.empty() && e.stage1.empty() && e.stage2.empty()) return cp;
   cp.available = true;
   auto label_of = [](const SpanRecord& s) {
     const std::string* task = s.find_str("task");
     return task != nullptr ? *task : s.name;
   };
-  const SpanRecord* worst1 = nullptr;
-  for (const auto& [key, s] : stage1)
-    if (worst1 == nullptr || s->dur_us > worst1->dur_us) worst1 = s;
-  const SpanRecord* worst2 = nullptr;
-  for (const SpanRecord* s : stage2)
-    if (worst2 == nullptr || s->dur_us > worst2->dur_us) worst2 = s;
-  if (worst1 != nullptr) {
-    cp.barrier_chain.push_back({"stage1", label_of(*worst1), worst1->dur_us});
-    cp.barrier_us += worst1->dur_us;
-  }
-  if (worst2 != nullptr) {
-    cp.barrier_chain.push_back({"stage2", label_of(*worst2), worst2->dur_us});
-    cp.barrier_us += worst2->dur_us;
-  }
-  // Dependency model: chain each stage-2 task to its own circuit's
-  // stage-1 group only.
-  for (const SpanRecord* s2 : stage2) {
+  const SpanRecord* worst[3] = {nullptr, nullptr, nullptr};
+  for (const auto& [key, s] : e.stage0) keep_slowest(worst[0], s);
+  for (const auto& [key, s] : e.stage1) keep_slowest(worst[1], s);
+  for (const SpanRecord* s : e.stage2) keep_slowest(worst[2], s);
+  static const char* const kStage[3] = {"stage0", "stage1", "stage2"};
+  for (int k = 0; k < 3; ++k)
+    if (worst[k] != nullptr) {
+      cp.barrier_chain.push_back(
+          {kStage[k], label_of(*worst[k]), worst[k]->dur_us});
+      cp.barrier_us += worst[k]->dur_us;
+    }
+
+  // Dependency model: chain each task of the last stage present to its own
+  // circuit's stage-1 group and stage-0 source pass only.
+  const auto source_of = [&e](const SpanRecord& s) -> const SpanRecord* {
+    const std::string* circuit = s.find_str("circuit");
+    if (circuit == nullptr) return nullptr;
+    const auto it = e.stage0.find(*circuit);
+    return it != e.stage0.end() ? it->second : nullptr;
+  };
+  const auto offer = [&](const SpanRecord* s0, const SpanRecord* s1,
+                         const SpanRecord* s2) {
+    const SpanRecord* chain[3] = {s0, s1, s2};
+    std::uint64_t us = 0;
+    for (const SpanRecord* s : chain)
+      if (s != nullptr) us += s->dur_us;
+    if (!cp.dependency_chain.empty() && us <= cp.dependency_us) return;
+    cp.dependency_us = us;
+    cp.dependency_chain.clear();
+    for (int k = 0; k < 3; ++k)
+      if (chain[k] != nullptr)
+        cp.dependency_chain.push_back(
+            {kStage[k], label_of(*chain[k]), chain[k]->dur_us});
+  };
+  for (const SpanRecord* s2 : e.stage2) {
     const std::string* circuit = s2->find_str("circuit");
     const std::string* method = s2->find_str("method");
-    std::uint64_t chain = s2->dur_us;
-    const SpanRecord* dep = nullptr;
+    const SpanRecord* s1 = nullptr;
     if (circuit != nullptr && method != nullptr) {
       const int g = group_of_method(*method);
-      const auto it = g >= 0 ? stage1.find({*circuit, g}) : stage1.end();
-      if (it != stage1.end()) {
-        dep = it->second;
-        chain += dep->dur_us;
-      }
+      const auto it = g >= 0 ? e.stage1.find({*circuit, g}) : e.stage1.end();
+      if (it != e.stage1.end()) s1 = it->second;
     }
-    if (chain > cp.dependency_us) {
-      cp.dependency_us = chain;
-      cp.dependency_chain.clear();
-      if (dep != nullptr)
-        cp.dependency_chain.push_back({"stage1", label_of(*dep), dep->dur_us});
-      cp.dependency_chain.push_back({"stage2", label_of(*s2), s2->dur_us});
-    }
+    offer(source_of(*s2), s1, s2);
   }
-  // A stage-1-only trace (no stage 2 ran): its path is the slowest task.
-  if (stage2.empty() && worst1 != nullptr) {
-    cp.dependency_us = worst1->dur_us;
-    cp.dependency_chain = {{"stage1", label_of(*worst1), worst1->dur_us}};
-  }
+  if (e.stage2.empty())
+    for (const auto& [key, s1] : e.stage1) offer(source_of(*s1), s1, nullptr);
   return cp;
 }
 
@@ -294,9 +311,7 @@ bool analyze_chrome_trace(std::string_view json, TraceProfile* out,
   // process — merged worker lanes each ran their own engine.
   std::vector<std::uint64_t> wait1;
   std::vector<std::uint64_t> wait2;
-  std::map<int, std::map<std::pair<std::string, int>, const SpanRecord*>>
-      stage1_by_pid;  // pid → (circuit × group) → slowest attempt
-  std::map<int, std::vector<const SpanRecord*>> stage2_by_pid;
+  std::map<int, EngineSpans> engine_by_pid;
   // A span-arg count; one that is negative, fractional or too large counts
   // as 0.
   const auto count_of = [](double v) {
@@ -313,43 +328,29 @@ bool analyze_chrome_trace(std::string_view json, TraceProfile* out,
       continue;
     }
     if (s.cat != "engine") continue;
-    if (s.name == "stage1") {
+    if (s.name == "stage0") {
+      if (const std::string* circuit = s.find_str("circuit"))
+        keep_slowest(engine_by_pid[s.pid].stage0[*circuit], &s);
+    } else if (s.name == "stage1") {
       if (const double* w = s.find_num("queue_wait_us"))
         wait1.push_back(count_of(*w));
       const std::string* circuit = s.find_str("circuit");
       const double* g = s.find_num("group");
       const std::optional<int> group =
           g != nullptr ? json_integer<int>(*g) : std::nullopt;
-      if (circuit != nullptr && group) {
-        // Keep the slowest attempt if a (circuit, group) repeats (e.g. two
-        // run_suite calls in one trace) — conservative for the path.
-        const SpanRecord*& slot = stage1_by_pid[s.pid][{*circuit, *group}];
-        if (slot == nullptr || s.dur_us > slot->dur_us) slot = &s;
-      }
+      if (circuit != nullptr && group)
+        keep_slowest(engine_by_pid[s.pid].stage1[{*circuit, *group}], &s);
     } else if (s.name == "stage2") {
       if (const double* w = s.find_num("queue_wait_us"))
         wait2.push_back(count_of(*w));
-      stage2_by_pid[s.pid].push_back(&s);
+      engine_by_pid[s.pid].stage2.push_back(&s);
     }
   }
   out->stage1_wait = wait_stats(std::move(wait1));
   out->stage2_wait = wait_stats(std::move(wait2));
 
-  std::vector<int> engine_pids;
-  for (const auto& [pid, m] : stage1_by_pid) engine_pids.push_back(pid);
-  for (const auto& [pid, v] : stage2_by_pid)
-    if (stage1_by_pid.find(pid) == stage1_by_pid.end())
-      engine_pids.push_back(pid);
-  std::sort(engine_pids.begin(), engine_pids.end());
-  static const std::map<std::pair<std::string, int>, const SpanRecord*>
-      kNoStage1;
-  static const std::vector<const SpanRecord*> kNoStage2;
-  for (const int pid : engine_pids) {
-    const auto it1 = stage1_by_pid.find(pid);
-    const auto it2 = stage2_by_pid.find(pid);
-    CriticalPath cp = engine_critical_path(
-        it1 != stage1_by_pid.end() ? it1->second : kNoStage1,
-        it2 != stage2_by_pid.end() ? it2->second : kNoStage2);
+  for (const auto& [pid, spans] : engine_by_pid) {
+    CriticalPath cp = engine_critical_path(spans);
     // The dominant per-process path becomes the trace-level one — for a
     // flat single-pid trace this is exactly the old single-forest answer.
     if (!out->critical.available || cp.barrier_us > out->critical.barrier_us)

@@ -29,11 +29,12 @@
 //   - per-(pid, tid) utilization (busy = top-level span time; wall =
 //     global trace extent) and stage1/stage2 queue-wait statistics from
 //     the engine's `queue_wait_us` span args;
-//   - per-process critical paths through the flow engine's two fan-out
-//     stages, under the engine's actual barrier schedule (slowest stage-1
-//     task + slowest stage-2 task) and under the pure dependency model (a
-//     stage-2 task needs only its own circuit's stage-1 group), whose gap
-//     quantifies what removing the barrier could save;
+//   - per-process critical paths through the flow engine's three fan-out
+//     stages, under the engine's actual barrier schedule (slowest task of
+//     stages 0, 1 and 2) and under the pure dependency model (a stage-2
+//     task needs only its own circuit's stage-1 group, which needs only
+//     that circuit's stage-0 source pass), whose gap quantifies what
+//     removing the barriers could save;
 //   - the supervisor-blocking breakdown from the `supervise` shard span:
 //     how much of the supervise loop was spent blocked in poll() versus
 //     draining pipes and handling lifecycle.
@@ -116,20 +117,21 @@ struct WaitStats {
 };
 
 struct PathStep {
-  std::string stage;  // "stage1" / "stage2"
+  std::string stage;  // "stage0" / "stage1" / "stage2"
   std::string task;   // engine task label, e.g. "ex2/map[V]"
   std::uint64_t dur_us = 0;
 };
 
 struct CriticalPath {
-  bool available = false;  // engine stage1/stage2 spans were present
-  /// Barrier model — what the engine executes today: every stage-1 task
-  /// finishes before any stage-2 task starts, so the path is the slowest
-  /// task of each stage.
+  bool available = false;  // engine stage0/1/2 spans were present
+  /// Barrier model — what the engine executes today: every task of a stage
+  /// finishes before any task of the next starts, so the path is the
+  /// slowest task of each stage.
   std::uint64_t barrier_us = 0;
   std::vector<PathStep> barrier_chain;
-  /// Dependency model — the lower bound with the barrier removed: a
-  /// stage-2 (circuit, method) task needs only stage-1 (circuit, group).
+  /// Dependency model — the lower bound with the barriers removed: a
+  /// stage-2 (circuit, method) task needs only stage-1 (circuit, group),
+  /// which needs only stage-0 (circuit).
   std::uint64_t dependency_us = 0;
   std::vector<PathStep> dependency_chain;
 };
@@ -145,8 +147,8 @@ struct ProcessTotals {
   std::uint64_t first_ts_us = 0;
   std::uint64_t last_end_us = 0;
   std::uint64_t wall_us() const { return last_end_us - first_ts_us; }
-  /// This process's own engine critical path (stage1/stage2 spans with
-  /// this pid). `available` is false for lanes without engine spans.
+  /// This process's own engine critical path (stage0/1/2 spans with this
+  /// pid). `available` is false for lanes without engine spans.
   CriticalPath critical;
 };
 

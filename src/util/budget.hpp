@@ -12,8 +12,10 @@
 //
 // Deterministic fault injection: MINPOWER_INJECT_FAULT=<site>:<ordinal>
 // (comma-separated list) arms faults against the task with that ordinal —
-// a deterministic task id assigned by the engine, NOT a temporal counter,
-// so injection is independent of thread count and scheduling. Sites:
+// a deterministic task id assigned by the engine (its slot index: stage-1
+// groups, then stage-2 methods, then stage-0 source passes; see
+// flow/session.hpp), NOT a temporal counter, so injection is independent of
+// thread count and scheduling. Sites:
 //   * a checkpoint name ("decomp", "activity", "map", "bdd") — that
 //     checkpoint throws ResourceExhausted when it runs in the armed task;
 //   * "bdd-limit" — BddManagers built by the armed task get a tiny node
@@ -46,8 +48,9 @@ namespace minpower {
 inline constexpr std::size_t kDefaultBddNodeLimit = 60'000'000;
 
 /// Node cap forced by a "bdd-limit" fault injection: big enough to build
-/// the terminals and a few variables, small enough that any real activity
-/// pass blows through it.
+/// the terminals and a few variables, small enough that a BDD pass over
+/// all but the smallest networks blows through it (a small source network
+/// may fit, while its decomposed subject does not).
 inline constexpr std::size_t kInjectedBddNodeLimit = 64;
 
 /// A resource limit was exceeded. Catchable and recoverable: callers retry
@@ -189,8 +192,7 @@ class Budget {
 };
 
 /// RAII: makes `b` the calling thread's current budget; restores the
-/// previous one (nesting supported — the engine's halved-cap retry runs a
-/// copy under a nested scope).
+/// previous one (nesting supported).
 class BudgetScope {
  public:
   explicit BudgetScope(Budget& b) : prev_(Budget::current_slot()) {

@@ -140,6 +140,14 @@ TEST(Cli, NegativeVerifyCountIsFatal) {
   expect_clean_failure("verify --count -1", "--count must be at least 1, got -1");
 }
 
+TEST(Cli, NegativeDeadlineIsFatal) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  expect_clean_failure("flow " + blif + " --deadline-ms -1",
+                       "--deadline-ms must not be negative, got '-1'");
+}
+
 TEST(Cli, OutOfRangeServePortIsFatal) {
   expect_clean_failure("serve --port 99999999",
                        "--port needs a number, got '99999999'");

@@ -266,53 +266,67 @@ TEST(Degradation, DecompSiteInjectionFailsGroupOnly) {
 }
 
 TEST(Degradation, LadderOutcomeTable) {
-  // Pins the stage-1 degradation ladder: one injection per row at a
-  // decomposition group's ordinal, and the exact TaskStatus the group's two
-  // methods (g and g+3) report. The reason is compared up to its first ':'
-  // — the stable "resource-exhausted site=… bdd_limit=…" head (or the
-  // inherited-failure prefix), not the free-form tail.
+  // Pins the degradation ladders: one injection per row, either at a
+  // decomposition group's ordinal (0–2: the group's two methods g and g+3
+  // report the row's TaskStatus, the others stay ok) or at the circuit's
+  // stage-0 source pass (ordinal 9: all six methods inherit it). The reason
+  // is compared up to its first ':' — the stable "resource-exhausted site=…
+  // bdd_limit=…" head (or the inherited-failure prefix), not the free-form
+  // tail.
   struct Row {
     const char* site;
-    long group;
+    long ordinal;
     TaskState state;
     int retries;
     std::vector<std::string> fallbacks;
     std::string reason_head;
+    std::uint64_t seed = 83;
   };
   const std::string half_cap = std::to_string(kDefaultBddNodeLimit / 2);
   const std::vector<Row> table = {
-      // The source network's BDDs fit the injected 64-node cap; only the
-      // subject's activity pass blows it (one retry, then Monte-Carlo).
+      // Decomposition reads the stage-0 probabilities and builds no BDDs;
+      // only the subject's activity pass blows the injected 64-node cap
+      // (one retry, then Monte-Carlo).
       {"bdd-limit", 0, TaskState::kDegraded, 1, {"mc-activity"},
        "resource-exhausted site=bdd-limit bdd_limit=" + half_cap},
       {"bdd-limit", 2, TaskState::kDegraded, 1, {"mc-activity"},
        "resource-exhausted site=bdd-limit bdd_limit=" + half_cap},
-      // The decomposition's own probability pass checkpoints at "activity"
-      // too: both ladders retry, both fall back, one fallback is listed.
-      {"activity", 1, TaskState::kDegraded, 2, {"mc-activity"},
+      {"activity", 1, TaskState::kDegraded, 1, {"mc-activity"},
        "resource-exhausted site=activity bdd_limit=" + half_cap},
-      // "decomp" has no fallback: one retry, then the group fails.
-      {"decomp", 0, TaskState::kFailed, 1, {},
+      // "decomp" has no ladder: the group fails at once.
+      {"decomp", 0, TaskState::kFailed, 0, {},
        "decomposition/activity failed"},
-      {"decomp", 2, TaskState::kFailed, 1, {},
+      {"decomp", 2, TaskState::kFailed, 0, {},
        "decomposition/activity failed"},
       // A deadline is never retried.
       {"deadline", 1, TaskState::kFailed, 0, {},
        "decomposition/activity failed"},
+      // Stage 0: the source pass walks the same ladder, and every group
+      // starts from its status.
+      {"activity", 9, TaskState::kDegraded, 1, {"mc-activity"},
+       "resource-exhausted site=activity bdd_limit=" + half_cap},
+      {"deadline", 9, TaskState::kFailed, 0, {},
+       "decomposition/activity failed"},
+      // The source pass has no "decomp" checkpoint.
+      {"decomp", 9, TaskState::kOk, 0, {}, ""},
+      // Seed 84's source BDD has 114 nodes, over the injected cap (seed
+      // 83's fits under it).
+      {"bdd-limit", 9, TaskState::kDegraded, 1, {"mc-activity"},
+       "resource-exhausted site=bdd-limit bdd_limit=" + half_cap, 84},
   };
-  const Network net = prepared(83);
   for (const Row& row : table) {
+    const Network net = prepared(row.seed);
     EngineOptions eo;
-    eo.injections = {{row.site, row.group}};
+    eo.injections = {{row.site, row.ordinal}};
     FlowSession eng(standard_library(), eo);
     const std::vector<FlowResult> rs = eng.run_circuit(net);
     ASSERT_EQ(rs.size(), 6u);
     for (std::size_t m = 0; m < 6; ++m) {
       const TaskStatus& s = rs[m].status;
       const std::string where =
-          std::string(row.site) + ":" + std::to_string(row.group) + " " +
+          std::string(row.site) + ":" + std::to_string(row.ordinal) + " " +
           method_name(rs[m].method);
-      if (static_cast<long>(m % 3) != row.group) {
+      if (row.ordinal != 9 && static_cast<long>(m % 3) != row.ordinal) {
         EXPECT_EQ(s.state, TaskState::kOk) << where;
         continue;
       }

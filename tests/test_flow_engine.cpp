@@ -7,6 +7,7 @@
 
 #include "flow/session.hpp"
 #include "helpers.hpp"
+#include "trace/metrics.hpp"
 
 namespace minpower {
 namespace {
@@ -79,8 +80,12 @@ TEST(FlowEngine, ThreePassesPerCircuit) {
   EngineOptions eo;
   eo.num_threads = 2;
   FlowSession engine(standard_library(), eo);
+  metrics::Counter& bdd_passes = metrics::counter("activity.passes");
+  const std::uint64_t before = bdd_passes.value();
   const std::vector<FlowResult> rs = engine.run_circuit(net);
   ASSERT_EQ(rs.size(), 6u);
+  // One source probability pass (stage 0) and three subject passes.
+  EXPECT_EQ(bdd_passes.value() - before, 4u);
   EXPECT_EQ(engine.counters().decomp_passes, 3);
   EXPECT_EQ(engine.counters().activity_passes, 3);
   EXPECT_EQ(engine.counters().map_passes, 6);

@@ -82,7 +82,7 @@ TEST(Serve, PingFlowAndStatsRoundTrip) {
   ASSERT_TRUE(c.flow(small_blif(), {}, &r, &error)) << error;
   ASSERT_TRUE(r.ok) << r.body;
   EXPECT_EQ(r.hits, 0u);
-  EXPECT_EQ(r.misses, 9u);  // 3 groups + 6 method results, all cold
+  EXPECT_EQ(r.misses, 6u);  // 6 method results, all cold
 
   std::string parse_error;
   const auto doc = parse_json(r.body, &parse_error);
@@ -101,7 +101,7 @@ TEST(Serve, PingFlowAndStatsRoundTrip) {
   serve::Response r2;
   ASSERT_TRUE(c.flow(small_blif(), {}, &r2, &error)) << error;
   ASSERT_TRUE(r2.ok);
-  EXPECT_EQ(r2.hits, 6u);  // all six method results; groups never consulted
+  EXPECT_EQ(r2.hits, 6u);  // all six method results
   EXPECT_EQ(r2.misses, 0u);
   EXPECT_EQ(r.body, r2.body);
 
@@ -121,7 +121,7 @@ TEST(Serve, FlowOptionsChangeTheCacheKey) {
   serve::Response r;
   ASSERT_TRUE(c.flow(small_blif(), {"vdd=3.3"}, &r, &error)) << error;
   ASSERT_TRUE(r.ok) << r.body;
-  EXPECT_EQ(r.misses, 9u);
+  EXPECT_EQ(r.misses, 6u);
   // Different options: a fresh fingerprint, no sharing with the first run.
   serve::Response r2;
   ASSERT_TRUE(c.flow(small_blif(), {"vdd=5.0"}, &r2, &error)) << error;
@@ -149,6 +149,20 @@ TEST(Serve, MalformedRequestsAnswerStructuredErrors) {
     ASSERT_TRUE(c.flow(small_blif(), {"bdd_limit=-5"}, &r, &error)) << error;
     EXPECT_FALSE(r.ok);
     EXPECT_NE(error_message(r.body).find("bad value"), std::string::npos);
+    // Values outside an option's domain: a zero or negative cycle time or
+    // supply, a negative load or deadline.
+    for (const char* token : {"t_cycle=0", "t_cycle=-1", "vdd=0", "vdd=-5",
+                              "po_load=-1", "deadline_ms=-3"}) {
+      ASSERT_TRUE(c.flow(small_blif(), {token}, &r, &error)) << error;
+      EXPECT_FALSE(r.ok) << token;
+      EXPECT_NE(error_message(r.body).find("bad value"), std::string::npos)
+          << token << ": " << r.body;
+    }
+    // The domain boundaries that stay valid: no load, no deadline.
+    ASSERT_TRUE(c.flow(small_blif(), {"po_load=0", "deadline_ms=0"}, &r,
+                       &error))
+        << error;
+    EXPECT_TRUE(r.ok) << r.body;
     ASSERT_TRUE(c.flow(small_blif(), {}, &r, &error)) << error;
     EXPECT_TRUE(r.ok) << "connection unusable after option errors";
   }
@@ -483,7 +497,7 @@ TEST(Serve, AccessLogRecordsOneJsonLinePerRequest) {
       EXPECT_EQ(doc->find("outcome")->string, "ok") << line;
       EXPECT_GT(doc->find("bytes_in")->number, 0.0);
       EXPECT_GT(doc->find("bytes_out")->number, 0.0);
-      EXPECT_EQ(doc->find("misses")->number, 9.0) << line;
+      EXPECT_EQ(doc->find("misses")->number, 6.0) << line;
     }
   }
   EXPECT_TRUE(saw_flow);

@@ -134,7 +134,7 @@ TEST(ServeStress, ConcurrentClientsGetByteIdenticalResponses) {
   // so the cross-request cache must have fired.
   EXPECT_GT(total_hits.load(), 0u);
   const SessionStats stats = server.session().stats();
-  EXPECT_GT(stats.hits(), 0u);
+  EXPECT_GT(stats.result_hits, 0u);
   // Two clients racing the same cold circuit may both miss, so this is a
   // floor, not an exact count.
   EXPECT_GE(stats.result_misses, 6 * kCircuits);

@@ -235,14 +235,12 @@ TEST(FlowSession, WarmRunHitsCacheWithIdenticalResults) {
   SessionStats cold;
   const std::vector<FlowResult> r1 =
       session.run_circuit(net, session.options().flow, &cold);
-  EXPECT_EQ(cold.group_hits, 0u);
-  EXPECT_EQ(cold.group_misses, 3u);
+  EXPECT_EQ(cold.result_hits, 0u);
   EXPECT_EQ(cold.result_misses, 6u);
 
   SessionStats warm;
   const std::vector<FlowResult> r2 =
       session.run_circuit(net, session.options().flow, &warm);
-  EXPECT_EQ(warm.group_hits, 0u);  // stage 2 hit first; stage 1 not consulted
   EXPECT_EQ(warm.result_hits, 6u);
   EXPECT_EQ(warm.result_misses, 0u);
 
@@ -269,12 +267,16 @@ TEST(FlowSession, IntraBatchDuplicatesAreShared) {
   Network net = random_network(9);
   prepare_network(net);
   const std::vector<const Network*> batch = {&net, &net, &net};
+  metrics::Counter& bdd_passes = metrics::counter("activity.passes");
+  const std::uint64_t before = bdd_passes.value();
   const auto rs = session.run_suite(batch);
   ASSERT_EQ(rs.size(), 3u);
-  // One set of passes despite three submissions.
+  // One set of passes despite three submissions: one source pass and three
+  // subject passes.
   EXPECT_EQ(session.counters().decomp_passes, 3);
   EXPECT_EQ(session.counters().activity_passes, 3);
   EXPECT_EQ(session.counters().map_passes, 6);
+  EXPECT_EQ(bdd_passes.value() - before, 4u);
   for (std::size_t m = 0; m < 6; ++m) {
     EXPECT_EQ(rs[0][m].area, rs[1][m].area);
     EXPECT_EQ(rs[0][m].power_uw, rs[2][m].power_uw);
@@ -285,7 +287,6 @@ TEST(FlowSession, BoundedCachesEvict) {
   const Library& lib = standard_library();
   SessionOptions so;
   so.enable_cache = true;
-  so.group_cache_capacity = 3;   // one circuit's worth
   so.result_cache_capacity = 6;  // one circuit's worth
   FlowSession session(lib, EngineOptions{}, so);
 
@@ -339,7 +340,7 @@ TEST(FlowSession, FaultInjectionBypassesCache) {
   so.enable_cache = true;
   FlowSession session(lib, eo, so);
   const std::vector<FlowResult> rs = session.run_circuit(net);
-  EXPECT_EQ(session.stats().lookups(), 0u);
+  EXPECT_EQ(session.stats().result_hits + session.stats().result_misses, 0u);
   // Group 0 failed; methods I and IV inherit the failure.
   EXPECT_EQ(rs[0].status.state, TaskState::kFailed);
   EXPECT_EQ(rs[3].status.state, TaskState::kFailed);

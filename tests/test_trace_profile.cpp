@@ -100,17 +100,18 @@ TEST(TraceProfile, RoundTripRecoversEverySpan) {
   EXPECT_EQ(phase_count, p.spans.size());
   EXPECT_EQ(phase_self, total_self);
 
-  // The engine emitted both fan-out stages, so queue waits and the critical
-  // path must be populated; the barrier schedule can never beat the pure
-  // dependency bound.
+  // The engine emitted all three fan-out stages, so queue waits and the
+  // critical path must be populated; the barrier schedule can never beat
+  // the pure dependency bound.
   EXPECT_EQ(p.stage1_wait.count, circuits.size() * 3);
   EXPECT_EQ(p.stage2_wait.count, circuits.size() * 6);
   ASSERT_TRUE(p.critical.available);
   EXPECT_GE(p.critical.barrier_us, p.critical.dependency_us);
-  ASSERT_EQ(p.critical.barrier_chain.size(), 2u);
-  EXPECT_EQ(p.critical.barrier_chain[0].stage, "stage1");
-  EXPECT_EQ(p.critical.barrier_chain[1].stage, "stage2");
-  ASSERT_EQ(p.critical.dependency_chain.size(), 2u);
+  ASSERT_EQ(p.critical.barrier_chain.size(), 3u);
+  EXPECT_EQ(p.critical.barrier_chain[0].stage, "stage0");
+  EXPECT_EQ(p.critical.barrier_chain[1].stage, "stage1");
+  EXPECT_EQ(p.critical.barrier_chain[2].stage, "stage2");
+  ASSERT_EQ(p.critical.dependency_chain.size(), 3u);
 
   // Both renderers accept the profile.
   std::ostringstream text, json;
@@ -169,6 +170,58 @@ TEST(TraceProfile, SyntheticForestSelfTimes) {
 
   // No engine stage spans → no critical path, but still a valid profile.
   EXPECT_FALSE(p.critical.available);
+}
+
+TEST(TraceProfile, SyntheticEngineCriticalPath) {
+  // Two circuits through all three stages on one thread. Barrier model:
+  // the slowest task of each stage (a/source 50 + b/decomp[0] 70 +
+  // a/map[I] 40 = 160). Dependency model: b/map[IV] 31 needs b/decomp[0]
+  // 70 and b/source 10 (111), which beats a/map[I] 40 + a/decomp[0] 20 +
+  // a/source 50 (110).
+  const char* json = R"({
+    "traceEvents": [
+      {"ph": "X", "name": "stage0", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 0, "dur": 50,
+       "args": {"task": "a/source", "circuit": "a", "queue_wait_us": 0}},
+      {"ph": "X", "name": "stage0", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 50, "dur": 10,
+       "args": {"task": "b/source", "circuit": "b", "queue_wait_us": 50}},
+      {"ph": "X", "name": "stage1", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 60, "dur": 20,
+       "args": {"task": "a/decomp[0]", "circuit": "a", "group": 0,
+                "queue_wait_us": 0}},
+      {"ph": "X", "name": "stage1", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 80, "dur": 70,
+       "args": {"task": "b/decomp[0]", "circuit": "b", "group": 0,
+                "queue_wait_us": 20}},
+      {"ph": "X", "name": "stage2", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 150, "dur": 40,
+       "args": {"task": "a/map[I]", "circuit": "a", "method": "I",
+                "queue_wait_us": 0}},
+      {"ph": "X", "name": "stage2", "cat": "engine", "pid": 1, "tid": 1,
+       "ts": 190, "dur": 31,
+       "args": {"task": "b/map[IV]", "circuit": "b", "method": "IV",
+                "queue_wait_us": 40}}
+    ]
+  })";
+  trace::TraceProfile p;
+  std::string error;
+  ASSERT_TRUE(trace::analyze_chrome_trace(json, &p, &error)) << error;
+  ASSERT_TRUE(p.critical.available);
+  EXPECT_EQ(p.critical.barrier_us, 160u);
+  ASSERT_EQ(p.critical.barrier_chain.size(), 3u);
+  EXPECT_EQ(p.critical.barrier_chain[0].task, "a/source");
+  EXPECT_EQ(p.critical.barrier_chain[1].task, "b/decomp[0]");
+  EXPECT_EQ(p.critical.barrier_chain[2].task, "a/map[I]");
+  EXPECT_EQ(p.critical.dependency_us, 111u);
+  ASSERT_EQ(p.critical.dependency_chain.size(), 3u);
+  EXPECT_EQ(p.critical.dependency_chain[0].stage, "stage0");
+  EXPECT_EQ(p.critical.dependency_chain[0].task, "b/source");
+  EXPECT_EQ(p.critical.dependency_chain[1].task, "b/decomp[0]");
+  EXPECT_EQ(p.critical.dependency_chain[2].task, "b/map[IV]");
+  // Stage-0 queue waits are not aggregated: the wait blocks stay stage1/2.
+  EXPECT_EQ(p.stage1_wait.count, 2u);
+  EXPECT_EQ(p.stage2_wait.count, 2u);
 }
 
 TEST(TraceProfile, EmptyTraceIsValid) {

@@ -237,7 +237,11 @@ Args parse_args(int argc, char** argv, int first) {
     else if (arg == "--json") a.json = value("--json");
     else if (arg == "--seed") number(&a.seed);
     else if (arg == "--count") number(&a.count);
-    else if (arg == "--deadline-ms") number(&a.deadline_ms);
+    else if (arg == "--deadline-ms") {
+      number(&a.deadline_ms);
+      if (a.deadline_ms < 0.0)
+        fatal(arg + " must not be negative, got '" + argv[i] + "'");
+    }
     else if (arg == "--bdd-limit") number(&a.bdd_limit);
     else if (arg == "--trace") a.trace = value("--trace");
     else if (arg == "--metrics-out") a.metrics_out = value("--metrics-out");
@@ -795,9 +799,8 @@ int cmd_serve(const Args& a) {
                static_cast<unsigned long long>(s.flow_ok),
                static_cast<unsigned long long>(s.errors),
                static_cast<unsigned long long>(s.busy_rejections),
-               static_cast<unsigned long long>(ss.group_hits + ss.result_hits),
-               static_cast<unsigned long long>(ss.group_misses +
-                                               ss.result_misses),
+               static_cast<unsigned long long>(ss.result_hits),
+               static_cast<unsigned long long>(ss.result_misses),
                static_cast<unsigned long long>(ss.evictions));
   return 0;
 }
