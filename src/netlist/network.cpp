@@ -224,11 +224,10 @@ int Network::sweep() {
       }
       // Semantic constant detection: optimization passes can build covers
       // that are tautologies without containing the literal "1" cube
-      // (e.g. !x + x after a collapse). Check by complementation on small
+      // (e.g. !x + x after a collapse). Check minterm by minterm on small
       // supports; larger tautologies are left to the BDD-based passes.
       if (n.cover.num_cubes() >= 2 &&
-          std::popcount(n.cover.support()) <= 12 &&
-          n.cover.complement().is_zero()) {
+          std::popcount(n.cover.support()) <= 12 && n.cover.is_tautology()) {
         n.cover = Cover::one();
         changed = true;
         continue;  // the constant branch below picks this up

@@ -92,6 +92,19 @@ Cover Cover::complement() const {
   return out;
 }
 
+bool Cover::is_tautology() const {
+  const std::uint64_t sup = support();
+  MP_CHECK_MSG(std::popcount(sup) <= 24,
+               "is_tautology() limited to 24-variable functions");
+  // (a - sup) & sup steps through every subset of sup, from 0 back to 0.
+  std::uint64_t a = 0;
+  do {
+    if (!eval(a)) return false;
+    a = (a - sup) & sup;
+  } while (a != 0);
+  return true;
+}
+
 bool Cover::equivalent(const Cover& a, const Cover& b) {
   const std::uint64_t sup = a.support() | b.support();
   const int n = std::popcount(sup);
@@ -117,8 +130,8 @@ Cover Cover::remap(const std::vector<int>& new_var) const {
   for (const Cube& c : cubes_) {
     std::uint64_t pos = 0;
     std::uint64_t neg = 0;
-    for (int v = 0; v < kMaxCubeVars; ++v) {
-      if (!c.mentions(v)) continue;
+    for (std::uint64_t m = c.support(); m != 0; m &= m - 1) {
+      const int v = std::countr_zero(m);
       MP_CHECK(v < static_cast<int>(new_var.size()) && new_var[v] >= 0);
       const std::uint64_t bit = std::uint64_t{1} << new_var[v];
       if (c.has_pos(v)) pos |= bit;

@@ -72,6 +72,10 @@ class Cover {
   /// functions seen during synthesis (support is checked <= 24 vars).
   Cover complement() const;
 
+  /// True iff the cover is the constant-1 function: an exact check that
+  /// evaluates every minterm of the support (supports up to 24 variables).
+  bool is_tautology() const;
+
   /// Cofactor with respect to literal (var = value).
   Cover cofactor(int var, bool value) const;
 

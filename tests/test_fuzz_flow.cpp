@@ -1,18 +1,24 @@
-// Seeded mutation fuzz of the minpower.flow.v1 decoders (ctest label
-// `fuzz`). The committed suite baseline and one journal cell are mutated by
-// bit flips, truncation, and line duplication or deletion over a fixed seed
+// Seeded mutation fuzz of the engine's text inputs (ctest label `fuzz`):
+// the minpower.flow.v1 decoders and the BLIF reader. The committed suite
+// baseline, one journal cell and the 17 suite BLIFs are mutated by bit
+// flips, truncation, and line duplication or deletion over a fixed seed
 // range; every mutant must decode or come back with an error. None may
 // abort, and under the sanitizer build none may reach undefined behaviour
 // (an out-of-range double-to-integer cast included).
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "benchgen/benchgen.hpp"
+#include "flow/flow.hpp"
 #include "flow/session.hpp"
+#include "io/blif.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -121,6 +127,38 @@ TEST(FuzzFlow, MutatedJournalCellsDecodeOrFail) {
   }
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+TEST(FuzzFlow, MutatedSuiteBlifsParseAndPrepareOrFail) {
+  // Every mutant that parses goes on through rugged-lite, the first step
+  // of every request; it must come back or throw, never abort.
+  constexpr std::uint64_t kBlifSeeds = 400;
+  int parsed = 0;
+  int rejected = 0;
+  int threw = 0;
+  for (const BenchProfile& p : paper_suite()) {
+    const std::string text = write_blif_string(generate_benchmark(p));
+    for (std::uint64_t seed = 1; seed <= kBlifSeeds; ++seed) {
+      BlifError error;
+      std::optional<Network> net =
+          try_read_blif_string(mutate(text, seed), &error);
+      if (!net) {
+        EXPECT_FALSE(error.message.empty()) << p.name << " seed " << seed;
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      try {
+        prepare_network(*net);
+      } catch (const std::exception&) {
+        ++threw;
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+  std::printf("%d mutants parsed (%d threw in rugged-lite), %d rejected\n",
+              parsed, threw, rejected);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sop/cover.hpp"
 #include "util/rng.hpp"
 
@@ -172,6 +175,43 @@ TEST_P(CoverNormalizeProperty, NormalizePreservesFunction) {
 
 INSTANTIATE_TEST_SUITE_P(Random, CoverNormalizeProperty,
                          ::testing::Range(0, 40));
+
+// Property: the minterm-by-minterm tautology check agrees with the
+// complement on random covers of up to 12 variables, spread over the whole
+// 64-variable range. Half the covers are OR-ed with their own complement,
+// so both answers occur.
+TEST(Cover, IsTautologyAgreesWithComplement) {
+  int tautologies = 0;
+  int others = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const int nvars = static_cast<int>(rng.range(1, 12));
+    std::vector<int> vars;
+    while (static_cast<int>(vars.size()) < nvars) {
+      const int v = static_cast<int>(rng.below(kMaxCubeVars));
+      if (std::find(vars.begin(), vars.end(), v) == vars.end())
+        vars.push_back(v);
+    }
+    Cover f;
+    const int cubes = static_cast<int>(rng.range(0, 8));
+    for (int c = 0; c < cubes; ++c) {
+      Cube cube;
+      for (int v : vars) {
+        const auto r = rng.below(3);
+        if (r == 0) cube = cube & Cube::literal(v, true);
+        if (r == 1) cube = cube & Cube::literal(v, false);
+      }
+      f.add(cube);
+    }
+    if (rng.coin()) f = Cover::disjunction(f, f.complement());
+    const bool want = f.complement().is_zero();
+    EXPECT_EQ(f.is_tautology(), want) << "seed " << seed << ": "
+                                      << f.to_string();
+    (want ? tautologies : others) += 1;
+  }
+  EXPECT_GT(tautologies, 0);
+  EXPECT_GT(others, 0);
+}
 
 }  // namespace
 }  // namespace minpower

@@ -291,5 +291,24 @@ TEST(Trace, EnablingPinsTheOriginBeforeTheFirstSpan) {
   trace::clear();
 }
 
+TEST(Trace, PrepareNetworkRecordsOneRuggedSpan) {
+  Network net = testing::random_network(33, /*num_pi=*/6, /*num_nodes=*/14,
+                                        /*num_po=*/3);
+  trace::set_enabled(false);
+  trace::clear();
+  trace::set_enabled(true);
+  prepare_network(net);
+  trace::set_enabled(false);
+  int rugged = 0;
+  for (const trace::ThreadEvents& t : trace::snapshot_events())
+    for (const trace::Event& e : t.events)
+      if (e.name == "rugged") {
+        ++rugged;
+        EXPECT_EQ(e.cat, "opt");
+      }
+  EXPECT_EQ(rugged, 1);
+  trace::clear();
+}
+
 }  // namespace
 }  // namespace minpower
