@@ -139,17 +139,26 @@ Library Library::parse_genlib(const std::string& text, std::string name) {
     lib.gates_.push_back(std::move(g));
   }
 
-  // Locate the canonical inverter and NAND2.
+  // Locate the canonical inverter (!a) and NAND2 (!(a*b)). Their operands
+  // must be the pins themselves: a gate of the same shape over other
+  // operands, such as !(!a*b) or !(a*a), covers no plain NAND2 or INV
+  // subject node, so a library with only those cannot map every subject.
+  const auto is_var = [](const std::unique_ptr<Expr>& e) {
+    return e->kind == Expr::Kind::kVar;
+  };
   for (std::size_t i = 0; i < lib.gates_.size(); ++i) {
     const Gate& g = lib.gates_[i];
     const auto is_better = [&](int idx) {
       return idx < 0 || g.area < lib.gates_[static_cast<std::size_t>(idx)].area;
     };
-    if (g.num_inputs() == 1 && g.function->kind == Expr::Kind::kNot &&
-        is_better(lib.inverter_index_))
+    const Expr& f = *g.function;
+    if (g.num_inputs() == 1 && f.kind == Expr::Kind::kNot &&
+        is_var(f.child[0]) && is_better(lib.inverter_index_))
       lib.inverter_index_ = static_cast<int>(i);
-    if (g.num_inputs() == 2 && g.function->kind == Expr::Kind::kNot &&
-        g.function->child[0]->kind == Expr::Kind::kAnd &&
+    if (g.num_inputs() == 2 && f.kind == Expr::Kind::kNot &&
+        f.child[0]->kind == Expr::Kind::kAnd &&
+        std::all_of(f.child[0]->child.begin(), f.child[0]->child.end(),
+                    is_var) &&
         is_better(lib.nand2_index_))
       lib.nand2_index_ = static_cast<int>(i);
   }

@@ -10,6 +10,7 @@
 // a point stores no input indices and stays plain data: merging, pruning
 // and thinning a curve move 32-byte values and never allocate per point.
 
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -28,10 +29,15 @@ static_assert(std::is_trivially_copyable_v<CurvePoint>);
 class Curve {
  public:
   /// One point of a non-inferior staircase to merge: arrival strictly
-  /// ascending and cost strictly descending along the staircase.
+  /// ascending and cost strictly descending along the staircase. `match`
+  /// ranks the step against a curve point it ties exactly on (arrival,
+  /// cost): the lower of the step's and the point's match wins. The
+  /// default ranks after every point, which is what merging matches in
+  /// index order needs.
   struct Step {
     double arrival;
     double cost;
+    int match = std::numeric_limits<int>::max();
   };
 
   const std::vector<CurvePoint>& points() const { return points_; }
@@ -46,9 +52,9 @@ class Curve {
   /// Merge a staircase into the curve in one linear pass. The result equals
   /// inserting the steps one by one: at equal arrival the cheaper point
   /// wins, and on an exact (arrival, cost) tie the point already in the
-  /// curve wins. `realize(j, point)` fills in the realization (match,
-  /// drive) of each kept step j. `scratch` is caller-owned storage reused
-  /// across merges.
+  /// curve wins unless the step's `match` is lower than the point's.
+  /// `realize(j, point)` fills in the realization (match, drive) of each
+  /// kept step j. `scratch` is caller-owned storage reused across merges.
   template <class Realize>
   void merge(const std::vector<Step>& steps, std::vector<CurvePoint>& scratch,
              Realize&& realize);
@@ -85,9 +91,10 @@ template <class Realize>
 void Curve::merge(const std::vector<Step>& steps,
                   std::vector<CurvePoint>& scratch, Realize&& realize) {
   if (steps.empty()) return;
-  // Walk both staircases in (arrival, cost) order, the curve's point first
-  // on an exact tie; a point survives iff it is strictly cheaper than the
-  // last survivor, i.e. no point before it in that order dominates it.
+  // Walk both staircases in (arrival, cost, match) order, the curve's point
+  // first on an exact tie of all three; a point survives iff it is strictly
+  // cheaper than the last survivor, i.e. no point before it in that order
+  // dominates it.
   scratch.clear();
   std::size_t i = 0;
   std::size_t j = 0;
@@ -97,7 +104,9 @@ void Curve::merge(const std::vector<Step>& steps,
         (i < points_.size() &&
          (points_[i].arrival < steps[j].arrival ||
           (points_[i].arrival == steps[j].arrival &&
-           points_[i].cost <= steps[j].cost)));
+           (points_[i].cost < steps[j].cost ||
+            (points_[i].cost == steps[j].cost &&
+             points_[i].match <= steps[j].match)))));
     const double cost = from_curve ? points_[i].cost : steps[j].cost;
     const bool keep = scratch.empty() || cost < scratch.back().cost;
     if (from_curve) {

@@ -1,6 +1,7 @@
 #include "map/match.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -64,14 +65,13 @@ bool match_rec(const Pattern& pat, NodeId node, bool is_root, MatchState& st) {
   return false;
 }
 
-}  // namespace
-
-std::vector<Match> find_matches(const Network& subject, NodeId n,
-                                const Library& lib) {
-  std::vector<Match> out;
-  if (!subject.node(n).is_internal()) return out;
-  MatchState st;
-  st.net = &subject;
+/// Calls `found(gate, binding, covered)` for every pattern of every gate
+/// that matches at `n`, in library and pattern order, with `covered`
+/// sorted and free of repeats. A gate whose patterns match the same way
+/// twice reports each time; the callers drop the repeats.
+template <class Found>
+void each_match(NodeId n, const Library& lib, MatchState& st,
+                Found&& found) {
   for (const Gate& g : lib.gates()) {
     for (const auto& pat : g.patterns) {
       st.binding.assign(static_cast<std::size_t>(g.num_inputs()), kNoNode);
@@ -86,18 +86,51 @@ std::vector<Match> find_matches(const Network& subject, NodeId n,
       std::sort(st.covered.begin(), st.covered.end());
       st.covered.erase(std::unique(st.covered.begin(), st.covered.end()),
                        st.covered.end());
-      // Deduplicate identical (gate, binding) pairs arising from several
-      // patterns of the same gate.
-      bool dup = false;
-      for (const Match& prev : out)
-        if (prev.gate == &g && prev.pin_binding == st.binding &&
-            prev.covered == st.covered) {
-          dup = true;
-          break;
-        }
-      if (!dup) out.push_back({&g, st.binding, st.covered});
+      found(g, std::as_const(st.binding), std::as_const(st.covered));
     }
   }
+}
+
+bool same_timing(const GatePin& a, const GatePin& b) {
+  return a.intrinsic == b.intrinsic && a.drive == b.drive && a.cap == b.cap;
+}
+
+/// A match's class key given its gate: per pin, the bound node and the
+/// index of the gate's first pin with the same timing, sorted. Two matches
+/// of one gate have equal keys iff their multisets of (input node, pin
+/// timing) are equal.
+void class_key(const Gate& g, std::span<const NodeId> binding,
+               std::vector<std::uint64_t>& key) {
+  key.clear();
+  for (std::size_t p = 0; p < binding.size(); ++p) {
+    std::size_t timing = 0;
+    while (timing < p && !same_timing(g.pins[timing], g.pins[p])) ++timing;
+    key.push_back(static_cast<std::uint64_t>(
+                      static_cast<std::uint32_t>(binding[p]))
+                      << 32 |
+                  timing);
+  }
+  std::sort(key.begin(), key.end());
+}
+
+}  // namespace
+
+std::vector<Match> find_matches(const Network& subject, NodeId n,
+                                const Library& lib) {
+  std::vector<Match> out;
+  if (!subject.node(n).is_internal()) return out;
+  MatchState st;
+  st.net = &subject;
+  each_match(n, lib, st,
+             [&](const Gate& g, const std::vector<NodeId>& binding,
+                 const std::vector<NodeId>& covered) {
+               // Several patterns of one gate can give the same match.
+               for (const Match& prev : out)
+                 if (prev.gate == &g && prev.pin_binding == binding &&
+                     prev.covered == covered)
+                   return;
+               out.push_back({&g, binding, covered});
+             });
   return out;
 }
 
@@ -105,27 +138,76 @@ SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
   trace::Span span("match", "map");
   span.arg("network", subject.name());
   subject.check();
-  SubjectMatches matches(subject.capacity());
-  std::size_t total = 0;
+  SubjectMatches store;
+  store.first_.reserve(subject.capacity() + 1);
   // Per-node registry lookups are too hot for the loop; handles stay valid
   // across reset().
   static metrics::Histogram& matches_per_node =
       metrics::histogram("map.matches_per_node");
+  MatchState st;
+  st.net = &subject;
+  // The covered sets of the current node's matches: match i's set is
+  // covered[covered_at[i], covered_at[i + 1]).
+  std::vector<NodeId> covered;
+  std::vector<std::uint32_t> covered_at;
+  std::vector<std::uint64_t> key;
+  std::vector<std::uint64_t> other_key;
   for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
+    const auto first = static_cast<std::uint32_t>(store.entries_.size());
+    store.first_.push_back(first);
     if (!subject.node(id).is_internal()) continue;
     MP_CHECK_MSG(subject.is_nand2(id) || subject.is_inv(id),
                  "mapper requires a NAND2/INV subject network");
-    std::vector<Match>& ms = matches[static_cast<std::size_t>(id)];
-    ms = find_matches(subject, id, lib);
-    // Degenerate (zero-size) patterns are rejected here, not by the matcher.
-    std::erase_if(ms, [](const Match& m) { return m.covered.empty(); });
-    MP_CHECK_MSG(!ms.empty(), "no match at subject node (library too small)");
-    total += ms.size();
-    matches_per_node.record(ms.size());
+    covered.clear();
+    covered_at.assign(1, 0);
+    each_match(id, lib, st,
+               [&](const Gate& g, const std::vector<NodeId>& binding,
+                   const std::vector<NodeId>& cov) {
+      // Degenerate (zero-size) patterns are rejected here, not by the
+      // matcher.
+      if (cov.empty()) return;
+      const auto self =
+          static_cast<std::uint32_t>(store.entries_.size() - first);
+      std::uint32_t cls = self;
+      key.clear();
+      // Only matches of the same gate over the same covered set can repeat
+      // this one or share its class; the gate test rejects almost all.
+      for (std::uint32_t i = 0; i < self; ++i) {
+        const SubjectMatches::Entry& e = store.entries_[first + i];
+        if (e.gate != &g ||
+            !std::equal(covered.begin() + covered_at[i],
+                        covered.begin() + covered_at[i + 1], cov.begin(),
+                        cov.end()))
+          continue;
+        const std::span<const NodeId> bound = store.pins(e);
+        // The same match from another pattern of the gate.
+        if (std::equal(bound.begin(), bound.end(), binding.begin(),
+                       binding.end()))
+          return;
+        if (cls != self) continue;
+        if (key.empty()) class_key(g, binding, key);
+        class_key(g, bound, other_key);
+        if (key == other_key) cls = e.cls;
+      }
+      if (cls == self) ++store.classes_;
+      store.entries_.push_back(
+          {&g, static_cast<std::uint32_t>(store.pins_.size()), cls});
+      store.pins_.insert(store.pins_.end(), binding.begin(), binding.end());
+      covered.insert(covered.end(), cov.begin(), cov.end());
+      covered_at.push_back(static_cast<std::uint32_t>(covered.size()));
+    });
+    const std::size_t n = store.entries_.size() - first;
+    MP_CHECK_MSG(n > 0, "no match at subject node (library too small)");
+    matches_per_node.record(n);
   }
-  metrics::counter("map.match_attempts").add(total);
-  span.arg("matches", static_cast<unsigned long long>(total));
-  return matches;
+  store.first_.push_back(static_cast<std::uint32_t>(store.entries_.size()));
+  store.entries_.shrink_to_fit();
+  store.pins_.shrink_to_fit();
+  metrics::counter("map.match_attempts").add(store.num_matches());
+  metrics::counter("map.match_classes").add(store.num_classes());
+  metrics::gauge("map.match_store_bytes").record_max(store.bytes());
+  span.arg("matches", static_cast<unsigned long long>(store.num_matches()));
+  return store;
 }
 
 }  // namespace minpower

@@ -66,6 +66,20 @@ TEST(Cli, GenlibWithoutNand2OrInverterIsFatalNotAbort) {
                          "needs an inverter and a 2-input NAND");
 }
 
+// A NAND2-shaped gate over an inverted pin is no NAND2: mapping with it
+// alone would find no match at a plain NAND2 node and abort.
+TEST(Cli, GenlibWithOnlyInvertedInputNandIsFatalNotAbort) {
+  const std::string blif = write_temp("and.blif",
+                                      ".model t\n.inputs a b\n.outputs y\n"
+                                      ".names a b y\n11 1\n.end\n");
+  const std::string lib = write_temp(
+      "nand2b_only.genlib",
+      "GATE inv 1.0 O=!a; PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE nand2b 2.0 O=!(!a*b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n");
+  expect_clean_failure("flow " + blif + " --genlib " + lib,
+                       "needs an inverter and a 2-input NAND");
+}
+
 TEST(Cli, MalformedGenlibIsFatalNotAbort) {
   const std::string blif = write_temp("and.blif",
                                       ".model t\n.inputs a b\n.outputs y\n"

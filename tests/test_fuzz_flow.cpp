@@ -1,10 +1,11 @@
 // Seeded mutation fuzz of the engine's text inputs (ctest label `fuzz`):
-// the minpower.flow.v1 decoders and the BLIF reader. The committed suite
-// baseline, one journal cell and the 17 suite BLIFs are mutated by bit
-// flips, truncation, and line duplication or deletion over a fixed seed
-// range; every mutant must decode or come back with an error. None may
-// abort, and under the sanitizer build none may reach undefined behaviour
-// (an out-of-range double-to-integer cast included).
+// the minpower.flow.v1 decoders, the BLIF reader and the genlib reader.
+// The committed suite baseline, one journal cell, the 17 suite BLIFs and
+// the built-in genlib are mutated by bit flips, truncation, and line
+// duplication or deletion over a fixed seed range; every mutant must decode
+// or come back with an error. None may abort, and under the sanitizer build
+// none may reach undefined behaviour (an out-of-range double-to-integer
+// cast included).
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,13 @@
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
+#include "decomp/network_decompose.hpp"
 #include "flow/flow.hpp"
 #include "flow/session.hpp"
+#include "helpers.hpp"
 #include "io/blif.hpp"
+#include "library/library.hpp"
+#include "map/mapper.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
@@ -159,6 +164,41 @@ TEST(FuzzFlow, MutatedSuiteBlifsParseAndPrepareOrFail) {
   EXPECT_GT(rejected, 0);
   std::printf("%d mutants parsed (%d threw in rugged-lite), %d rejected\n",
               parsed, threw, rejected);
+}
+
+TEST(FuzzFlow, MutatedGenlibsBuildOrFailAndMap) {
+  // The built-in library's genlib text: every mutant builds a Library or
+  // throws GenlibError. One that passes the CLI's --genlib check (an
+  // inverter and a 2-input NAND) must map a small subject; a mapper that
+  // cannot use it must say so by exception, never abort.
+  constexpr std::uint64_t kGenlibSeeds = 1200;
+  Network raw = testing::random_network(7, 6, 14, 3);
+  prepare_network(raw);
+  const Network subject =
+      decompose_network(raw, NetworkDecompOptions{}).network;
+  int built = 0;
+  int rejected = 0;
+  int mapped = 0;
+  for (std::uint64_t seed = 1; seed <= kGenlibSeeds; ++seed) {
+    std::optional<Library> lib;
+    try {
+      lib.emplace(
+          Library::parse_genlib(mutate(standard_library_genlib(), seed)));
+    } catch (const GenlibError& e) {
+      EXPECT_NE(std::string(e.what()), "") << "seed " << seed;
+      ++rejected;
+      continue;
+    }
+    ++built;
+    if (!lib->has_base_gates()) continue;
+    const MapResult r = map_network(subject, *lib, MapOptions{});
+    r.mapped.check();
+    ++mapped;
+  }
+  EXPECT_GT(mapped, 0);
+  EXPECT_GT(rejected, 0);
+  std::printf("%d genlib mutants built (%d mapped), %d rejected\n", built,
+              mapped, rejected);
 }
 
 }  // namespace

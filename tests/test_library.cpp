@@ -124,6 +124,24 @@ TEST(Library, ParseStandard) {
   EXPECT_DOUBLE_EQ(lib.default_load(), 1.0);
 }
 
+// The inverter and the NAND2 must read their pins directly: !(!a*b) and
+// !(a*a) have their shape but cover no plain NAND2 or INV subject node.
+TEST(Library, BaseGatesReadTheirPinsDirectly) {
+  const Library shaped = Library::parse_genlib(
+      "GATE invaa 1.0 O=!(a*a); PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE nand2b 1.0 O=!(!a*b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n");
+  EXPECT_FALSE(shaped.has_base_gates());
+  const Library both = Library::parse_genlib(
+      "GATE inv 2.0 O=!a; PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE invaa 1.0 O=!(a*a); PIN a INV 1.0 999 0.4 0.4 0.4 0.4\n"
+      "GATE nand2b 1.0 O=!(!a*b); PIN * INV 1.0 999 0.5 0.5 0.5 0.5\n"
+      "GATE nand2 2.0 O=!(a*b); PIN * INV 1.2 999 0.5 0.5 0.5 0.5\n");
+  ASSERT_TRUE(both.has_base_gates());
+  EXPECT_EQ(both.inverter().name, "inv");
+  EXPECT_EQ(both.nand2().name, "nand2");
+  EXPECT_DOUBLE_EQ(both.default_load(), 1.2);
+}
+
 TEST(Library, FindGate) {
   const Library& lib = standard_library();
   ASSERT_NE(lib.find("aoi21"), nullptr);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "helpers.hpp"
 #include "map/match.hpp"
 #include "decomp/network_decompose.hpp"
 #include "flow/flow.hpp"
+#include "trace/metrics.hpp"
 
 namespace minpower {
 namespace {
@@ -252,6 +255,104 @@ TEST(Match, OutputMatchesPinnedValues) {
     EXPECT_EQ(matches, want.matches);
     EXPECT_EQ(hash.h, want.hash);
   }
+}
+
+
+// A duplicate class, by its definition: the same gate, the same covered set
+// and the same multiset of (input node, pin timing).
+bool same_class(const Match& a, const Match& b) {
+  if (a.gate != b.gate || a.covered != b.covered) return false;
+  using PinKey = std::tuple<NodeId, double, double, double>;
+  const auto key = [](const Match& m) {
+    std::vector<PinKey> k;
+    for (std::size_t p = 0; p < m.pin_binding.size(); ++p) {
+      const GatePin& pin = m.gate->pins[p];
+      k.emplace_back(m.pin_binding[p], pin.intrinsic, pin.drive, pin.cap);
+    }
+    std::sort(k.begin(), k.end());
+    return k;
+  };
+  return key(a) == key(b);
+}
+
+// The compact store lists find_matches without its zero-size matches, node
+// by node and in order, and tags each match with the index of the first
+// match of its duplicate class.
+TEST(Match, SubjectStoreListsFindMatchesWithClasses) {
+  std::size_t joined = 0;
+  for (const std::uint64_t seed : {3, 17, 42}) {
+    Network net = testing::random_network(seed, 12, 60, 5);
+    prepare_network(net);
+    for (int method = 0; method < 3; ++method) {
+      const Network subject =
+          decompose_network(net, decomp_options_for(static_cast<Method>(method),
+                                                    FlowOptions{}))
+              .network;
+      const SubjectMatches store =
+          enumerate_matches(subject, standard_library());
+      ASSERT_EQ(store.size(), subject.capacity());
+      std::size_t matches = 0;
+      std::size_t classes = 0;
+      for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity());
+           ++id) {
+        std::vector<Match> want =
+            find_matches(subject, id, standard_library());
+        std::erase_if(want, [](const Match& m) { return m.covered.empty(); });
+        const auto got = store.at(id);
+        ASSERT_EQ(got.size(), want.size()) << "node " << id;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].gate, want[i].gate);
+          const auto pins = store.pins(got[i]);
+          EXPECT_TRUE(std::equal(pins.begin(), pins.end(),
+                                 want[i].pin_binding.begin(),
+                                 want[i].pin_binding.end()));
+          std::size_t first = i;
+          for (std::size_t j = 0; j < i && first == i; ++j)
+            if (same_class(want[j], want[i])) first = j;
+          EXPECT_EQ(got[i].cls, first) << "node " << id << " match " << i;
+          if (first == i)
+            ++classes;
+          else
+            ++joined;
+        }
+        matches += want.size();
+      }
+      EXPECT_EQ(store.num_matches(), matches);
+      EXPECT_EQ(store.num_classes(), classes);
+    }
+  }
+  EXPECT_GT(joined, 100u);
+}
+
+// enumerate_matches reports its store: map.match_attempts counts matches,
+// map.match_classes the classes (one curve sweep each per mapping), and
+// map.match_store_bytes keeps the largest store, which holds one offset per
+// node slot, one entry per match and one node per pin binding.
+TEST(Match, StoreReportsClassesAndBytes) {
+  Network net = testing::random_network(17, 12, 60, 5);
+  prepare_network(net);
+  const Network subject =
+      decompose_network(net, decomp_options_for(Method::kII, FlowOptions{}))
+          .network;
+  metrics::Counter& attempts = metrics::counter("map.match_attempts");
+  metrics::Counter& classes = metrics::counter("map.match_classes");
+  const std::uint64_t attempts_before = attempts.value();
+  const std::uint64_t classes_before = classes.value();
+  const SubjectMatches store = enumerate_matches(subject, standard_library());
+  EXPECT_EQ(attempts.value() - attempts_before, store.num_matches());
+  EXPECT_EQ(classes.value() - classes_before, store.num_classes());
+  EXPECT_GT(store.num_classes(), 0u);
+  EXPECT_LT(store.num_classes(), store.num_matches());
+
+  std::size_t pins = 0;
+  for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id)
+    for (const SubjectMatches::Entry& m : store.at(id))
+      pins += store.pins(m).size();
+  EXPECT_EQ(store.bytes(),
+            (subject.capacity() + 1) * sizeof(std::uint32_t) +
+                store.num_matches() * sizeof(SubjectMatches::Entry) +
+                pins * sizeof(NodeId));
+  EXPECT_GE(metrics::gauge("map.match_store_bytes").value(), store.bytes());
 }
 
 }  // namespace
