@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <mutex>
 #include <ostream>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -544,66 +543,12 @@ Hash128 option_fingerprint(const FlowOptions& o, const Network& net) {
   return s.digest();
 }
 
-/// The result cache: a bounded LRU keyed on Hash128, guarded for
-/// concurrent readers. Lookups take the shared lock and refresh the entry's
-/// recency with a relaxed atomic stamp; inserts take the exclusive lock and
-/// evict the least-recently-stamped entries past capacity (an O(size) scan
-/// — inserts are rare next to the synthesis work an entry represents).
-/// Values are shared_ptr-owned, so a returned hit stays valid after its
-/// entry is evicted.
-class FlowSession::ResultCache {
- public:
-  explicit ResultCache(std::size_t capacity)
-      : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
-  std::shared_ptr<const FlowResult> lookup(const Hash128& key) {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    it->second.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                           std::memory_order_relaxed);
-    return it->second.value;
-  }
-
-  /// Returns the number of entries evicted to stay within capacity.
-  std::size_t insert(const Hash128& key,
-                     std::shared_ptr<const FlowResult> value) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry& e = map_[key];
-    e.value = std::move(value);
-    e.stamp.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    std::size_t evicted = 0;
-    while (map_.size() > capacity_) {
-      auto victim = map_.begin();
-      for (auto it = map_.begin(); it != map_.end(); ++it)
-        if (it->second.stamp.load(std::memory_order_relaxed) <
-            victim->second.stamp.load(std::memory_order_relaxed))
-          victim = it;
-      map_.erase(victim);
-      ++evicted;
-    }
-    return evicted;
-  }
-
- private:
-  struct Entry {
-    std::shared_ptr<const FlowResult> value;
-    std::atomic<std::uint64_t> stamp{0};
-  };
-
-  const std::size_t capacity_;
-  mutable std::shared_mutex mu_;
-  std::atomic<std::uint64_t> clock_{0};
-  std::unordered_map<Hash128, Entry, Hash128Fold> map_;
-};
-
 FlowSession::FlowSession(const Library& lib, EngineOptions options,
                          SessionOptions session)
     : lib_(lib), options_(std::move(options)), session_options_(session) {
   if (session_options_.enable_cache)
-    cache_ =
-        std::make_unique<ResultCache>(session_options_.result_cache_capacity);
+    cache_ = std::make_unique<LruCache<FlowResult>>(
+        session_options_.result_cache_capacity);
 }
 
 FlowSession::~FlowSession() = default;

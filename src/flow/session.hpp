@@ -46,10 +46,8 @@
 // canonical 128-bit structural hash of the network plus an option
 // fingerprint and the method, and keeps the mapped QoR rows in one bounded
 // LRU result cache (curves are consumed during mapping, so the cached unit
-// is the final method result). Lookups take a shared lock and stamp the
-// entry's recency with a relaxed atomic, inserts take the exclusive lock
-// and evict the least-recently-stamped entry past capacity. Values are
-// shared_ptr-owned, so a hit stays valid after eviction. Only ok/degraded
+// is the final method result; util/lru.hpp). Values are shared_ptr-owned,
+// so a hit stays valid after eviction. Only ok/degraded
 // results are cached — a failed task (deadline, fatal error) is load- or
 // request-specific and recomputes next time. Caching is off by default
 // (SessionOptions), so a plain session computes every distinct unit afresh
@@ -71,6 +69,7 @@
 #include "trace/metrics.hpp"
 #include "util/budget.hpp"
 #include "util/hash.hpp"
+#include "util/lru.hpp"
 
 namespace minpower {
 
@@ -178,12 +177,10 @@ class FlowSession {
   bool caching() const { return session_options_.enable_cache; }
 
  private:
-  class ResultCache;  // bounded LRU; defined in session.cpp
-
   const Library& lib_;
   EngineOptions options_;
   SessionOptions session_options_;
-  std::unique_ptr<ResultCache> cache_;
+  std::unique_ptr<LruCache<FlowResult>> cache_;  // null when caching is off
   /// Guards counters_ and stats_ (concurrent run_suite calls accumulate).
   mutable std::mutex stats_mu_;
   EngineCounters counters_;

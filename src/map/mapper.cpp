@@ -17,12 +17,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// A memoized candidate list of one input node for one pin timing. The list
 /// depends on nothing else that varies within a pass, so equal keys mean
-/// bit-identical lists.
+/// bit-identical lists. A node's entries form a chain through `next`.
 struct CandListEntry {
   double intrinsic;
   double drive;
   double cap;
   std::vector<InputCand>* list;  // owned by the pass's list pool
+  std::int32_t next;             // the node's next entry, or -1
 };
 
 /// The envelope a sweep builds. A breakpoint becomes a step when it is
@@ -87,7 +88,11 @@ std::vector<Curve> build_curves(const Network& subject,
   // addresses stable, `free_lists` recycles the lists of finished inputs.
   std::deque<std::vector<InputCand>> list_pool;
   std::vector<std::vector<InputCand>*> free_lists;
-  std::vector<std::vector<CandListEntry>> cand_memo(subject.capacity());
+  // The memo: one flat entry store for the pass, each node's entries
+  // chained from memo_head (-1: none). A recycled node's entries are just
+  // unlinked; the store only grows, by one entry per list built.
+  std::vector<CandListEntry> memo_entries;
+  std::vector<std::int32_t> memo_head(subject.capacity(), -1);
   std::size_t lists_built = 0;
   std::size_t lists_reused = 0;
   // Method 1 (Eq. 15) charges each input's output-load power at the
@@ -100,13 +105,15 @@ std::vector<Curve> build_curves(const Network& subject,
   // prefix-min cost: list[j].cost is the cheapest way to meet list[j].t.
   const auto cand_list = [&](NodeId s, const GatePin& pin)
       -> const std::vector<InputCand>& {
-    std::vector<CandListEntry>& memo = cand_memo[static_cast<std::size_t>(s)];
-    for (const CandListEntry& e : memo)
+    std::int32_t& head = memo_head[static_cast<std::size_t>(s)];
+    for (std::int32_t i = head; i >= 0; i = memo_entries[i].next) {
+      const CandListEntry& e = memo_entries[i];
       if (e.intrinsic == pin.intrinsic && e.drive == pin.drive &&
           e.cap == pin.cap) {
         ++lists_reused;
         return *e.list;
       }
+    }
     ++lists_built;
     std::vector<InputCand>* list;
     if (free_lists.empty()) {
@@ -115,7 +122,8 @@ std::vector<Curve> build_curves(const Network& subject,
       list = free_lists.back();
       free_lists.pop_back();
     }
-    memo.push_back({pin.intrinsic, pin.drive, pin.cap, list});
+    memo_entries.push_back({pin.intrinsic, pin.drive, pin.cap, list, head});
+    head = static_cast<std::int32_t>(memo_entries.size() - 1);
 
     const Curve& in = curve[static_cast<std::size_t>(s)];
     MP_CHECK(!in.empty());
@@ -239,11 +247,9 @@ std::vector<Curve> build_curves(const Network& subject,
     for (const SubjectMatches::Entry& m : ms)
       for (NodeId s : matches.pins(m)) {
         if (--pending_reads[static_cast<std::size_t>(s)] > 0) continue;
-        std::vector<CandListEntry>& memo =
-            cand_memo[static_cast<std::size_t>(s)];
-        for (const CandListEntry& e : memo)
-          free_lists.push_back(e.list);
-        memo.clear();
+        std::int32_t& head = memo_head[static_cast<std::size_t>(s)];
+        for (; head >= 0; head = memo_entries[head].next)
+          free_lists.push_back(memo_entries[head].list);
       }
   }
   metrics::counter("map.cand_lists_built").add(lists_built);

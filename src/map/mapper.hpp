@@ -109,6 +109,14 @@ MapResult map_network(const Network& subject, const Library& lib,
 MapResult map_network(const Network& subject, const Library& lib,
                       const MapOptions& options);
 
+/// MapResult::mapped points into `subject`, so a temporary subject would
+/// leave it dangling: both forms take an lvalue only.
+MapResult map_network(const Network&& subject, const Library& lib,
+                      const MapOptions& options,
+                      const SubjectMatches& matches) = delete;
+MapResult map_network(const Network&& subject, const Library& lib,
+                      const MapOptions& options) = delete;
+
 /// One candidate of a gate pin's input: through that pin, the input
 /// contributes arrival `t` to the gate's output at accumulated cost `cost`.
 /// The curve DP keeps one list per (input node, pin timing), sorted by t

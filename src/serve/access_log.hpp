@@ -4,14 +4,17 @@
 // handled by a connection worker:
 //
 //   {"id":7,"peer":"127.0.0.1:51324","verb":"FLOW","bytes_in":143,
-//    "bytes_out":2048,"outcome":"ok","wall_us":1234,"hits":12,"misses":0}
+//    "bytes_out":2048,"outcome":"ok","wall_us":1234,"hits":12,"misses":0,
+//    "prepared":true}
 //
 // `id` is the server's monotonic request counter (shared with STATS), so a
 // log line can be correlated with the `request` trace span carrying the
 // same request_id. `bytes_in` counts the FLOW payload (0 for verbs without
 // bodies), `bytes_out` the response body. `outcome` is "ok" for answered
 // requests, "error" for ERR responses, and the connection verbs report
-// themselves ("pong", "quit", "shutdown"). One line is built in memory and
+// themselves ("pong", "quit", "shutdown"). `prepared` is true when a FLOW
+// body was answered from the prepared-network memo (no parse, no
+// rugged-lite; serve/server.hpp). One line is built in memory and
 // appended with a single mutex-serialized fwrite + flush, so concurrent
 // workers never interleave bytes and a crashed server keeps every answered
 // request's record. Disabled (all calls no-ops) unless open() succeeded.
@@ -63,6 +66,7 @@ class AccessLog {
     std::uint64_t wall_us = 0;
     std::uint64_t hits = 0;    // session cache hits (FLOW only)
     std::uint64_t misses = 0;  // session cache misses (FLOW only)
+    bool prepared = false;     // prepared-network memo hit (FLOW only)
   };
 
   void write(const Entry& e) {
@@ -80,6 +84,7 @@ class AccessLog {
       w.field("wall_us", e.wall_us);
       w.field("hits", e.hits);
       w.field("misses", e.misses);
+      w.field("prepared", e.prepared);
       w.end_object();
     }
     line << '\n';

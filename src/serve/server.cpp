@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -124,7 +125,8 @@ Server::Server(const Library& lib, ServerOptions options)
           lib,
           EngineOptions{options_.flow, /*num_threads=*/1, {},
                         options_.verbose},
-          options_.session) {}
+          options_.session),
+      memo_(options_.session.result_cache_capacity / 6) {}
 
 Server::~Server() { stop(); }
 
@@ -262,6 +264,8 @@ ServeStats Server::stats() const {
   s.drain_rejections = drain_rejections_.load(std::memory_order_relaxed);
   s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
   s.inflight_peak = inflight_peak_.load(std::memory_order_relaxed);
+  s.prepare_hits = prepare_hits_.load(std::memory_order_relaxed);
+  s.prepare_misses = prepare_misses_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -440,6 +444,8 @@ void Server::serve_connection(int fd) {
           w.field("drain_rejections", st.drain_rejections);
           w.field("queue_depth_peak", st.queue_depth_peak);
           w.field("inflight_peak", st.inflight_peak);
+          w.field("prepare_hits", st.prepare_hits);
+          w.field("prepare_misses", st.prepare_misses);
           w.end_object();
           w.key("session");
           w.begin_object();
@@ -543,25 +549,51 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
   }
   if (!option_error.empty()) return err(option_error);
 
-  BlifError blif_error;
-  std::optional<Network> net;
+  // Parse plus rugged-lite depends on nothing but the body bytes: a body
+  // seen before runs on its stored prepared network.
+  std::shared_ptr<const PreparedMemo::Entry> hit;
+  Hash128 digest;
   {
-    trace::Span span("parse", "serve");
-    span.arg("bytes", static_cast<long long>(nbytes));
-    net = try_read_blif_string(blif, &blif_error);
+    trace::Span span("memo", "serve");
+    digest = PreparedMemo::digest(blif);
+    hit = memo_.find(digest, blif);
+    span.arg("hit", hit ? 1 : 0);
   }
-  if (!net) return err(blif_error.message, blif_error.line);
+  acc->prepared = hit != nullptr;
+  (hit ? prepare_hits_ : prepare_misses_).fetch_add(1,
+                                                    std::memory_order_relaxed);
+  metrics::counter(hit ? "serve.prepare_hits" : "serve.prepare_misses").add(1);
+
+  std::shared_ptr<PreparedMemo::Entry> fresh;
+  if (!hit) {
+    BlifError blif_error;
+    std::optional<Network> net;
+    {
+      trace::Span span("parse", "serve");
+      span.arg("bytes", static_cast<long long>(nbytes));
+      net = try_read_blif_string(blif, &blif_error);
+    }
+    if (!net) return err(blif_error.message, blif_error.line);
+    fresh = std::make_shared<PreparedMemo::Entry>(
+        PreparedMemo::Entry{std::move(blif), std::move(*net)});
+  }
 
   try {
     SessionStats delta;
     std::vector<FlowResult> results;
     {
       trace::Span span("session", "serve");
-      span.arg("circuit", net->name());
-      prepare_network(*net);
-      results = session_.run_circuit(*net, flow, &delta);
+      const Network& net = hit ? hit->net : fresh->net;
+      span.arg("circuit", net.name());
+      if (fresh) prepare_network(fresh->net);
+      results = session_.run_circuit(net, flow, &delta);
       span.arg("cache_hits", static_cast<long long>(delta.result_hits));
       span.arg("cache_misses", static_cast<long long>(delta.result_misses));
+    }
+    if (fresh) {
+      memo_.insert(digest, std::move(fresh));
+      metrics::gauge("serve.prepare_bytes_peak")
+          .record_max(memo_.stored_bytes());
     }
 
     // Canonical one-shot rendering: the counters a cold single-circuit

@@ -21,12 +21,21 @@
 //   SHUTDOWN                      → OK 0\n  (server begins shutdown)
 //   QUIT                          → connection closed
 //
+// Prepared-network memo: parse plus rugged-lite is a pure function of the
+// FLOW body bytes, so the server keeps the prepared Network of recent bodies
+// in a bounded LRU (util/lru.hpp) keyed on a digest of the bytes. A hit is
+// confirmed by comparing the stored bytes (the digest is not
+// cryptographic) and runs the session on the stored network; per-request
+// options still key the result cache. Bodies that fail to parse, and
+// requests that throw, are never stored.
+//
 // Observability (DESIGN.md §15): every FLOW request runs under a `request`
-// trace span (cat "serve", request_id arg) with parse/session/render child
-// phases and cache hit/miss args; `--access-log` appends one JSONL object
-// per request line (serve/access_log.hpp); METRICS scrapes the process
-// metrics registry as Prometheus text exposition (trace/prometheus.hpp)
-// without touching the STATS document.
+// trace span (cat "serve", request_id arg) with memo/parse/session/render
+// child phases (no parse on a memo hit) and cache hit/miss args;
+// `--access-log` appends one JSONL object per request line
+// (serve/access_log.hpp); METRICS scrapes the process metrics registry as
+// Prometheus text exposition (trace/prometheus.hpp) without touching the
+// STATS document.
 //
 // Recognized FLOW options: deadline_ms, bdd_limit, step_limit, vdd,
 // t_cycle, po_load, style=static|dynp|dynn. Anything else is a structured
@@ -50,13 +59,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "flow/session.hpp"
 #include "serve/access_log.hpp"
+#include "util/hash.hpp"
+#include "util/lru.hpp"
 
 namespace minpower::serve {
 
@@ -98,6 +111,54 @@ struct ServeStats {
   std::uint64_t drain_rejections = 0; // requests refused during drain
   std::uint64_t queue_depth_peak = 0;
   std::uint64_t inflight_peak = 0;
+  std::uint64_t prepare_hits = 0;     // FLOW bodies served from the memo
+  std::uint64_t prepare_misses = 0;   // FLOW bodies parsed afresh
+};
+
+/// Cap on the request bytes the prepared-network memo stores, summed over
+/// its entries. Without it, hundreds of entries of up to max_request_bytes
+/// each could pin gigabytes.
+inline constexpr std::size_t kPreparedMemoBytes = std::size_t{64} << 20;
+
+/// FLOW body bytes → the network try_read_blif_string + prepare_network
+/// made of them, in a bounded LRU keyed on a StreamHash digest of the bytes.
+class PreparedMemo {
+ public:
+  struct Entry {
+    std::string bytes;
+    Network net;
+  };
+
+  /// At most `max_entries` entries and kPreparedMemoBytes stored bytes.
+  explicit PreparedMemo(std::size_t max_entries)
+      : lru_(max_entries, kPreparedMemoBytes) {}
+
+  static Hash128 digest(std::string_view bytes) {
+    StreamHash h;
+    h.str(bytes);
+    return h.digest();
+  }
+
+  /// The entry stored under `key` if its bytes are exactly `bytes`. The
+  /// digest is not cryptographic and the bytes come from clients, so the
+  /// key alone never decides a hit.
+  std::shared_ptr<const Entry> find(const Hash128& key,
+                                    std::string_view bytes) {
+    std::shared_ptr<const Entry> e = lru_.lookup(key);
+    if (e && e->bytes != bytes) return nullptr;
+    return e;
+  }
+
+  void insert(const Hash128& key, std::shared_ptr<const Entry> e) {
+    const std::size_t weight = e->bytes.size();
+    lru_.insert(key, std::move(e), weight);
+  }
+
+  std::size_t size() const { return lru_.size(); }
+  std::size_t stored_bytes() const { return lru_.weight(); }
+
+ private:
+  LruCache<Entry> lru_;
 };
 
 class Server {
@@ -136,6 +197,7 @@ class Server {
 
   FlowSession& session() { return session_; }
   ServeStats stats() const;
+  const PreparedMemo& memo() const { return memo_; }
 
  private:
   void accept_loop();
@@ -144,10 +206,12 @@ class Server {
   void serve_connection(int fd);
   bool handle_flow(int fd, LineReader& reader, const std::string& line,
                    AccessLog::Entry* acc);
-
   const Library& lib_;
   ServerOptions options_;
   FlowSession session_;
+  /// One circuit fills six result rows, so the memo holds a sixth of the
+  /// result cache's entries.
+  PreparedMemo memo_;
   AccessLog access_log_;
 
   int listen_fd_ = -1;
@@ -177,6 +241,8 @@ class Server {
   std::atomic<std::uint64_t> queue_depth_peak_{0};
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> inflight_peak_{0};
+  std::atomic<std::uint64_t> prepare_hits_{0};
+  std::atomic<std::uint64_t> prepare_misses_{0};
 };
 
 }  // namespace minpower::serve

@@ -8,8 +8,10 @@
 // the mixing cost of a single 64-bit state — negligible next to the
 // synthesis work the hash guards.
 //
-// This is NOT a cryptographic hash: keys are derived from trusted in-process
-// network structures, not attacker-controlled input.
+// This is NOT a cryptographic hash: a client can construct colliding
+// inputs. The session keys digest in-process network structures; the serve
+// layer's prepared-network memo digests raw request bytes, so it confirms
+// every hit by comparing the stored bytes (serve/server.cpp).
 
 #include <cstdint>
 #include <cstring>

@@ -1,8 +1,12 @@
 #pragma once
-// Shared test utilities: exhaustive evaluation, random small networks, and
-// brute-force probability computation used as oracles.
+// Shared test utilities: exhaustive evaluation, random small networks,
+// brute-force probability computation used as oracles, and declaration-order
+// permutations of BLIF text.
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
@@ -83,6 +87,56 @@ inline std::vector<double> random_probs(Rng& rng, int n, double lo = 0.05,
   std::vector<double> p(static_cast<std::size_t>(n));
   for (double& x : p) x = rng.uniform(lo, hi);
   return p;
+}
+
+/// Split a BLIF document into (header lines, .names blocks, trailer) so the
+/// blocks can be permuted. Assumes write_blif output: one .names header
+/// followed by its cube rows.
+struct BlifPieces {
+  std::vector<std::string> header;               // .model/.inputs/.outputs
+  std::vector<std::vector<std::string>> blocks;  // .names + cube rows
+  std::vector<std::string> trailer;              // .end
+};
+
+inline BlifPieces split_blif(const std::string& text) {
+  BlifPieces p;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(".names", 0) == 0) {
+      p.blocks.push_back({line});
+    } else if (line.rfind(".end", 0) == 0) {
+      p.trailer.push_back(line);
+    } else if (p.blocks.empty()) {
+      p.header.push_back(line);
+    } else {
+      p.blocks.back().push_back(line);  // cube row of the open block
+    }
+  }
+  return p;
+}
+
+inline std::string join_blif(const BlifPieces& p) {
+  std::string out;
+  for (const std::string& l : p.header) out += l + "\n";
+  for (const auto& b : p.blocks)
+    for (const std::string& l : b) out += l + "\n";
+  for (const std::string& l : p.trailer) out += l + "\n";
+  return out;
+}
+
+/// Reverse the .inputs token order (a PI declaration-order permutation).
+inline void permute_inputs(BlifPieces* p) {
+  for (std::string& line : p->header) {
+    if (line.rfind(".inputs", 0) != 0) continue;
+    std::istringstream in(line);
+    std::string tok;
+    std::vector<std::string> toks;
+    while (in >> tok) toks.push_back(tok);
+    std::reverse(toks.begin() + 1, toks.end());
+    line = toks.front();
+    for (std::size_t i = 1; i < toks.size(); ++i) line += " " + toks[i];
+  }
 }
 
 }  // namespace minpower::testing

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
@@ -25,6 +26,30 @@ Network decomposed(std::uint64_t seed, int pi = 6, int nodes = 12, int po = 3) {
   Network raw = testing::random_network(seed, pi, nodes, po);
   NetworkDecompOptions d;
   return decompose_network(raw, d).network;
+}
+
+// MapResult::mapped points into the subject, so map_network must reject a
+// temporary one: `map_network(make_subject(seed), lib, o)` once compiled and
+// left the result dangling.
+template <class Subject>
+concept Mappable = requires(Subject&& s, const Library& lib,
+                            const MapOptions& o) {
+  map_network(std::forward<Subject>(s), lib, o);
+};
+template <class Subject>
+concept MappableWithMatches = requires(Subject&& s, const Library& lib,
+                                       const MapOptions& o,
+                                       const SubjectMatches& m) {
+  map_network(std::forward<Subject>(s), lib, o, m);
+};
+
+TEST(Mapper, TemporarySubjectDoesNotCompile) {
+  static_assert(Mappable<Network&> && Mappable<const Network&>);
+  static_assert(MappableWithMatches<Network&> &&
+                MappableWithMatches<const Network&>);
+  static_assert(!Mappable<Network> && !Mappable<const Network>);
+  static_assert(!MappableWithMatches<Network> &&
+                !MappableWithMatches<const Network>);
 }
 
 TEST(Mapper, MapsTinyAnd) {

@@ -21,12 +21,15 @@
 #include <string>
 #include <vector>
 
+#include "benchgen/benchgen.hpp"
 #include "helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
 #include "serve/client.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+#include "serve_helpers.hpp"
+#include "trace/metrics.hpp"
 #include "util/json_reader.hpp"
 
 namespace minpower {
@@ -112,6 +115,9 @@ TEST(Serve, PingFlowAndStatsRoundTrip) {
   ASSERT_TRUE(stats_doc.has_value()) << parse_error;
   EXPECT_EQ(stats_doc->find("schema")->string, "minpower.serve.v1");
   EXPECT_GE(stats_doc->find("session")->find("result_hits")->number, 6.0);
+  // The second body was served from the prepared-network memo.
+  EXPECT_EQ(stats_doc->find("serve")->find("prepare_hits")->number, 1.0);
+  EXPECT_EQ(stats_doc->find("serve")->find("prepare_misses")->number, 1.0);
 }
 
 TEST(Serve, FlowOptionsChangeTheCacheKey) {
@@ -482,7 +488,8 @@ TEST(Serve, AccessLogRecordsOneJsonLinePerRequest) {
     ASSERT_TRUE(doc.has_value()) << parse_error << ": " << line;
     // Full schema on every line, even for body-less verbs.
     for (const char* key : {"id", "peer", "verb", "bytes_in", "bytes_out",
-                            "outcome", "wall_us", "hits", "misses"}) {
+                            "outcome", "wall_us", "hits", "misses",
+                            "prepared"}) {
       ASSERT_NE(doc->find(key), nullptr) << key << " missing in " << line;
     }
     const auto id = static_cast<std::uint64_t>(doc->find("id")->number);
@@ -498,6 +505,7 @@ TEST(Serve, AccessLogRecordsOneJsonLinePerRequest) {
       EXPECT_GT(doc->find("bytes_in")->number, 0.0);
       EXPECT_GT(doc->find("bytes_out")->number, 0.0);
       EXPECT_EQ(doc->find("misses")->number, 6.0) << line;
+      EXPECT_FALSE(doc->find("prepared")->boolean) << line;
     }
   }
   EXPECT_TRUE(saw_flow);
@@ -509,6 +517,145 @@ TEST(Serve, AccessLogRecordsOneJsonLinePerRequest) {
   EXPECT_NE(std::find(verbs.begin(), verbs.end(), "PING"), verbs.end());
   EXPECT_NE(std::find(verbs.begin(), verbs.end(), "METRICS"), verbs.end());
   std::remove(log_path.c_str());
+}
+
+// A repeated body is answered from the prepared-network memo, without
+// parse or rugged-lite; its response must not differ from the cold one by a
+// byte. The warm request carries a comment line, so it misses the memo but
+// hits the result cache.
+TEST(Serve, SuiteBodiesAreIdenticalColdWarmAndFromTheMemo) {
+  ServeFixture fx;
+  serve::Client c = fx.connect();
+  std::string error;
+  for (const BenchProfile& p : paper_suite()) {
+    SCOPED_TRACE(p.name);
+    const std::string blif = write_blif_string(generate_benchmark(p));
+    serve::Response cold, warm, memo;
+    ASSERT_TRUE(c.flow(blif, {}, &cold, &error)) << error;
+    ASSERT_TRUE(cold.ok) << cold.body;
+    EXPECT_EQ(cold.misses, 6u);
+    ASSERT_TRUE(c.flow("# warm\n" + blif, {}, &warm, &error)) << error;
+    ASSERT_TRUE(warm.ok) << warm.body;
+    EXPECT_EQ(warm.hits, 6u);
+    ASSERT_TRUE(c.flow(blif, {}, &memo, &error)) << error;
+    ASSERT_TRUE(memo.ok) << memo.body;
+    EXPECT_EQ(memo.hits, 6u);
+    EXPECT_EQ(cold.body, warm.body);
+    EXPECT_EQ(cold.body, memo.body);
+  }
+  fx.server.stop();
+  const serve::ServeStats st = fx.server.stats();
+  EXPECT_EQ(st.prepare_hits, paper_suite().size());
+  EXPECT_EQ(st.prepare_misses, 2 * paper_suite().size());
+}
+
+TEST(Serve, PermutedBlifMissesTheMemoButHitsTheResultCache) {
+  ServeFixture fx;
+  serve::Client c = fx.connect();
+  std::string error;
+  const std::string blif = small_blif();
+  // The same network with its .inputs and each block's cube rows reversed.
+  // (Reordering whole .names blocks can change what rugged-lite makes of a
+  // network, so it is not done here.)
+  testing::BlifPieces p = testing::split_blif(blif);
+  testing::permute_inputs(&p);
+  for (auto& b : p.blocks)
+    if (b.size() > 2) std::reverse(b.begin() + 1, b.end());
+  const std::string permuted = testing::join_blif(p);
+  ASSERT_NE(permuted, blif);
+  serve::Response r;
+  ASSERT_TRUE(c.flow(blif, {}, &r, &error)) << error;
+  ASSERT_TRUE(r.ok) << r.body;
+  ASSERT_TRUE(c.flow(permuted, {}, &r, &error)) << error;
+  ASSERT_TRUE(r.ok) << r.body;
+  EXPECT_EQ(r.hits, 6u);
+  EXPECT_EQ(r.misses, 0u);
+  fx.server.stop();
+  EXPECT_EQ(fx.server.stats().prepare_hits, 0u);
+  EXPECT_EQ(fx.server.stats().prepare_misses, 2u);
+  EXPECT_EQ(fx.server.memo().size(), 2u);
+}
+
+TEST(ServeMemo, SameDigestWithOtherBytesIsAMiss) {
+  serve::PreparedMemo memo(4);
+  const std::string bytes = small_blif();
+  const Hash128 key = serve::PreparedMemo::digest(bytes);
+  memo.insert(key, std::make_shared<const serve::PreparedMemo::Entry>(
+                       serve::PreparedMemo::Entry{bytes, Network("n")}));
+  EXPECT_NE(memo.find(key, bytes), nullptr);
+  // A colliding body: same key, other bytes (one byte changed, one
+  // dropped, one appended).
+  std::string flipped = bytes;
+  flipped[0] ^= 1;
+  EXPECT_EQ(memo.find(key, flipped), nullptr);
+  EXPECT_EQ(memo.find(key, bytes.substr(0, bytes.size() - 1)), nullptr);
+  EXPECT_EQ(memo.find(key, bytes + " "), nullptr);
+  EXPECT_EQ(memo.find(Hash128{key.a + 1, key.b}, bytes), nullptr);
+  EXPECT_EQ(memo.stored_bytes(), bytes.size());
+}
+
+TEST(Serve, MemoStaysWithinItsBoundsOverDistinctRequests) {
+  serve::ServerOptions so;
+  so.session.result_cache_capacity = 18;  // room for 3 memo entries
+  ServeFixture fx(so);
+  serve::Client c = fx.connect();
+  std::string error;
+  std::vector<std::size_t> sizes;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::string blif = write_blif_string(
+        testing::random_network(seed, /*num_pi=*/5, /*num_nodes=*/8,
+                                /*num_po=*/2));
+    serve::Response r;
+    ASSERT_TRUE(c.flow(blif, {}, &r, &error)) << error;
+    ASSERT_TRUE(r.ok) << r.body;
+    sizes.push_back(blif.size());
+    EXPECT_LE(fx.server.memo().size(), 3u);
+    EXPECT_LE(fx.server.memo().stored_bytes(), serve::kPreparedMemoBytes);
+  }
+  // The three most recent bodies are the ones kept.
+  EXPECT_EQ(fx.server.memo().size(), 3u);
+  EXPECT_EQ(fx.server.memo().stored_bytes(),
+            sizes[5] + sizes[6] + sizes[7]);
+  EXPECT_LE(metrics::gauge("serve.prepare_bytes_peak").value(),
+            serve::kPreparedMemoBytes);
+}
+
+TEST(Serve, RepeatedBadBlifAnswersTheSameErrorAndIsNeverMemoized) {
+  ServeFixture fx;
+  serve::Client c = fx.connect();
+  std::string error;
+  const std::string bad =
+      ".model broken\n.inputs a\n.outputs z\n.names a z\n2 1\n.end\n";
+  serve::Response first, second;
+  ASSERT_TRUE(c.flow(bad, {}, &first, &error)) << error;
+  ASSERT_TRUE(c.flow(bad, {}, &second, &error)) << error;
+  EXPECT_FALSE(first.ok);
+  EXPECT_FALSE(second.ok);
+  EXPECT_EQ(first.body, second.body);
+  fx.server.stop();
+  EXPECT_EQ(fx.server.stats().prepare_hits, 0u);
+  EXPECT_EQ(fx.server.stats().prepare_misses, 2u);
+  EXPECT_EQ(fx.server.memo().size(), 0u);
+}
+
+TEST(Serve, SameBytesUnderANewOptionHitTheMemoAndMissTheResultCache) {
+  ServeFixture fx;
+  serve::Client c = fx.connect();
+  std::string error;
+  const std::string blif = small_blif();
+  serve::Response r;
+  ASSERT_TRUE(c.flow(blif, {}, &r, &error)) << error;
+  ASSERT_TRUE(r.ok) << r.body;
+  ASSERT_TRUE(c.flow(blif, {"vdd=3.3"}, &r, &error)) << error;
+  ASSERT_TRUE(r.ok) << r.body;
+  EXPECT_EQ(r.hits, 0u);
+  EXPECT_EQ(r.misses, 6u);
+  FlowOptions low;
+  low.vdd = 3.3;
+  EXPECT_EQ(r.body, testing::one_shot_body(standard_library(), blif, low));
+  fx.server.stop();
+  EXPECT_EQ(fx.server.stats().prepare_hits, 1u);
+  EXPECT_EQ(fx.server.stats().prepare_misses, 1u);
 }
 
 TEST(Serve, ShutdownRequestEndsWait) {

@@ -9,13 +9,14 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <sstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "flow/session.hpp"
 #include "helpers.hpp"
+#include "serve_helpers.hpp"
 #include "io/blif.hpp"
 #include "library/library.hpp"
 #include "serve/client.hpp"
@@ -33,29 +34,6 @@ std::uint64_t base_seed() {
   return 1234;
 }
 
-/// The body `minpower serve` must produce for this BLIF: parse + prepare
-/// exactly like the server, run a cache-off one-shot engine, render with the
-/// serve policy (no metrics, zeroed wall times, canonical counters).
-std::string expected_body(const Library& lib, const std::string& blif) {
-  BlifError blif_error;
-  std::optional<Network> net = try_read_blif_string(blif, &blif_error);
-  EXPECT_TRUE(net.has_value()) << blif_error.message;
-  prepare_network(*net);
-  FlowSession engine(lib);
-  const std::vector<FlowResult> results = engine.run_circuit(*net);
-  EngineCounters counters;
-  counters.decomp_passes = 3;
-  counters.activity_passes = 3;
-  counters.map_passes = 6;
-  FlowJsonPolicy policy;
-  policy.include_metrics = false;
-  policy.zero_wall_times = true;
-  std::ostringstream body;
-  write_flow_json(body, {results}, counters, /*num_threads=*/1,
-                  /*elapsed_ms=*/0.0, lib.name(), policy);
-  return body.str();
-}
-
 TEST(ServeStress, ConcurrentClientsGetByteIdenticalResponses) {
   constexpr std::size_t kCircuits = 4;
   constexpr std::size_t kThreads = 6;
@@ -69,7 +47,7 @@ TEST(ServeStress, ConcurrentClientsGetByteIdenticalResponses) {
   for (std::size_t k = 0; k < kCircuits; ++k) {
     Network net = random_network(seed + k);
     blifs.push_back(write_blif_string(net));
-    expected.push_back(expected_body(lib, blifs.back()));
+    expected.push_back(testing::one_shot_body(lib, blifs.back()));
   }
   ASSERT_FALSE(::testing::Test::HasFailure());
 
@@ -145,6 +123,74 @@ TEST(ServeStress, ConcurrentClientsGetByteIdenticalResponses) {
   EXPECT_EQ(st.flow_ok, kThreads * kRequestsPerThread);
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(st.busy_rejections, 0u);
+}
+
+TEST(ServeStress, MemoLookupsRaceInsertsOverIdenticalAndDistinctBodies) {
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kCircuits = 4;
+  constexpr std::size_t kRounds = 6;
+
+  const Library& lib = standard_library();
+  const std::uint64_t seed = base_seed() + 100;
+  std::vector<std::string> blifs;
+  std::vector<std::string> expected;
+  for (std::size_t k = 0; k < kCircuits; ++k) {
+    blifs.push_back(write_blif_string(random_network(seed + k)));
+    expected.push_back(testing::one_shot_body(lib, blifs.back()));
+  }
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  serve::ServerOptions so;
+  so.workers = kClients;
+  serve::Server server(lib, so);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  // Even rounds send a circuit's exact bytes, which every client shares;
+  // odd rounds prefix a comment naming the client, so the bytes are the
+  // client's own (a memo entry of their own) but the network is the same.
+  const auto body_of = [&](std::size_t c, std::size_t r) {
+    const std::string& blif = blifs[(c + r) % kCircuits];
+    return r % 2 == 0 ? blif : "# client " + std::to_string(c) + "\n" + blif;
+  };
+  std::set<std::string> distinct;
+  for (std::size_t c = 0; c < kClients; ++c)
+    for (std::size_t r = 0; r < kRounds; ++r) distinct.insert(body_of(c, r));
+
+  std::mutex failures_mu;
+  std::vector<std::string> failures;
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      auto fail = [&](const std::string& message) {
+        std::lock_guard<std::mutex> lock(failures_mu);
+        failures.push_back("client " + std::to_string(c) + ": " + message);
+      };
+      serve::Client client;
+      std::string err;
+      if (!client.connect("127.0.0.1", server.port(), &err))
+        return fail("connect: " + err);
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        serve::Response resp;
+        if (!client.flow(body_of(c, r), {}, &resp, &err) || !resp.ok)
+          return fail("round " + std::to_string(r) + ": " + err + resp.body);
+        if (resp.body != expected[(c + r) % kCircuits])
+          fail("round " + std::to_string(r) + ": body differs from one-shot");
+      }
+    });
+  for (std::thread& t : clients) t.join();
+  server.stop();
+  for (const std::string& f : failures) ADD_FAILURE() << f;
+
+  // Round 4 resends what the same client sent, and was answered, in
+  // round 0: at least one memo hit per client. Nothing is evicted, so the
+  // memo holds each distinct body once, however the inserts raced.
+  const serve::ServeStats st = server.stats();
+  EXPECT_EQ(st.flow_ok, kClients * kRounds);
+  EXPECT_EQ(st.prepare_hits + st.prepare_misses, kClients * kRounds);
+  EXPECT_GE(st.prepare_hits, kClients);
+  EXPECT_GE(st.prepare_misses, distinct.size());
+  EXPECT_EQ(server.memo().size(), distinct.size());
 }
 
 }  // namespace

@@ -23,7 +23,11 @@
 namespace minpower {
 namespace {
 
+using testing::BlifPieces;
+using testing::join_blif;
+using testing::permute_inputs;
 using testing::random_network;
+using testing::split_blif;
 
 std::string to_blif(const Network& net) {
   std::ostringstream os;
@@ -36,56 +40,6 @@ Network from_blif(const std::string& text) {
   std::optional<Network> net = try_read_blif_string(text, &err);
   EXPECT_TRUE(net.has_value()) << err.to_string();
   return std::move(*net);
-}
-
-/// Split a BLIF document into (header lines, .names blocks, trailer) so the
-/// blocks can be permuted. Assumes write_blif output: one .names header
-/// followed by its cube rows.
-struct BlifPieces {
-  std::vector<std::string> header;               // .model/.inputs/.outputs
-  std::vector<std::vector<std::string>> blocks;  // .names + cube rows
-  std::vector<std::string> trailer;              // .end
-};
-
-BlifPieces split_blif(const std::string& text) {
-  BlifPieces p;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind(".names", 0) == 0) {
-      p.blocks.push_back({line});
-    } else if (line.rfind(".end", 0) == 0) {
-      p.trailer.push_back(line);
-    } else if (p.blocks.empty()) {
-      p.header.push_back(line);
-    } else {
-      p.blocks.back().push_back(line);  // cube row of the open block
-    }
-  }
-  return p;
-}
-
-std::string join_blif(const BlifPieces& p) {
-  std::string out;
-  for (const std::string& l : p.header) out += l + "\n";
-  for (const auto& b : p.blocks)
-    for (const std::string& l : b) out += l + "\n";
-  for (const std::string& l : p.trailer) out += l + "\n";
-  return out;
-}
-
-/// Reverse the .inputs token order (a PI declaration-order permutation).
-void permute_inputs(BlifPieces* p) {
-  for (std::string& line : p->header) {
-    if (line.rfind(".inputs", 0) != 0) continue;
-    std::istringstream in(line);
-    std::string tok;
-    std::vector<std::string> toks;
-    while (in >> tok) toks.push_back(tok);
-    std::reverse(toks.begin() + 1, toks.end());
-    line = toks.front();
-    for (std::size_t i = 1; i < toks.size(); ++i) line += " " + toks[i];
-  }
 }
 
 TEST(StructuralHash, InvariantUnderDeclarationPermutations) {
@@ -345,6 +299,37 @@ TEST(FlowSession, FaultInjectionBypassesCache) {
   EXPECT_EQ(rs[0].status.state, TaskState::kFailed);
   EXPECT_EQ(rs[3].status.state, TaskState::kFailed);
   EXPECT_EQ(rs[1].status.state, TaskState::kOk);
+}
+
+// The one LRU behind the result cache and the serve memo: both bounds,
+// least-recently-used first, and hits that outlive their entry.
+TEST(LruCache, EvictsLeastRecentlyUsedWithinEntryAndWeightBounds) {
+  const auto key = [](std::uint64_t i) { return Hash128{i, ~i}; };
+  LruCache<int> lru(/*capacity=*/3, /*max_weight=*/10);
+  EXPECT_EQ(lru.insert(key(1), std::make_shared<const int>(1), 4), 0u);
+  EXPECT_EQ(lru.insert(key(2), std::make_shared<const int>(2), 4), 0u);
+  const std::shared_ptr<const int> one = lru.lookup(key(1));  // 2 is oldest
+  ASSERT_NE(one, nullptr);
+  // 4 + 4 + 4 > 10: the weight bound evicts the least recent, key 2.
+  EXPECT_EQ(lru.insert(key(3), std::make_shared<const int>(3), 4), 1u);
+  EXPECT_EQ(lru.lookup(key(2)), nullptr);
+  EXPECT_EQ(lru.size(), 2u);
+  EXPECT_EQ(lru.weight(), 8u);
+  // Light entries: now the entry bound (3) decides; key 1 is oldest.
+  EXPECT_EQ(lru.insert(key(4), std::make_shared<const int>(4), 1), 0u);
+  EXPECT_EQ(lru.insert(key(5), std::make_shared<const int>(5), 1), 1u);
+  EXPECT_EQ(lru.lookup(key(1)), nullptr);
+  EXPECT_EQ(*one, 1);  // a returned hit outlives its eviction
+  EXPECT_EQ(lru.size(), 3u);
+  EXPECT_EQ(lru.weight(), 6u);
+  // Replacing a key reweighs it; a value heavier than the bound on its own
+  // is not stored and evicts nothing.
+  EXPECT_EQ(lru.insert(key(3), std::make_shared<const int>(30), 2), 0u);
+  EXPECT_EQ(*lru.lookup(key(3)), 30);
+  EXPECT_EQ(lru.weight(), 4u);
+  EXPECT_EQ(lru.insert(key(6), std::make_shared<const int>(6), 11), 0u);
+  EXPECT_EQ(lru.lookup(key(6)), nullptr);
+  EXPECT_EQ(lru.size(), 3u);
 }
 
 }  // namespace

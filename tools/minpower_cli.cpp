@@ -794,14 +794,17 @@ int cmd_serve(const Args& a) {
   const SessionStats ss = server.session().stats();
   std::fprintf(stderr,
                "serve: %llu requests (%llu flow ok, %llu errors, %llu busy); "
-               "cache hits=%llu misses=%llu evictions=%llu\n",
+               "cache hits=%llu misses=%llu evictions=%llu; "
+               "prepared hits=%llu misses=%llu\n",
                static_cast<unsigned long long>(s.requests),
                static_cast<unsigned long long>(s.flow_ok),
                static_cast<unsigned long long>(s.errors),
                static_cast<unsigned long long>(s.busy_rejections),
                static_cast<unsigned long long>(ss.result_hits),
                static_cast<unsigned long long>(ss.result_misses),
-               static_cast<unsigned long long>(ss.evictions));
+               static_cast<unsigned long long>(ss.evictions),
+               static_cast<unsigned long long>(s.prepare_hits),
+               static_cast<unsigned long long>(s.prepare_misses));
   return 0;
 }
 
