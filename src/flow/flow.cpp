@@ -35,8 +35,7 @@ const char* method_name(Method m) {
 }
 
 bool method_from_name(const std::string& name, Method* out) {
-  for (const Method m : {Method::kI, Method::kII, Method::kIII, Method::kIV,
-                         Method::kV, Method::kVI}) {
+  for (const Method m : kMethods) {
     if (name == method_name(m)) {
       *out = m;
       return true;

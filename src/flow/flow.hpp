@@ -31,6 +31,11 @@ namespace minpower {
 
 enum class Method { kI, kII, kIII, kIV, kV, kVI };
 
+/// Every method in slot order: a circuit's result row holds its six methods
+/// in this order, and method index m belongs to decomposition group m % 3.
+inline constexpr Method kMethods[] = {Method::kI,  Method::kII, Method::kIII,
+                                      Method::kIV, Method::kV,  Method::kVI};
+
 const char* method_name(Method m);
 
 /// Inverse of method_name ("I".."VI"); false when `name` is not a method.

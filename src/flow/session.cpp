@@ -23,12 +23,6 @@ namespace minpower {
 
 namespace {
 
-/// Methods in slot order. Method index m belongs to decomposition group
-/// m % 3 — I/IV → 0 (balanced), II/V → 1 (MINPOWER), III/VI → 2
-/// (BH-MINPOWER) — and kMethods[g] derives group g's (shared) options.
-constexpr Method kMethods[6] = {Method::kI,  Method::kII, Method::kIII,
-                                Method::kIV, Method::kV,  Method::kVI};
-
 /// The stage-0 product of one circuit: its source network's per-node signal
 /// probabilities, which every decomposition group of the circuit reads.
 struct SourcePass {
@@ -273,6 +267,8 @@ void compute_group(const RunInputs& in, const Network& net, std::size_t group,
     g.status.state = TaskState::kFailed;
     g.status.reason = std::move(reason);
   };
+  // Group g serves methods g and g + 3 (I/IV balanced, II/V MINPOWER,
+  // III/VI BH-MINPOWER); kMethods[g] derives the group's shared options.
   NetworkDecompOptions d = decomp_options_for(kMethods[group], flow);
   d.node_prob = source.prob;
   reset_bounded_exact_fallbacks();
@@ -816,6 +812,21 @@ void write_flow_json(std::ostream& os,
   os << '\n';
 }
 
+void write_canonical_flow_json(
+    std::ostream& os, const std::vector<std::vector<FlowResult>>& per_circuit,
+    unsigned num_threads, const std::string& library_name) {
+  const int n = static_cast<int>(per_circuit.size());
+  EngineCounters counters;
+  counters.decomp_passes = 3 * n;
+  counters.activity_passes = 3 * n;
+  counters.map_passes = 6 * n;
+  FlowJsonPolicy policy;
+  policy.include_metrics = false;
+  policy.zero_wall_times = true;
+  write_flow_json(os, per_circuit, counters, num_threads, /*elapsed_ms=*/0.0,
+                  library_name, policy);
+}
+
 void write_flow_result_json(JsonWriter& w, const FlowResult& r,
                             const FlowJsonPolicy& policy) {
   const auto wall = [&policy](double ms) {
@@ -865,11 +876,9 @@ namespace {
 
 const JsonValue* cell_member(const JsonValue& obj, const char* key,
                              JsonValue::Kind kind, std::string* error) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != kind) {
+  const JsonValue* v = obj.find(key, kind);
+  if (v == nullptr)
     set_error(error, std::string("missing or mistyped field '") + key + "'");
-    return nullptr;
-  }
   return v;
 }
 

@@ -219,6 +219,17 @@ void write_flow_json(std::ostream& os,
                      double elapsed_ms, const std::string& library_name,
                      const FlowJsonPolicy& policy = {});
 
+/// The canonical `minpower.flow.v1` rendering of a result grid: zeroed wall
+/// times, no metrics block, and the engine counters a cold uncached run
+/// reports, derived from the grid (3 decompositions, 3 activity passes and
+/// 6 mappings per circuit). It depends on the cells alone, so a sharded
+/// run, its journal resume, a serve response and the client's merge of
+/// responses render the same cells byte-identically. `num_threads` is the
+/// header's value: sharded runs record their shard count, serve 1.
+void write_canonical_flow_json(
+    std::ostream& os, const std::vector<std::vector<FlowResult>>& per_circuit,
+    unsigned num_threads, const std::string& library_name);
+
 /// Render one method cell exactly as it appears in the `methods[]` array of
 /// `minpower.flow.v1` (the inner loop of write_flow_json). The shard journal
 /// and the pipe protocol between shard workers and the supervisor serialize

@@ -42,6 +42,7 @@ bool parse_point(const JsonValue& obj, TrajectoryPoint* out) {
   out->threads = obj.number_or("threads");
   out->shards = obj.number_or("shards");
   out->wall_ms = obj.number_or("wall_ms");
+  out->map_curve_cap = obj.number_or<std::uint64_t>("map_curve_cap");
   out->peak_bdd_nodes = obj.number_or("peak_bdd_nodes");
   out->peak_bdd_node_bytes = obj.number_or("peak_bdd_node_bytes");
   out->peak_bdd_arena_bytes = obj.number_or("peak_bdd_arena_bytes");
@@ -117,6 +118,40 @@ bool load_trajectory_file(const std::string& path, TrajectoryDoc* out,
   std::stringstream buf;
   buf << in.rdbuf();
   return load_trajectory(buf.str(), path, out, error);
+}
+
+void write_trajectory_point(std::ostream& os, const TrajectoryPoint& p) {
+  {
+    JsonWriter w(os, /*pretty=*/false);
+    w.begin_object();
+    w.field("schema", "minpower.bench_trajectory.v1");
+    w.field("family", p.family);
+    w.field("seed", static_cast<unsigned long long>(p.seed));
+    w.field("target_gates", static_cast<unsigned long long>(p.target_gates));
+    w.field("gates", p.gates);
+    w.field("suite", p.suite);
+    w.field("threads", p.threads);
+    w.field("shards", p.shards);
+    w.field("wall_ms", p.wall_ms);
+    w.field("map_curve_cap", static_cast<unsigned long long>(p.map_curve_cap));
+    w.field("peak_bdd_nodes", p.peak_bdd_nodes);
+    w.field("peak_bdd_node_bytes", p.peak_bdd_node_bytes);
+    w.field("peak_bdd_arena_bytes", p.peak_bdd_arena_bytes);
+    w.field("peak_rss_kb", p.peak_rss_kb);
+    w.field("degradations", p.degradations);
+    w.field("failures", p.failures);
+    w.field("retries", p.retries);
+    w.end_object();
+  }
+  os << '\n';
+}
+
+bool append_trajectory_point(const std::string& path, const TrajectoryPoint& p,
+                             std::string* error) {
+  std::ofstream out(path, std::ios::app);
+  if (!out.good()) return set_error(error, "cannot open " + path);
+  write_trajectory_point(out, p);
+  return true;
 }
 
 namespace {

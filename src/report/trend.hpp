@@ -32,25 +32,28 @@
 
 namespace minpower::report {
 
-/// One parsed trajectory record. Unknown fields are ignored; missing
-/// numeric fields default to 0 (older records simply lack the memory
-/// telemetry).
+/// One trajectory record, as bench_flow appends it and the gate reads it.
+/// Unknown fields are ignored; missing numeric fields default to 0 (older
+/// records simply lack the memory telemetry).
 struct TrajectoryPoint {
-  std::string family;  // chain | cone | mesh | paper-suite | ...
+  std::string family = "paper-suite";  // chain | cone | mesh | paper-suite
   std::uint64_t seed = 0;
   std::uint64_t target_gates = 0;  // requested size (0: fixed suites)
   double gates = 0.0;              // generated internal node count
   double suite = 0.0;              // circuits in the run
   double threads = 0.0;
-  double shards = 0.0;
+  double shards = 0.0;             // 0: in-process
   double wall_ms = 0.0;
+  std::uint64_t map_curve_cap = 0;  // 0: exact (uncapped) mapper curves
   double peak_bdd_nodes = 0.0;
   double peak_bdd_node_bytes = 0.0;
   double peak_bdd_arena_bytes = 0.0;
-  double peak_rss_kb = 0.0;
+  double peak_rss_kb = 0.0;  // process high-water (max worker's if sharded)
   double degradations = 0.0;
   double failures = 0.0;
   double retries = 0.0;
+
+  bool operator==(const TrajectoryPoint&) const = default;
 };
 
 struct TrajectoryDoc {
@@ -68,6 +71,15 @@ bool load_trajectory(std::string_view text, const std::string& label,
 /// trajectory files into one candidate document).
 bool load_trajectory_file(const std::string& path, TrajectoryDoc* out,
                           std::string* error);
+
+/// One point as a compact JSONL line ('\n'-terminated) that load_trajectory
+/// reads back field for field (doubles are written as %.17g).
+void write_trajectory_point(std::ostream& os, const TrajectoryPoint& p);
+
+/// Append one point's line to the file at `path`. False (with `error`) when
+/// the file cannot be opened.
+bool append_trajectory_point(const std::string& path, const TrajectoryPoint& p,
+                             std::string* error);
 
 /// Least-squares line through (log2 gates, log2 metric). Unavailable until
 /// two points with distinct positive gate counts and positive metric exist.

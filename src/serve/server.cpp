@@ -596,22 +596,13 @@ bool Server::handle_flow(int fd, LineReader& reader, const std::string& line,
           .record_max(memo_.stored_bytes());
     }
 
-    // Canonical one-shot rendering: the counters a cold single-circuit
-    // uncached run reports, thread count 1, zeroed wall times, no metrics
-    // block — so a warm response is byte-identical to a cold one and to the
-    // one-shot CLI document under the same policy.
-    EngineCounters counters;
-    counters.decomp_passes = 3;
-    counters.activity_passes = 3;
-    counters.map_passes = 6;
-    FlowJsonPolicy policy;
-    policy.include_metrics = false;
-    policy.zero_wall_times = true;
+    // Canonical rendering, thread count 1: a warm response is
+    // byte-identical to a cold one and to the sharded CLI document.
     std::ostringstream body;
     {
       trace::Span span("render", "serve");
-      write_flow_json(body, {results}, counters, /*num_threads=*/1,
-                      /*elapsed_ms=*/0.0, lib_.name(), policy);
+      write_canonical_flow_json(body, {results}, /*num_threads=*/1,
+                                lib_.name());
     }
     const std::string text = body.str();
     acc->bytes_out = text.size();

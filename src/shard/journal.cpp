@@ -1,6 +1,7 @@
 #include "shard/journal.hpp"
 
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 #include "flow/session.hpp"
@@ -8,21 +9,6 @@
 #include "util/json_writer.hpp"
 
 namespace minpower::shard {
-
-namespace {
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
-}
-
-const JsonValue* member(const JsonValue& obj, const char* key,
-                        JsonValue::Kind kind) {
-  const JsonValue* v = obj.find(key);
-  return (v != nullptr && v->kind == kind) ? v : nullptr;
-}
-
-}  // namespace
 
 std::string suite_fingerprint(const std::vector<const Network*>& circuits,
                               const FlowOptions& flow) {
@@ -43,9 +29,10 @@ std::string suite_fingerprint(const std::vector<const Network*>& circuits,
 }
 
 bool load_journal(const std::string& path, Journal* out, std::string* error) {
+  using Kind = JsonValue::Kind;
   *out = Journal{};
   std::ifstream in(path);
-  if (!in) return fail(error, "cannot open journal " + path);
+  if (!in) return set_error(error, "cannot open journal " + path);
   std::string line;
   std::size_t lineno = 0;
   bool saw_header = false;
@@ -53,59 +40,56 @@ bool load_journal(const std::string& path, Journal* out, std::string* error) {
     ++lineno;
     const bool torn_tail = in.eof();  // no trailing '\n': write was cut short
     if (line.empty()) continue;
+    const std::string where = path + ":" + std::to_string(lineno) + ": ";
     std::string parse_error;
     std::optional<JsonValue> v = parse_json(line, &parse_error);
     if (!v) {
       if (torn_tail) break;  // torn trailing line: drop it
-      return fail(error, path + ":" + std::to_string(lineno) + ": " +
-                             parse_error);
+      return set_error(error, where + parse_error);
     }
     if (!saw_header) {
-      const JsonValue* schema = member(*v, "schema", JsonValue::Kind::kString);
+      const JsonValue* schema = v->find("schema", Kind::kString);
       if (schema == nullptr || schema->string != "minpower.shard.v1")
-        return fail(error, path + ": not a minpower.shard.v1 journal");
-      const JsonValue* lib = member(*v, "library", JsonValue::Kind::kString);
-      const JsonValue* hash =
-          member(*v, "suite_hash", JsonValue::Kind::kString);
-      const JsonValue* circuits =
-          member(*v, "circuits", JsonValue::Kind::kArray);
+        return set_error(error, path + ": not a minpower.shard.v1 journal");
+      const JsonValue* lib = v->find("library", Kind::kString);
+      const JsonValue* hash = v->find("suite_hash", Kind::kString);
+      const JsonValue* circuits = v->find("circuits", Kind::kArray);
       if (lib == nullptr || hash == nullptr || circuits == nullptr)
-        return fail(error, path + ": malformed journal header");
+        return set_error(error, path + ": malformed journal header");
       out->library = lib->string;
       out->suite_hash = hash->string;
       for (const JsonValue& c : circuits->items) {
-        if (c.kind != JsonValue::Kind::kString)
-          return fail(error, path + ": non-string circuit name in header");
+        if (c.kind != Kind::kString)
+          return set_error(error,
+                           path + ": non-string circuit name in header");
         out->circuits.push_back(c.string);
       }
       saw_header = true;
       continue;
     }
-    const JsonValue* ci = member(*v, "ci", JsonValue::Kind::kNumber);
-    const JsonValue* mi = member(*v, "mi", JsonValue::Kind::kNumber);
-    const JsonValue* cell = member(*v, "cell", JsonValue::Kind::kObject);
+    const JsonValue* ci = v->find("ci", Kind::kNumber);
+    const JsonValue* mi = v->find("mi", Kind::kNumber);
+    const JsonValue* cell = v->find("cell", Kind::kObject);
     if (ci == nullptr || mi == nullptr || cell == nullptr)
-      return fail(error,
-                  path + ":" + std::to_string(lineno) + ": malformed cell");
+      return set_error(error, where + "malformed cell");
     JournalCell jc;
     const std::optional<std::size_t> cell_ci =
         json_integer<std::size_t>(ci->number);
     const std::optional<std::size_t> cell_mi =
         json_integer<std::size_t>(mi->number);
     if (!cell_ci || !cell_mi || *cell_ci >= out->circuits.size() ||
-        *cell_mi >= 6)
-      return fail(error, path + ":" + std::to_string(lineno) +
-                             ": cell index out of range");
+        *cell_mi >= std::size(kMethods))
+      return set_error(error, where + "cell index out of range");
     jc.ci = *cell_ci;
     jc.mi = *cell_mi;
     std::string cell_error;
     if (!parse_flow_result_json(*cell, &jc.result, &cell_error))
-      return fail(error,
-                  path + ":" + std::to_string(lineno) + ": " + cell_error);
+      return set_error(error, where + cell_error);
     jc.result.circuit = out->circuits[jc.ci];
     out->cells.push_back(std::move(jc));
   }
-  if (!saw_header) return fail(error, path + ": empty journal (no header)");
+  if (!saw_header)
+    return set_error(error, path + ": empty journal (no header)");
   return true;
 }
 
@@ -114,7 +98,7 @@ bool JournalWriter::create(const std::string& path, const std::string& library,
                            const std::vector<std::string>& circuits,
                            std::string* error) {
   out_.open(path, std::ios::out | std::ios::trunc);
-  if (!out_) return fail(error, "cannot create journal " + path);
+  if (!out_) return set_error(error, "cannot create journal " + path);
   std::ostringstream line;
   {
     JsonWriter w(line, /*pretty=*/false);
@@ -129,12 +113,13 @@ bool JournalWriter::create(const std::string& path, const std::string& library,
     w.end_object();
   }
   out_ << line.str() << '\n' << std::flush;
-  return out_.good() || fail(error, "cannot write journal header to " + path);
+  return out_.good() ||
+         set_error(error, "cannot write journal header to " + path);
 }
 
 bool JournalWriter::open_append(const std::string& path, std::string* error) {
   out_.open(path, std::ios::out | std::ios::app);
-  if (!out_) return fail(error, "cannot append to journal " + path);
+  if (!out_) return set_error(error, "cannot append to journal " + path);
   return true;
 }
 

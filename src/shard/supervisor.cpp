@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -32,10 +33,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kMethodsPerCircuit = 6;
-constexpr Method kMethods[kMethodsPerCircuit] = {
-    Method::kI, Method::kII, Method::kIII,
-    Method::kIV, Method::kV, Method::kVI};
+constexpr std::size_t kMethodsPerCircuit = std::size(kMethods);
 
 /// Restart floor for the halved-per-restart BDD cap: low enough that a
 /// genuine blowup degrades through the engine's ladder, high enough that
@@ -52,11 +50,6 @@ bool is_worker_site(const std::string& site) {
 std::string mem_record(const MemSample& m) {
   return "MEM {\"rss_kb\":" + std::to_string(m.rss_kb) +
          ",\"hwm_kb\":" + std::to_string(m.hwm_kb) + "}\n";
-}
-
-bool fail(std::string* error, const std::string& message) {
-  if (error != nullptr) *error = message;
-  return false;
 }
 
 /// Child-side pipe writer; the heartbeat thread and the compute loop share
@@ -263,12 +256,14 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
   if (!options.resume_path.empty()) {
     if (!load_journal(options.resume_path, &resumed, error)) return false;
     if (resumed.library != lib.name())
-      return fail(error, "journal " + options.resume_path + " was written "
-                         "for library '" + resumed.library + "', not '" +
-                         lib.name() + "'");
+      return set_error(error, "journal " + options.resume_path +
+                                  " was written for library '" +
+                                  resumed.library + "', not '" + lib.name() +
+                                  "'");
     if (resumed.suite_hash != fingerprint || resumed.circuits != names)
-      return fail(error, "journal " + options.resume_path + " does not match "
-                         "this suite (different circuits or flow options)");
+      return set_error(error, "journal " + options.resume_path +
+                                  " does not match this suite (different "
+                                  "circuits or flow options)");
     for (const JournalCell& c : resumed.cells) {
       if (done[c.ci][c.mi]) continue;  // duplicate line: first wins
       run.per_circuit[c.ci][c.mi] = c.result;
@@ -322,7 +317,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
   const auto spawn = [&](WorkerState& w) -> bool {
     int fds[2];
     if (::pipe(fds) != 0)
-      return fail(error, std::string("pipe: ") + std::strerror(errno));
+      return set_error(error, std::string("pipe: ") + std::strerror(errno));
     // Restarted workers skip the one-shot process faults of circuits that
     // already crashed (otherwise recovery could never be observed) and run
     // under a halved BDD cap per restart, handing a genuine blowup to the
@@ -342,7 +337,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     if (pid < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
-      return fail(error, std::string("fork: ") + std::strerror(errno));
+      return set_error(error, std::string("fork: ") + std::strerror(errno));
     }
     if (pid == 0) {
       ::close(fds[0]);
@@ -697,7 +692,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     charge_wait(poll_start);
     ++poll_calls;
     if (rc < 0 && errno != EINTR)
-      return fail(error, std::string("poll: ") + std::strerror(errno));
+      return set_error(error, std::string("poll: ") + std::strerror(errno));
 
     for (std::size_t i = 0; i < fds.size(); ++i) {
       WorkerState& w = *owners[i];
@@ -765,24 +760,6 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
 
   *out = std::move(run);
   return true;
-}
-
-void write_sharded_flow_json(std::ostream& os, const ShardRun& run,
-                             unsigned shards,
-                             const std::string& library_name) {
-  // The canonical cold per-circuit pass counts (3 decomp + 3 activity + 6
-  // map), independent of worker placement, restarts, or resume — counter
-  // drift would break resumed-vs-uninterrupted byte identity.
-  EngineCounters counters;
-  const int n = static_cast<int>(run.per_circuit.size());
-  counters.decomp_passes = 3 * n;
-  counters.activity_passes = 3 * n;
-  counters.map_passes = 6 * n;
-  FlowJsonPolicy policy;
-  policy.include_metrics = false;
-  policy.zero_wall_times = true;
-  write_flow_json(os, run.per_circuit, counters, shards, /*elapsed_ms=*/0.0,
-                  library_name, policy);
 }
 
 void write_shard_trace(std::ostream& os, const ShardRun& run) {

@@ -172,15 +172,6 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
                        const ShardOptions& options, ShardRun* out,
                        std::string* error);
 
-/// Canonical merged-report rendering: zeroed wall times, no metrics block,
-/// engine counters fixed at the cold per-circuit values (3/3/6) — so a
-/// resumed run, an uninterrupted sharded run, and a serve response for the
-/// same cells are all byte-identical. Shard statistics deliberately stay
-/// out of the document (they vary run to run); callers print them to
-/// stderr.
-void write_sharded_flow_json(std::ostream& os, const ShardRun& run,
-                             unsigned shards, const std::string& library_name);
-
 /// Merged Chrome-trace file: the calling (supervisor) process's own lane —
 /// engine spans plus lifecycle instants — followed by every worker lane
 /// shipped over the pipe. Call with tracing enabled after run_sharded_suite.

@@ -64,17 +64,13 @@ inline void add_json_arg(Event& e, const std::string& key, const JsonValue& v) {
   }
 }
 
-inline bool is(const JsonValue* v, JsonValue::Kind kind) {
-  return v != nullptr && v->kind == kind;
-}
-
 /// Member `key` of `obj` as an integer of type T: `fallback` when it is
 /// absent or not a number, std::nullopt when json_integer rejects it.
 template <typename T>
 std::optional<T> integer_member(const JsonValue& obj, const char* key,
                                 std::optional<T> fallback) {
-  const JsonValue* v = obj.find(key);
-  if (!is(v, JsonValue::Kind::kNumber)) return fallback;
+  const JsonValue* v = obj.find(key, JsonValue::Kind::kNumber);
+  if (v == nullptr) return fallback;
   return json_integer<T>(v->number);
 }
 
@@ -97,10 +93,8 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
   std::string parse_error;
   const std::optional<JsonValue> doc = parse_json(text, &parse_error);
   if (!doc) return fail("invalid JSON: " + parse_error);
-  const JsonValue* events = doc->kind == JsonValue::Kind::kObject
-                                ? doc->find("traceEvents")
-                                : nullptr;
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray)
+  const JsonValue* events = doc->find("traceEvents", JsonValue::Kind::kArray);
+  if (events == nullptr)
     return fail("no traceEvents array in the document");
 
   std::vector<ProcessLane> lanes;
@@ -121,21 +115,21 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
       continue;
     const std::optional<int> pid = detail::integer_member<int>(ev, "pid", 1);
     if (!pid) return fail("pid outside int range");
-    const JsonValue* args = ev.find("args");
+    const JsonValue* args = ev.find("args", Kind::kObject);
     if (meta) {
       ProcessLane& p = lane(*pid);
       if (ev.string_or("name") == "process_name" && args != nullptr &&
-          detail::is(args->find("name"), Kind::kString))
+          args->find("name", Kind::kString) != nullptr)
         p.name = args->string_or("name");
       continue;
     }
-    const bool named = detail::is(ev.find("name"), Kind::kString);
-    const bool stamped = detail::is(ev.find("ts"), Kind::kNumber);
+    const bool named = ev.find("name", Kind::kString) != nullptr;
+    const bool stamped = ev.find("ts", Kind::kNumber) != nullptr;
     Event e;
     e.ph = ph->string[0];
     if (e.ph == 'X' && !(named && stamped &&
-                         detail::is(ev.find("dur"), Kind::kNumber) &&
-                         detail::is(ev.find("tid"), Kind::kNumber)))
+                         ev.find("dur", Kind::kNumber) != nullptr &&
+                         ev.find("tid", Kind::kNumber) != nullptr))
       return fail("complete event missing name/ts/dur/tid");
     if (e.ph == 'i' && !(named && stamped))
       return fail("instant event missing name/ts");
@@ -148,7 +142,7 @@ parse_chrome_trace(std::string_view text, std::string* error = nullptr) {
     if (!ts || !dur) return fail("ts or dur is not a non-negative integer");
     e.ts_us = *ts;
     if (e.ph == 'X') e.dur_us = *dur;
-    if (detail::is(args, Kind::kObject))
+    if (args != nullptr)
       for (const auto& [k, v] : args->members) detail::add_json_arg(e, k, v);
     const std::optional<int> tid = detail::integer_member<int>(ev, "tid", 0);
     if (!tid) return fail("tid outside int range");
@@ -184,8 +178,8 @@ MP_TRACE_COLD inline std::optional<metrics::Snapshot> parse_metrics_value(
   const auto items = [](const JsonValue& obj,
                         const char* key) -> const std::vector<JsonValue>& {
     static const std::vector<JsonValue> kNone;
-    const JsonValue* arr = obj.find(key);
-    return detail::is(arr, JsonValue::Kind::kArray) ? arr->items : kNone;
+    const JsonValue* arr = obj.find(key, JsonValue::Kind::kArray);
+    return arr != nullptr ? arr->items : kNone;
   };
   const auto read = [&](metrics::Snapshot& s) {
     if (doc.kind != JsonValue::Kind::kObject) {

@@ -51,13 +51,19 @@ struct JsonValue {
     return nullptr;
   }
 
+  /// Member `key` when it is present and of kind `kind`; nullptr otherwise.
+  const JsonValue* find(const std::string& key, Kind kind) const {
+    const JsonValue* v = find(key);
+    return v != nullptr && v->kind == kind ? v : nullptr;
+  }
+
   /// Member `key` as a number converted to T; `fallback` when it is absent
   /// or not a number, and for an integral T also when json_integer rejects
   /// it.
   template <typename T = double>
   T number_or(const std::string& key, T fallback = T{}) const {
-    const JsonValue* v = find(key);
-    if (v == nullptr || v->kind != Kind::kNumber) return fallback;
+    const JsonValue* v = find(key, Kind::kNumber);
+    if (v == nullptr) return fallback;
     if constexpr (std::is_integral_v<T>)
       return json_integer<T>(v->number).value_or(fallback);
     else
@@ -67,8 +73,8 @@ struct JsonValue {
   /// Member `key` as a string; `fallback` when it is absent or not a string.
   std::string string_or(const std::string& key,
                         std::string fallback = {}) const {
-    const JsonValue* v = find(key);
-    return v != nullptr && v->kind == Kind::kString ? v->string : fallback;
+    const JsonValue* v = find(key, Kind::kString);
+    return v != nullptr ? v->string : fallback;
   }
 
   const char* kind_name() const {

@@ -141,8 +141,8 @@ TEST(Shard, SigkilledWorkerRecoversAndMatchesCommittedBaseline) {
   EXPECT_EQ(run.stats.cells_failed, 0u);
 
   std::ostringstream os;
-  shard::write_sharded_flow_json(os, run, so.shards,
-                                 standard_library().name());
+  write_canonical_flow_json(os, run.per_circuit, so.shards,
+                            standard_library().name());
 
   report::FlowReportDoc base;
   report::FlowReportDoc cand;

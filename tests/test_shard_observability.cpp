@@ -213,8 +213,8 @@ TEST(ShardObservability, MemLimitKillsBloatedWorkerAndRunRecovers) {
   clean.shards = 2;
   const shard::ShardRun ref = run_or_die(circuits, clean);
   std::ostringstream ref_json;
-  shard::write_sharded_flow_json(ref_json, ref, clean.shards,
-                                 standard_library().name());
+  write_canonical_flow_json(ref_json, ref.per_circuit, clean.shards,
+                            standard_library().name());
 
   // Governed run: circuit 1's worker balloons by ~160 MiB while a 120 MiB
   // watermark is armed — memory governance (not the heartbeat reaper) must
@@ -289,8 +289,8 @@ TEST(ShardObservability, MemLimitKillsBloatedWorkerAndRunRecovers) {
 
   // And the canonical merged report is byte-identical to the clean run's.
   std::ostringstream got_json;
-  shard::write_sharded_flow_json(got_json, run, so.shards,
-                                 standard_library().name());
+  write_canonical_flow_json(got_json, run.per_circuit, so.shards,
+                            standard_library().name());
   EXPECT_EQ(got_json.str(), ref_json.str());
 }
 

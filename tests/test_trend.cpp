@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -200,6 +201,77 @@ TEST(Trend, TrendJsonIsValidAndCarriesRegressions) {
   print_trend(table, r);
   EXPECT_NE(table.str().find("wall_ms"), std::string::npos);
   EXPECT_NE(table.str().find("chain"), std::string::npos);
+}
+
+/// A point with every field set to a distinct value.
+TrajectoryPoint fixed_point() {
+  TrajectoryPoint p;
+  p.family = "chain";
+  p.seed = 7;
+  p.target_gates = 1000;
+  p.gates = 1013;
+  p.suite = 1;
+  p.threads = 1;
+  p.shards = 2;
+  p.wall_ms = 5123.25;
+  p.map_curve_cap = 64;
+  p.peak_bdd_nodes = 5510000;
+  p.peak_bdd_node_bytes = 132240000;
+  p.peak_bdd_arena_bytes = 198360000;
+  p.peak_rss_kb = 246000;
+  p.degradations = 1;
+  p.failures = 2;
+  p.retries = 3;
+  return p;
+}
+
+TEST(Trend, WrittenPointLoadsBackEqual) {
+  TrajectoryPoint fractional = fixed_point();
+  fractional.family = "paper-suite";
+  fractional.wall_ms = 0.1 + 0.2;  // not a short decimal: %.17g round trip
+  fractional.gates = 1.0 / 3.0;
+  std::ostringstream os;
+  for (const TrajectoryPoint& p : {fixed_point(), fractional})
+    write_trajectory_point(os, p);
+  TrajectoryDoc doc;
+  std::string error;
+  ASSERT_TRUE(load_trajectory(os.str(), "t.jsonl", &doc, &error)) << error;
+  ASSERT_EQ(doc.points.size(), 2u);
+  EXPECT_EQ(doc.points[0], fixed_point());
+  EXPECT_EQ(doc.points[1], fractional);
+}
+
+// A fixed record's exact line: points appended to an existing trajectory
+// keep the bytes of the points already in it.
+TEST(Trend, WrittenPointLineIsUnchanged) {
+  std::ostringstream os;
+  write_trajectory_point(os, fixed_point());
+  EXPECT_EQ(os.str(),
+            "{\"schema\":\"minpower.bench_trajectory.v1\",\"family\":"
+            "\"chain\",\"seed\":7,\"target_gates\":1000,\"gates\":1013,"
+            "\"suite\":1,\"threads\":1,\"shards\":2,\"wall_ms\":5123.25,"
+            "\"map_curve_cap\":64,\"peak_bdd_nodes\":5510000,"
+            "\"peak_bdd_node_bytes\":132240000,\"peak_bdd_arena_bytes\":"
+            "198360000,\"peak_rss_kb\":246000,\"degradations\":1,"
+            "\"failures\":2,\"retries\":3}\n");
+}
+
+TEST(Trend, AppendedPointsAccumulateInTheFile) {
+  const std::string path = ::testing::TempDir() + "mp_trend_append.jsonl";
+  std::remove(path.c_str());
+  TrajectoryPoint second = fixed_point();
+  second.target_gates = 316;
+  std::string error;
+  ASSERT_TRUE(append_trajectory_point(path, fixed_point(), &error)) << error;
+  ASSERT_TRUE(append_trajectory_point(path, second, &error)) << error;
+  TrajectoryDoc doc;
+  ASSERT_TRUE(load_trajectory_file(path, &doc, &error)) << error;
+  ASSERT_EQ(doc.points.size(), 2u);
+  EXPECT_EQ(doc.points[0], fixed_point());
+  EXPECT_EQ(doc.points[1], second);
+  EXPECT_FALSE(append_trajectory_point(
+      ::testing::TempDir() + "no/such/dir/t.jsonl", second, &error));
+  EXPECT_EQ(error.rfind("cannot open ", 0), 0u) << error;
 }
 
 }  // namespace

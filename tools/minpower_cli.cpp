@@ -129,7 +129,7 @@
 #include "report/trend.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
-#include "shard/supervisor.hpp"
+#include "shard/run.hpp"
 #include "sop/factor.hpp"
 #include "util/budget.hpp"
 #include "trace/analysis.hpp"
@@ -314,10 +314,17 @@ Network load_blif(const std::string& path) {
   return std::move(*net);
 }
 
+/// Open an output file; one that cannot be opened is fatal, named as
+/// "cannot open <what> <path>".
+std::ofstream open_output(const std::string& path, const char* what) {
+  std::ofstream out(path);
+  if (!out.good()) fatal(std::string("cannot open ") + what + " " + path);
+  return out;
+}
+
 void emit_blif(const Network& net, const std::optional<std::string>& path) {
   if (path) {
-    std::ofstream out(*path);
-    if (!out.good()) fatal("cannot open output file " + *path);
+    std::ofstream out = open_output(*path, "output file");
     write_blif(net, out);
   } else {
     write_blif(net, std::cout);
@@ -432,8 +439,7 @@ int cmd_map(const Args& a) {
                  sim.power_uw, sim.glitch_factor);
   }
   if (a.out) {
-    std::ofstream out(*a.out);
-    if (!out.good()) fatal("cannot open output file " + *a.out);
+    std::ofstream out = open_output(*a.out, "output file");
     write_mapped_blif(r.mapped, out);
   } else {
     write_mapped_blif(r.mapped, std::cout);
@@ -464,74 +470,6 @@ TaskTally print_flow_table(
   return tally_tasks(per_circuit);
 }
 
-/// `flow --shards N` / `--resume F`: the crash-isolated multi-process path
-/// (DESIGN.md §14). Process-fault injection sites come from the environment
-/// so the supervisor — not the in-process engine — arms them.
-int cmd_flow_sharded(const Args& a,
-                     const std::vector<const Network*>& circuits,
-                     const Library& lib) {
-  // Enable tracing before the supervisor forks: workers inherit the flag
-  // (and the tracer origin) and ship their spans back over the pipe.
-  if (a.trace) trace::set_enabled(true);
-  shard::ShardOptions so;
-  so.shards = a.shards > 0 ? a.shards : 2;
-  so.worker_threads = a.threads;
-  so.heartbeat_ms = a.heartbeat_ms;
-  so.heartbeat_timeout_ms = a.heartbeat_timeout_ms;
-  so.max_circuit_retries = a.shard_retries;
-  so.backoff_ms = a.backoff_ms;
-  so.mem_limit_mb = a.mem_limit_mb;
-  if (a.journal) so.journal_path = *a.journal;
-  if (a.resume) {
-    so.resume_path = *a.resume;
-    // Resuming without an explicit --journal keeps extending the same file.
-    if (!a.journal) so.journal_path = *a.resume;
-  }
-  so.injections = fault_injections_from_env();
-  so.verbose = a.verbose;
-
-  FlowOptions flow;
-  flow.task_deadline_ms = a.deadline_ms;
-  flow.max_curve_points = a.map_curve_cap;
-  if (a.bdd_limit != 0) flow.bdd_node_limit = a.bdd_limit;
-
-  shard::ShardRun run;
-  std::string error;
-  if (!shard::run_sharded_suite(circuits, lib, flow, so, &run, &error)) fatal(error);
-
-  const TaskTally t = print_flow_table(run.per_circuit);
-  std::fprintf(stderr,
-               "shards: %u spawned, %u crashes, %u restarts, %u heartbeat "
-               "kills; cells: %zu resumed, %zu computed, %zu failed; "
-               "tasks: %d ok, %d degraded, %d failed\n",
-               run.stats.workers_spawned, run.stats.worker_crashes,
-               run.stats.worker_restarts, run.stats.heartbeat_kills,
-               run.stats.cells_resumed, run.stats.cells_computed,
-               run.stats.cells_failed, t.ok, t.degraded, t.failed);
-  if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
-    shard::write_sharded_flow_json(out, run, so.shards, lib.name());
-  }
-  if (a.trace) {
-    trace::set_enabled(false);
-    std::ofstream tos(*a.trace);
-    if (!tos.good()) fatal("cannot open trace output file " + *a.trace);
-    shard::write_shard_trace(tos, run);
-    std::fprintf(stderr,
-                 "trace: supervisor + %zu worker lane(s) -> %s (open in "
-                 "chrome://tracing or ui.perfetto.dev)\n",
-                 run.worker_lanes.size(), a.trace->c_str());
-  }
-  if (a.metrics_out) {
-    std::ofstream mos(*a.metrics_out);
-    if (!mos.good())
-      fatal("cannot open metrics output file " + *a.metrics_out);
-    shard::write_shard_metrics_json(mos, run, so.shards);
-  }
-  return t.degraded + t.failed > 0 ? 2 : 0;
-}
-
 int cmd_flow(const Args& a) {
   if (a.positional.empty()) fatal("flow needs at least one BLIF file");
   std::vector<Network> nets;
@@ -544,67 +482,64 @@ int cmd_flow(const Args& a) {
   for (const Network& n : nets) circuits.push_back(&n);
   const Library lib = load_library(a);
 
-  if (a.shards > 0 || a.resume) return cmd_flow_sharded(a, circuits, lib);
-
-  EngineOptions eo;
-  eo.num_threads = a.threads;
-  eo.flow.task_deadline_ms = a.deadline_ms;
-  eo.flow.max_curve_points = a.map_curve_cap;
-  eo.verbose = a.verbose;
-  if (a.bdd_limit != 0) eo.flow.bdd_node_limit = a.bdd_limit;
-  FlowSession engine(lib, eo);
-  if (a.trace) trace::set_enabled(true);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::vector<FlowResult>> per_circuit;
-  {
-    trace::Span flow_span("flow", "cli");
-    flow_span.arg("circuits", static_cast<unsigned long long>(nets.size()));
-    flow_span.arg("threads", engine.effective_threads());
-    per_circuit = engine.run_suite(circuits);
+  // --shards N (or --resume F) forks crash-isolated workers (DESIGN.md §14).
+  shard::FlowSpec spec;
+  spec.flow.task_deadline_ms = a.deadline_ms;
+  spec.flow.max_curve_points = a.map_curve_cap;
+  if (a.bdd_limit != 0) spec.flow.bdd_node_limit = a.bdd_limit;
+  spec.threads = a.threads;
+  spec.shards = a.shards;
+  spec.sharding.heartbeat_ms = a.heartbeat_ms;
+  spec.sharding.heartbeat_timeout_ms = a.heartbeat_timeout_ms;
+  spec.sharding.max_circuit_retries = a.shard_retries;
+  spec.sharding.backoff_ms = a.backoff_ms;
+  spec.sharding.mem_limit_mb = a.mem_limit_mb;
+  if (a.journal) spec.sharding.journal_path = *a.journal;
+  if (a.resume) {
+    spec.sharding.resume_path = *a.resume;
+    // Resuming without an explicit --journal keeps extending the same file.
+    if (!a.journal) spec.sharding.journal_path = *a.resume;
   }
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  spec.trace = a.trace.has_value();
+  spec.verbose = a.verbose;
+  shard::FlowRun run;
+  std::string error;
+  if (!shard::run_flow(circuits, lib, spec, &run, &error)) fatal(error);
+
   if (a.trace) {
-    // All spans are closed and the pool is joined; export is safe now.
-    trace::set_enabled(false);
-    std::ofstream tos(*a.trace);
-    if (!tos.good()) fatal("cannot open trace output file " + *a.trace);
-    trace::write_chrome_trace(tos);
+    std::ofstream tos = open_output(*a.trace, "trace output file");
+    const std::string written = shard::write_flow_trace(tos, run);
     std::fprintf(stderr,
-                 "trace: %zu events -> %s (open in chrome://tracing or "
+                 "trace: %s -> %s (open in chrome://tracing or "
                  "ui.perfetto.dev)\n",
-                 trace::num_events(), a.trace->c_str());
+                 written.c_str(), a.trace->c_str());
   }
-
-  const TaskTally t = print_flow_table(per_circuit);
-  std::fprintf(stderr,
-               "engine: %d decompositions, %d activity passes, %d mappings, "
-               "%u thread(s), %.1f ms; tasks: %d ok, %d degraded, %d failed\n",
-               engine.counters().decomp_passes,
-               engine.counters().activity_passes, engine.counters().map_passes,
-               engine.effective_threads(), elapsed_ms, t.ok, t.degraded,
-               t.failed);
+  const TaskTally t = print_flow_table(run.per_circuit);
+  if (run.shards > 0) {
+    const shard::ShardStats& s = run.shard.stats;
+    std::fprintf(stderr,
+                 "shards: %u spawned, %u crashes, %u restarts, %u heartbeat "
+                 "kills; cells: %zu resumed, %zu computed, %zu failed; "
+                 "tasks: %d ok, %d degraded, %d failed\n",
+                 s.workers_spawned, s.worker_crashes, s.worker_restarts,
+                 s.heartbeat_kills, s.cells_resumed, s.cells_computed,
+                 s.cells_failed, t.ok, t.degraded, t.failed);
+  } else {
+    std::fprintf(stderr,
+                 "engine: %d decompositions, %d activity passes, %d "
+                 "mappings, %u thread(s), %.1f ms; tasks: %d ok, %d "
+                 "degraded, %d failed\n",
+                 run.counters.decomp_passes, run.counters.activity_passes,
+                 run.counters.map_passes, run.threads, run.elapsed_ms, t.ok,
+                 t.degraded, t.failed);
+  }
   if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
-    write_flow_json(out, per_circuit, engine.counters(),
-                    engine.effective_threads(), elapsed_ms, lib.name());
+    std::ofstream out = open_output(*a.json, "JSON output file");
+    shard::write_flow_report(out, run);
   }
   if (a.metrics_out) {
-    // Standalone registry snapshot, schema-compatible with the sharded
-    // sidecar's `metrics` block (minus the shard lifecycle stats).
-    std::ofstream mos(*a.metrics_out);
-    if (!mos.good())
-      fatal("cannot open metrics output file " + *a.metrics_out);
-    JsonWriter w(mos, /*pretty=*/false);
-    w.begin_object();
-    w.field("schema", "minpower.metrics.v1");
-    w.key("metrics");
-    metrics::write_metrics_json(w, metrics::Registry::global().snapshot());
-    w.end_object();
-    mos << '\n';
+    std::ofstream mos = open_output(*a.metrics_out, "metrics output file");
+    shard::write_flow_metrics(mos, run);
   }
   return t.degraded + t.failed > 0 ? 2 : 0;
 }
@@ -644,8 +579,7 @@ int cmd_verify(const Args& a) {
                  f.check.c_str(), f.detail.c_str(),
                  static_cast<unsigned long long>(f.seed));
   if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
+    std::ofstream out = open_output(*a.json, "JSON output file");
     verify::write_verify_json(out, o, r);
   }
   if (!r.ok())
@@ -691,8 +625,7 @@ int cmd_profile(const Args& a) {
   const int top = a.top > 0 ? a.top : 1;
   trace::print_profile(std::cout, profile, top);
   if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
+    std::ofstream out = open_output(*a.json, "JSON output file");
     trace::write_profile_json(out, profile, path, top);
   }
   return 0;
@@ -717,8 +650,7 @@ int cmd_compare(const Args& a) {
   const report::CompareReport r = report::compare_flow_reports(base, cand, o);
   report::print_compare(std::cout, r);
   if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
+    std::ofstream out = open_output(*a.json, "JSON output file");
     report::write_compare_json(out, r);
   }
   return r.regression() ? 3 : 0;
@@ -749,8 +681,7 @@ int cmd_trend(const Args& a) {
       report::analyze_trend(cand, a.baseline ? &base : nullptr, o);
   report::print_trend(std::cout, r);
   if (a.json) {
-    std::ofstream out(*a.json);
-    if (!out.good()) fatal("cannot open JSON output file " + *a.json);
+    std::ofstream out = open_output(*a.json, "JSON output file");
     report::write_trend_json(out, r);
   }
   return r.regression() ? 3 : 0;
@@ -842,7 +773,7 @@ int cmd_client(const Args& a) {
   // minpower.flow.v1 document. Transport failures and retryable server
   // errors (busy admission queue, graceful drain, idle reap) re-connect and
   // re-send up to --retries times with capped jittered backoff.
-  FlowDoc merged;  // every response's circuits, engine counters summed
+  FlowDoc merged;  // every response's circuits
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   for (const std::string& path : a.positional) {
@@ -880,28 +811,19 @@ int cmd_client(const Args& a) {
     if (!parse_flow_json(*doc, &response, &parse_error))
       fatal(path + ": malformed server response: " + parse_error);
     if (merged.library.empty()) merged.library = response.library;
-    merged.counters.decomp_passes += response.counters.decomp_passes;
-    merged.counters.activity_passes += response.counters.activity_passes;
-    merged.counters.map_passes += response.counters.map_passes;
     for (std::vector<FlowResult>& row : response.per_circuit)
       merged.per_circuit.push_back(std::move(row));
   }
 
   if (!merged.per_circuit.empty()) {
-    // Rendered under the serve policy, like each response: no metrics
-    // block, zeroed wall times. Retries are transport noise and go to the
-    // stderr summary only.
-    FlowJsonPolicy serve_policy;
-    serve_policy.include_metrics = false;
-    serve_policy.zero_wall_times = true;
+    // Rendered canonically, like each response. Retries are transport
+    // noise and go to the stderr summary only.
     const auto render = [&](std::ostream& os) {
-      write_flow_json(os, merged.per_circuit, merged.counters,
-                      /*num_threads=*/1, /*elapsed_ms=*/0.0, merged.library,
-                      serve_policy);
+      write_canonical_flow_json(os, merged.per_circuit, /*num_threads=*/1,
+                                merged.library);
     };
     if (a.json) {
-      std::ofstream out(*a.json);
-      if (!out.good()) fatal("cannot open JSON output file " + *a.json);
+      std::ofstream out = open_output(*a.json, "JSON output file");
       render(out);
     } else {
       render(std::cout);
