@@ -3,18 +3,9 @@
 #include <chrono>
 
 #include "opt/optimize.hpp"
+#include "util/stats.hpp"
 
 namespace minpower {
-
-namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 const char* method_name(Method m) {
   switch (m) {
@@ -123,7 +114,7 @@ FlowResult run_method(const Network& prepared, Method method,
   const NetworkDecompOptions d = decomp_options_for(method, options);
   auto t0 = std::chrono::steady_clock::now();
   const NetworkDecompResult nd = decompose_network(prepared, d);
-  r.phases.decomp_ms = ms_since(t0);
+  r.phases.decomp_ms = elapsed_ms_since(t0);
   r.tree_activity = nd.tree_activity;
   r.nand_depth = nd.unit_depth;
   r.nand_nodes = nd.network.num_internal();
@@ -137,20 +128,20 @@ FlowResult run_method(const Network& prepared, Method method,
   t0 = std::chrono::steady_clock::now();
   m.activities = switching_activities(nd.network, options.style,
                                       options.pi_prob1, &astats);
-  r.phases.activity_ms = ms_since(t0);
+  r.phases.activity_ms = elapsed_ms_since(t0);
   r.phases.bdd_nodes = astats.bdd_nodes;
   r.phases.activity_passes = 1;
 
   t0 = std::chrono::steady_clock::now();
   const MapResult mapped = map_network(nd.network, lib, m);
-  r.phases.map_ms = ms_since(t0);
+  r.phases.map_ms = elapsed_ms_since(t0);
   r.phases.matches = mapped.total_matches;
   r.phases.curve_points = mapped.total_curve_points;
 
   t0 = std::chrono::steady_clock::now();
   const MappedReport rep =
       evaluate_mapped(mapped.mapped, PowerParams::from(m));
-  r.phases.eval_ms = ms_since(t0);
+  r.phases.eval_ms = elapsed_ms_since(t0);
   r.area = rep.area;
   r.delay = rep.delay;
   r.power_uw = rep.power_uw;

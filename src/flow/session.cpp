@@ -18,6 +18,7 @@
 #include "util/budget.hpp"
 #include "util/json_reader.hpp"
 #include "util/json_writer.hpp"
+#include "util/stats.hpp"
 
 namespace minpower {
 
@@ -104,12 +105,6 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
                       std::chrono::steady_clock::now() - t0)
                       .count();
   return us > 0 ? static_cast<std::uint64_t>(us) : 0;
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// What a finished task reports: its label and the status slot it wrote.
@@ -248,7 +243,7 @@ void compute_source(const RunInputs& in, const Network& net, long ordinal,
         s.prob = monte_carlo_activities(net, CircuitStyle::kDynamicP,
                                         in.flow.pi_prob1);
       });
-  s.ms = ms_since(t0);
+  s.ms = elapsed_ms_since(t0);
 }
 
 /// Stage-1 work of decomposition group `group` of `net`: decompose over the
@@ -277,7 +272,7 @@ void compute_group(const RunInputs& in, const Network& net, std::size_t group,
     BudgetScope scope(budget);
     const auto t0 = std::chrono::steady_clock::now();
     g.nd = decompose_network(net, d);
-    g.decomp_ms = source.ms + ms_since(t0);
+    g.decomp_ms = source.ms + elapsed_ms_since(t0);
   } catch (const ResourceExhausted& e) {
     return fail(exhausted_reason(e, flow.bdd_node_limit));
   } catch (const std::exception& e) {
@@ -298,12 +293,12 @@ void compute_group(const RunInputs& in, const Network& net, std::size_t group,
         g.activities =
             monte_carlo_activities(g.nd.network, flow.style, flow.pi_prob1);
       });
-  g.activity_ms = ms_since(t0);
+  g.activity_ms = elapsed_ms_since(t0);
   if (g.status.state == TaskState::kFailed) return;
   try {
     const auto t0 = std::chrono::steady_clock::now();
     g.matches = enumerate_matches(g.nd.network, in.lib);
-    g.match_ms = ms_since(t0);
+    g.match_ms = elapsed_ms_since(t0);
   } catch (const std::exception& e) {
     fail(std::string("match enumeration: ") + e.what());
   }
@@ -354,14 +349,14 @@ FlowResult map_method(const RunInputs& in, const Network& prepared,
     m.activities = g.activities;
     auto t0 = std::chrono::steady_clock::now();
     const MapResult mapped = map_network(g.nd.network, in.lib, m, g.matches);
-    r.phases.map_ms = g.match_ms + ms_since(t0);
+    r.phases.map_ms = g.match_ms + elapsed_ms_since(t0);
     r.phases.matches = mapped.total_matches;
     r.phases.curve_points = mapped.total_curve_points;
 
     t0 = std::chrono::steady_clock::now();
     const MappedReport rep =
         evaluate_mapped(mapped.mapped, PowerParams::from(m));
-    r.phases.eval_ms = ms_since(t0);
+    r.phases.eval_ms = elapsed_ms_since(t0);
     r.area = rep.area;
     r.delay = rep.delay;
     r.power_uw = rep.power_uw;

@@ -10,6 +10,7 @@
 // a point stores no input indices and stays plain data: merging, pruning
 // and thinning a curve move 32-byte values and never allocate per point.
 
+#include <algorithm>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -54,7 +55,10 @@ class Curve {
   /// wins, and on an exact (arrival, cost) tie the point already in the
   /// curve wins unless the step's `match` is lower than the point's.
   /// `realize(j, point)` fills in the realization (match, drive) of each
-  /// kept step j. `scratch` is caller-owned storage reused across merges.
+  /// kept step j. The curve's points faster than the first step all
+  /// survive and stay in place; only the rest is merged, through the
+  /// caller-owned `scratch` (reused across merges), and appended after
+  /// them, so the curve keeps its own buffer.
   template <class Realize>
   void merge(const std::vector<Step>& steps, std::vector<CurvePoint>& scratch,
              Realize&& realize);
@@ -91,12 +95,21 @@ template <class Realize>
 void Curve::merge(const std::vector<Step>& steps,
                   std::vector<CurvePoint>& scratch, Realize&& realize) {
   if (steps.empty()) return;
+  // Points strictly faster than the first step precede every step in the
+  // merge order below, and the curve is a strict staircase, so they all
+  // survive: the merge starts after them.
+  const std::size_t head = static_cast<std::size_t>(
+      std::lower_bound(points_.begin(), points_.end(), steps.front().arrival,
+                       [](const CurvePoint& p, double t) {
+                         return p.arrival < t;
+                       }) -
+      points_.begin());
   // Walk both staircases in (arrival, cost, match) order, the curve's point
   // first on an exact tie of all three; a point survives iff it is strictly
   // cheaper than the last survivor, i.e. no point before it in that order
   // dominates it.
   scratch.clear();
-  std::size_t i = 0;
+  std::size_t i = head;
   std::size_t j = 0;
   while (i < points_.size() || j < steps.size()) {
     const bool from_curve =
@@ -108,7 +121,9 @@ void Curve::merge(const std::vector<Step>& steps,
             (points_[i].cost == steps[j].cost &&
              points_[i].match <= steps[j].match)))));
     const double cost = from_curve ? points_[i].cost : steps[j].cost;
-    const bool keep = scratch.empty() || cost < scratch.back().cost;
+    const bool keep = scratch.empty()
+                          ? head == 0 || cost < points_[head - 1].cost
+                          : cost < scratch.back().cost;
     if (from_curve) {
       if (keep) scratch.push_back(points_[i]);
       ++i;
@@ -122,7 +137,8 @@ void Curve::merge(const std::vector<Step>& steps,
       ++j;
     }
   }
-  points_.swap(scratch);
+  points_.resize(head);
+  points_.insert(points_.end(), scratch.begin(), scratch.end());
 }
 
 }  // namespace minpower

@@ -56,6 +56,16 @@ class Envelope {
     steps_.push_back({t, cost, match});
   }
 
+  /// True once no breakpoint after t costing at least `floor` can become
+  /// a step: the last step, or the cheapest curve point no slower than t,
+  /// costs no more than `floor`. Such a point has arrival ≤ t, so it is
+  /// strictly faster than any later breakpoint and wins an exact cost tie.
+  bool closed(double t, double floor) {
+    if (!steps_.empty() && steps_.back().cost <= floor) return true;
+    while (next_ != end_ && next_->arrival <= t) ++next_;
+    return next_ != first_ && std::prev(next_)->cost <= floor;
+  }
+
  private:
   std::vector<Curve::Step>& steps_;
   const CurvePoint* first_ = nullptr;
@@ -170,6 +180,8 @@ std::vector<Curve> build_curves(const Network& subject,
   std::vector<Curve::Step> steps;  // the class's non-inferior envelope
   std::vector<CurvePoint> merge_scratch;
   std::size_t points_pruned = 0;
+  std::size_t breakpoints = 0;
+  std::size_t sweeps_closed = 0;
 
   for (NodeId id : topo) {
     budget_checkpoint("map");
@@ -228,7 +240,10 @@ std::vector<Curve> build_curves(const Network& subject,
         base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
                               options.vdd, options.t_cycle);
       }
-      sweep_class({lists, members, order}, base, &out, steps);
+      const SweepStats swept =
+          sweep_class({lists, members, order}, base, &out, steps);
+      breakpoints += swept.breakpoints;
+      sweeps_closed += swept.closed ? 1 : 0;
       const double drive = g.max_drive();
       out.merge(steps, merge_scratch, [&](std::size_t j, CurvePoint& p) {
         p.match = steps[j].match;
@@ -256,6 +271,8 @@ std::vector<Curve> build_curves(const Network& subject,
   metrics::counter("map.cand_lists_reused").add(lists_reused);
   metrics::counter("map.curve_points_kept").add(result.total_curve_points);
   metrics::counter("map.curve_points_pruned").add(points_pruned);
+  metrics::counter("map.breakpoints").add(breakpoints);
+  metrics::counter("map.sweeps_closed").add(sweeps_closed);
   metrics::gauge("map.curve_points_max").record_max(result.max_curve_points);
   return curve;
 }
@@ -379,20 +396,21 @@ void emit_netlist(const Network& subject, const Library& lib,
 
 }  // namespace
 
-void sweep_class(const MatchClass& c, double base, const Curve* curve,
-                 std::vector<Curve::Step>& steps) {
+SweepStats sweep_class(const MatchClass& c, double base, const Curve* curve,
+                       std::vector<Curve::Step>& steps) {
   steps.clear();
+  SweepStats stats;
   Envelope env(curve, steps);
   // next[i] counts list i's candidates with t_i <= t, so lists[i][next[i] -
   // 1] is list i's cheapest way to meet t. Breakpoints before the latest of
   // the lists' fastest candidates leave some pin unreachable, so the sweep
   // starts there.
   const std::size_t n = c.lists.size();
-  if (n == 0) return;
+  if (n == 0) return stats;
   const std::size_t k = c.order.size() / c.members.size();
   double t = -kInf;
   for (const std::vector<InputCand>* l : c.lists) {
-    if (l->empty()) return;
+    if (l->empty()) return stats;
     t = std::max(t, l->front().t);
   }
   std::size_t small_next[8] = {};
@@ -407,6 +425,18 @@ void sweep_class(const MatchClass& c, double base, const Curve* curve,
     next = large_next.data();
     cost = large_cost.data();
   }
+  // Member m's own pin-order sum of base and the costs in `cost`.
+  const auto sum = [&](std::size_t m) {
+    const std::uint32_t* pin = c.order.data() + m * k;
+    double s = base;
+    for (std::size_t i = 0; i < k; ++i) s += cost[pin[i]];
+    return s;
+  };
+  // The floor: every member's sum over the lists' last (cheapest) entries.
+  for (std::size_t i = 0; i < n; ++i) cost[i] = c.lists[i]->back().cost;
+  double floor = sum(0);
+  for (std::size_t m = 1; m < c.members.size(); ++m)
+    floor = std::min(floor, sum(m));
   for (;;) {
     // Advance every list past t; the smallest candidate left is the next
     // breakpoint.
@@ -421,13 +451,7 @@ void sweep_class(const MatchClass& c, double base, const Curve* curve,
       }
       cost[i] = l[next[i] - 1].cost;
     }
-    // Each member's own pin-order sum; the first strictly smallest wins.
-    const auto sum = [&](std::size_t m) {
-      const std::uint32_t* pin = c.order.data() + m * k;
-      double s = base;
-      for (std::size_t i = 0; i < k; ++i) s += cost[pin[i]];
-      return s;
-    };
+    // The first strictly smallest member sum wins.
     double best = sum(0);
     std::size_t winner = 0;
     for (std::size_t m = 1; m < c.members.size(); ++m)
@@ -436,9 +460,15 @@ void sweep_class(const MatchClass& c, double base, const Curve* curve,
         winner = m;
       }
     env.offer(t, best, c.members[winner]);
+    ++stats.breakpoints;
     if (!more) break;
+    if (env.closed(t, floor)) {
+      stats.closed = true;
+      break;
+    }
     t = t_next;
   }
+  return stats;
 }
 
 MapResult map_network(const Network& subject, const Library& lib,

@@ -8,16 +8,11 @@
 #include "trace/wire.hpp"
 #include "util/json_writer.hpp"
 #include "util/meminfo.hpp"
+#include "util/stats.hpp"
 
 namespace minpower::shard {
 
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Named gauge in a snapshot (0 when absent).
 std::uint64_t gauge_of(const metrics::Snapshot& s, const char* name) {
@@ -61,7 +56,7 @@ bool run_flow(const std::vector<const Network*>& circuits, const Library& lib,
       flow_span.arg("threads", run.threads);
       run.per_circuit = engine.run_suite(circuits);
     }
-    run.elapsed_ms = ms_since(t0);
+    run.elapsed_ms = elapsed_ms_since(t0);
     run.counters = engine.counters();
     *out = std::move(run);
     return true;
@@ -80,7 +75,7 @@ bool run_flow(const std::vector<const Network*>& circuits, const Library& lib,
   const auto t0 = std::chrono::steady_clock::now();
   if (!run_sharded_suite(circuits, lib, spec.flow, so, &run.shard, error))
     return false;
-  run.elapsed_ms = ms_since(t0);
+  run.elapsed_ms = elapsed_ms_since(t0);
   run.per_circuit = std::move(run.shard.per_circuit);
   *out = std::move(run);
   return true;

@@ -1,8 +1,10 @@
 #pragma once
 // Small statistics accumulators used by the benchmark harnesses to report
-// the aggregate numbers the paper quotes (average % power improvement etc.).
+// the aggregate numbers the paper quotes (average % power improvement etc.),
+// and the wall-clock helper the flow's phase timings share.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -63,6 +65,13 @@ class GeoMean {
 inline double percent_change(double a, double b) {
   if (a == 0.0) return 0.0;
   return 100.0 * (b - a) / a;
+}
+
+/// Milliseconds elapsed on the steady clock since `t0`.
+inline double elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 }  // namespace minpower

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "map/curve.hpp"
 #include "util/rng.hpp"
 
@@ -250,6 +253,80 @@ TEST_P(CurveProperty, MergeMatchesSequentialInsert) {
       EXPECT_EQ(curve[k].cost, expected[k].cost);
       EXPECT_EQ(curve[k].match, expected[k].match);
       EXPECT_EQ(curve[k].drive, expected[k].drive);
+    }
+  }
+}
+
+// Merging leaves the curve's points faster than the first step in place,
+// in the curve's own buffer, and merges only the rest. Oracle: inserting
+// the curve's points and the steps one by one in match order, a curve
+// point first on an equal match, since insert keeps the first of an exact
+// (arrival, cost) tie and merge gives such a tie to the lower match.
+TEST(Curve, MergeLeavesFasterPrefixInPlace) {
+  struct Case {
+    const char* name;
+    std::vector<Curve::Step> steps;
+  };
+  const std::vector<Case> cases = {
+      {"before every point", {{0.5, 12.0, 1}, {3.0, 6.0, 1}, {7.0, 1.0, 1}}},
+      {"tying a point, lower match", {{4.0, 5.0, 1}, {5.0, 4.0, 1}}},
+      {"tying a point, higher match", {{4.0, 5.0, 7}, {5.0, 4.0, 7}}},
+      {"at a point's arrival, cheaper", {{2.0, 7.0, 1}, {6.0, 2.0, 1}}},
+      {"at a point's arrival, dearer", {{4.0, 6.0, 1}, {7.0, 2.0, 1}}},
+      {"after the last point", {{7.0, 2.0, 1}, {8.0, 1.0, 1}}},
+      {"after the last point, dominated", {{7.0, 3.0, 1}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // Four points, match 3, in a buffer with spare capacity: the last
+    // insert drops two of the five before it.
+    Curve curve;
+    const double start[][2] = {{1, 10}, {2, 8}, {3, 7}, {4, 5}, {6, 3}, {2, 6.9}};
+    for (int i = 0; i < 6; ++i)
+      curve.insert(tagged(start[i][0], start[i][1], 3, i));
+    ASSERT_EQ(curve.size(), 4u);
+
+    std::vector<CurvePoint> by_match = curve.points();
+    for (std::size_t j = 0; j < c.steps.size(); ++j)
+      by_match.push_back(tagged(c.steps[j].arrival, c.steps[j].cost,
+                                c.steps[j].match, static_cast<int>(j)));
+    std::stable_sort(by_match.begin(), by_match.end(),
+                     [](const CurvePoint& a, const CurvePoint& b) {
+                       return a.match < b.match;
+                     });
+    Curve expected;
+    for (const CurvePoint& p : by_match) expected.insert(p);
+
+    std::size_t head = 0;
+    while (head < curve.size() &&
+           curve[head].arrival < c.steps.front().arrival)
+      ++head;
+    const std::vector<CurvePoint> prefix(curve.points().begin(),
+                                         curve.points().begin() + head);
+    const CurvePoint* buffer = curve.points().data();
+    const std::size_t capacity = curve.points().capacity();
+
+    std::vector<CurvePoint> scratch;
+    curve.merge(c.steps, scratch, [&](std::size_t j, CurvePoint& p) {
+      const CurvePoint want = tagged(p.arrival, p.cost, c.steps[j].match,
+                                     static_cast<int>(j));
+      p.match = want.match;
+      p.drive = want.drive;
+    });
+    ASSERT_EQ(curve.size(), expected.size());
+    for (std::size_t k = 0; k < curve.size(); ++k) {
+      EXPECT_EQ(curve[k].arrival, expected[k].arrival) << "point " << k;
+      EXPECT_EQ(curve[k].cost, expected[k].cost) << "point " << k;
+      EXPECT_EQ(curve[k].match, expected[k].match) << "point " << k;
+      EXPECT_EQ(curve[k].drive, expected[k].drive) << "point " << k;
+    }
+    for (std::size_t k = 0; k < head; ++k) {
+      EXPECT_EQ(curve[k].arrival, prefix[k].arrival);
+      EXPECT_EQ(curve[k].drive, prefix[k].drive);
+    }
+    // A result that fits keeps the curve's own buffer.
+    if (curve.size() <= capacity) {
+      EXPECT_EQ(curve.points().data(), buffer);
     }
   }
 }

@@ -871,6 +871,171 @@ TEST(Mapper, ClassSweepEqualsMemberSweeps) {
   EXPECT_GT(twin_wins, 300);
 }
 
+// ---- the floor stop ----------------------------------------------------------
+
+/// Every breakpoint of a class, as a sweep that never stops visits them: at
+/// each distinct t where every list has a candidate, member m's cost is
+/// base plus each pin's cheapest candidate meeting t, summed in its own pin
+/// order `orders[m]`; the first smallest member wins.
+std::vector<Curve::Step> class_breakpoints(
+    const std::vector<std::vector<InputCand>>& lists,
+    const std::vector<std::vector<std::uint32_t>>& orders,
+    const std::vector<int>& members, double base) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> ts;
+  for (const auto& l : lists)
+    for (const InputCand& c : l) ts.push_back(c.t);
+  std::sort(ts.begin(), ts.end());
+  ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+  std::vector<Curve::Step> out;
+  for (const double t : ts) {
+    std::vector<double> pick(lists.size(), inf);
+    for (std::size_t i = 0; i < lists.size(); ++i)
+      for (const InputCand& c : lists[i])
+        if (c.t <= t) pick[i] = std::min(pick[i], c.cost);
+    if (std::find(pick.begin(), pick.end(), inf) != pick.end()) continue;
+    Curve::Step b{t, inf, -1};
+    for (std::size_t m = 0; m < orders.size(); ++m) {
+      double s = base;
+      for (const std::uint32_t p : orders[m]) s += pick[p];
+      if (s < b.cost) b = {t, s, members[m]};
+    }
+    out.push_back(b);
+  }
+  return out;
+}
+
+/// Whether a point of `curve` beats breakpoint `b`: no slower and no
+/// dearer, and of a lower match on an exact tie.
+bool curve_beats(const Curve& curve, const Curve::Step& b) {
+  for (const CurvePoint& p : curve.points())
+    if (p.arrival <= b.arrival &&
+        (p.cost < b.cost ||
+         (p.cost == b.cost && (p.arrival < b.arrival || p.match <= b.match))))
+      return true;
+  return false;
+}
+
+// A class sweep stops at its cost floor, and the stop must drop no step:
+// its steps equal, bit for bit, the steps filtered from every breakpoint.
+// Costs are tenths, some nudged by an ULP, so the members' permuted
+// pin-order sums, their floors included, differ in the last bit. The stop must come exactly at the first
+// breakpoint after which the last step, or the cheapest curve point no
+// slower than it, costs no more than the floor: a floor summed in the
+// first member's order alone, or a stop that skips either test, moves it.
+TEST(MapSweep, FloorStopKeepsEveryStep) {
+  Rng rng(20261019);
+  int floor_differs = 0;   // rounds whose first member's floor is not the least
+  int closed_by_step = 0;  // sweeps stopped by the last step alone
+  int closed_by_curve = 0;  // sweeps stopped by a curve point alone
+  std::size_t unvisited = 0;  // breakpoints the stops skipped
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t k = 1 + static_cast<std::size_t>(round) % 4;
+    const double unit = round / 4 % 2 == 0 ? 0.1 : 0.3;
+    std::vector<std::vector<InputCand>> lists;
+    for (std::size_t p = 0; p < k; ++p) {
+      // Lifted off zero, so the cheapest entries are tenths too.
+      lists.push_back(random_cand_list(rng, 0.0, unit));
+      const double lift = unit * static_cast<double>(1 + rng() % 3);
+      for (InputCand& c : lists.back()) c.cost += lift;
+      nudge_costs(rng, lists.back());
+    }
+    // One to four members, each in a distinct permutation of the pins.
+    std::vector<std::vector<std::uint32_t>> orders;
+    std::vector<std::uint32_t> perm(k);
+    for (std::size_t p = 0; p < k; ++p) perm[p] = static_cast<std::uint32_t>(p);
+    const std::size_t want_members = 1 + rng() % 4;
+    for (int tries = 0; orders.size() < want_members && tries < 50; ++tries) {
+      for (std::size_t p = k - 1; p > 0; --p)
+        std::swap(perm[p], perm[rng() % (p + 1)]);
+      if (std::find(orders.begin(), orders.end(), perm) == orders.end())
+        orders.push_back(perm);
+    }
+    std::vector<int> members;
+    std::vector<std::uint32_t> order;
+    for (int m = static_cast<int>(rng() % 3); const auto& o : orders) {
+      members.push_back(m);
+      m += 1 + static_cast<int>(rng() % 3);
+      order.insert(order.end(), o.begin(), o.end());
+    }
+    std::vector<const std::vector<InputCand>*> pins;
+    for (const auto& l : lists) pins.push_back(&l);
+    const double base = unit * static_cast<double>(rng() % 3);
+
+    // The floor: each member's sum over the lists' last entries.
+    std::vector<double> sums;
+    for (const auto& o : orders) {
+      double s = base;
+      for (const std::uint32_t p : o) s += lists[p].back().cost;
+      sums.push_back(s);
+    }
+    const double floor = *std::min_element(sums.begin(), sums.end());
+    if (sums.front() != floor) ++floor_differs;
+
+    const std::vector<Curve::Step> all =
+        class_breakpoints(lists, orders, members, base);
+    // The node's curve: random points, and copies of breakpoints (the
+    // last one costs exactly the floor) at their own or an earlier
+    // arrival, so exact ties with the steps and the floor are common.
+    Curve curve;
+    for (std::uint64_t n = rng() % 6; n > 0; --n) {
+      CurvePoint p;
+      if (!all.empty() && rng() % 2 == 0) {
+        const Curve::Step& b = all[rng() % all.size()];
+        p.arrival = b.arrival - 0.5 * static_cast<double>(rng() % 3);
+        p.cost = b.cost;
+      } else {
+        p.arrival = 0.5 * static_cast<double>(rng() % 24);
+        p.cost = unit * static_cast<double>(rng() % 40);
+      }
+      p.match = static_cast<int>(rng() % 12);
+      curve.insert(p);
+    }
+
+    const Curve* const against[] = {nullptr, &curve};
+    for (const Curve* c : against) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                   std::to_string(k) + " pins, " +
+                   std::to_string(orders.size()) + " members" +
+                   (c ? ", against a curve" : ""));
+      // The reference filters every breakpoint, and finds the first after
+      // which no later one can become a step.
+      std::vector<Curve::Step> want;
+      std::size_t visits = all.size();
+      for (std::size_t b = 0; b < all.size(); ++b) {
+        if ((want.empty() || all[b].cost < want.back().cost) &&
+            (c == nullptr || !curve_beats(*c, all[b])))
+          want.push_back(all[b]);
+        if (visits < all.size() || b + 1 == all.size()) continue;
+        const bool by_step = !want.empty() && want.back().cost <= floor;
+        bool by_curve = false;
+        if (c != nullptr)
+          for (const CurvePoint& p : c->points())
+            by_curve = by_curve || (p.arrival <= all[b].arrival &&
+                                    p.cost <= floor);
+        if (!by_step && !by_curve) continue;
+        visits = b + 1;
+        if (!by_curve) ++closed_by_step;
+        if (!by_step) ++closed_by_curve;
+      }
+      unvisited += all.size() - visits;
+
+      std::vector<Curve::Step> got;
+      const SweepStats stats = sweep_class({pins, members, order}, base, c, got);
+      ASSERT_TRUE(same_steps(got, want));
+      for (std::size_t j = 0; j < got.size(); ++j)
+        ASSERT_EQ(got[j].match, want[j].match) << "step " << j;
+      ASSERT_EQ(stats.breakpoints, visits);
+      ASSERT_EQ(stats.closed, visits < all.size());
+    }
+  }
+  // The rounds exercise the ULP-distinct floors and both ways to stop.
+  EXPECT_GT(floor_differs, 150);
+  EXPECT_GT(closed_by_step, 1500);
+  EXPECT_GT(closed_by_curve, 400);
+  EXPECT_GT(unvisited, 5000u);
+}
+
 // A class key holds each pin's timing, not only its node. In this library
 // nand3's three pins have distinct timings, so matches that bind its pins
 // to the same nodes in another order are different matches and fall into
