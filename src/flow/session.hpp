@@ -122,7 +122,9 @@ struct SessionStats {
 /// sensitive to any functional change — a single-literal flip, an
 /// added/removed cube, a different PO binding. Node and PI *names* of
 /// internal nodes do not participate; PI/PO names do (they bind option
-/// vectors and outputs).
+/// vectors and outputs). Serve hashes the network rugged-lite prepared,
+/// and rugged-lite's output depends on `.names` block order, so a
+/// block-reordered body can get another key (DESIGN.md §13).
 Hash128 structural_hash(const Network& net);
 
 /// Fingerprint of every FlowOptions field that can change a result,

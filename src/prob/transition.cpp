@@ -112,57 +112,25 @@ std::vector<NodeTransition> transition_probabilities(
   BddManager mgr;
   // Variable pairing follows the DFS PI order used by NetworkBdds so that
   // reconvergent logic stays narrow: PI at DFS position j gets current
-  // variable 2j and next variable 2j+1.
-  std::unordered_map<NodeId, int> pi_pos;
-  {
-    const std::vector<int> order = dfs_pi_variable_order(net);
-    for (std::size_t i = 0; i < net.pis().size(); ++i)
-      pi_pos[net.pis()[i]] = order[i];
-  }
-  // model indexed by PAIR position (DFS order), not PI position.
+  // variable 2j and next variable 2j+1. The model is re-indexed by pair
+  // position (DFS order), not PI position.
+  const std::vector<int> order = dfs_pi_variable_order(net);
+  std::vector<int> cur_vars(order.size());
+  std::vector<int> next_vars(order.size());
   std::vector<PiTemporalModel> by_pair(model.size());
-  for (std::size_t i = 0; i < net.pis().size(); ++i)
-    by_pair[static_cast<std::size_t>(pi_pos.at(net.pis()[i]))] = model[i];
-
-  // Build current- and next-cycle BDDs for every node.
-  std::vector<BddRef> cur(net.capacity(), BddManager::kFalse);
-  std::vector<BddRef> nxt(net.capacity(), BddManager::kFalse);
-  std::vector<BddRef> fanin_refs;  // reused across nodes
-  for (NodeId id : net.topo_order()) {
-    const Node& n = net.node(id);
-    switch (n.kind) {
-      case NodeKind::kPrimaryInput: {
-        const int pos = pi_pos.at(id);
-        cur[static_cast<std::size_t>(id)] = mgr.var(2 * pos);
-        nxt[static_cast<std::size_t>(id)] = mgr.var(2 * pos + 1);
-        break;
-      }
-      case NodeKind::kConstant0:
-        break;
-      case NodeKind::kConstant1:
-        cur[static_cast<std::size_t>(id)] = BddManager::kTrue;
-        nxt[static_cast<std::size_t>(id)] = BddManager::kTrue;
-        break;
-      case NodeKind::kInternal: {
-        for (auto* refs : {&cur, &nxt}) {
-          fanin_refs.clear();
-          for (const NodeId f : n.fanins)
-            fanin_refs.push_back((*refs)[static_cast<std::size_t>(f)]);
-          (*refs)[static_cast<std::size_t>(id)] =
-              compose_cover(mgr, n.cover, fanin_refs);
-        }
-        break;
-      }
-      case NodeKind::kDead:
-        continue;
-    }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    cur_vars[i] = 2 * order[i];
+    next_vars[i] = 2 * order[i] + 1;
+    by_pair[static_cast<std::size_t>(order[i])] = model[i];
   }
+  const NetworkBdds cur(mgr, net, std::move(cur_vars));
+  const NetworkBdds nxt(mgr, net, std::move(next_vars));
 
   std::vector<NodeTransition> out(net.capacity());
   for (NodeId id = 0; id < static_cast<NodeId>(net.capacity()); ++id) {
     if (net.node(id).is_dead()) continue;
-    const BddRef f = cur[static_cast<std::size_t>(id)];
-    const BddRef fp = nxt[static_cast<std::size_t>(id)];
+    const BddRef f = cur.of(id);
+    const BddRef fp = nxt.of(id);
     NodeTransition t;
     t.p1 = pair_probability(mgr, f, by_pair);
     t.p01 = pair_probability(mgr, mgr.and_(mgr.not_(f), fp), by_pair);

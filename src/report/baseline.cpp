@@ -205,9 +205,10 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
   } else {
     r.metrics_checked = true;
     auto diff_pairs =
-        [](const std::vector<std::pair<std::string, std::uint64_t>>& bs,
-           const std::vector<std::pair<std::string, std::uint64_t>>& cs,
-           std::vector<MetricDiff>& out) {
+        [&r](const char* kind,
+             const std::vector<std::pair<std::string, std::uint64_t>>& bs,
+             const std::vector<std::pair<std::string, std::uint64_t>>& cs,
+             std::vector<MetricDiff>& out) {
           std::map<std::string, std::uint64_t> bm(bs.begin(), bs.end());
           std::map<std::string, std::uint64_t> cm(cs.begin(), cs.end());
           for (const auto& [name, bv] : bm) {
@@ -216,10 +217,13 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
             if (cv != bv) out.push_back({name, bv, cv});
           }
           for (const auto& [name, cv] : cm)
-            if (!bm.count(name) && cv != 0) out.push_back({name, 0, cv});
+            if (!bm.count(name) && cv != 0)
+              r.added_metrics.push_back({kind, name, cv});
         };
-    diff_pairs(base.metrics.counters, cand.metrics.counters, r.counter_diffs);
-    diff_pairs(base.metrics.gauges, cand.metrics.gauges, r.gauge_diffs);
+    diff_pairs("counter", base.metrics.counters, cand.metrics.counters,
+               r.counter_diffs);
+    diff_pairs("gauge", base.metrics.gauges, cand.metrics.gauges,
+               r.gauge_diffs);
 
     using Hist = metrics::Snapshot::Hist;
     std::map<std::string, const Hist*> cand_hists;
@@ -250,7 +254,8 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
       hist_diff(*b, it == cand_hists.end() ? kEmpty : *it->second, name);
     }
     for (const auto& [name, c] : cand_hists)
-      if (!base_hists.count(name)) hist_diff(kEmpty, *c, name);
+      if (!base_hists.count(name) && c->count != 0)
+        r.added_metrics.push_back({"histogram", name, c->count});
   }
 
   // Whole-run wall time (subset runs excluded: shorter input, shorter run).
@@ -289,6 +294,7 @@ void write_compare_json(std::ostream& os, const CompareReport& r) {
   w.field("metric_diffs",
           static_cast<int>(r.counter_diffs.size() + r.gauge_diffs.size() +
                            r.histogram_diffs.size()));
+  w.field("metrics_added", static_cast<int>(r.added_metrics.size()));
   w.field("elapsed_slow", r.elapsed_slow);
   w.field("verdict", r.regression() ? "regression" : "ok");
   w.end_object();
@@ -347,6 +353,16 @@ void write_compare_json(std::ostream& os, const CompareReport& r) {
     w.field("cand_p90", d.cand_p90);
     w.field("base_p99", d.base_p99);
     w.field("cand_p99", d.cand_p99);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("added");
+  w.begin_array();
+  for (const AddedMetric& a : r.added_metrics) {
+    w.begin_object();
+    w.field("kind", a.kind);
+    w.field("name", a.name);
+    w.field("value", a.value);
     w.end_object();
   }
   w.end_array();
@@ -411,6 +427,11 @@ void print_compare(std::ostream& os, const CompareReport& r) {
           static_cast<unsigned long long>(d.cand_p50),
           static_cast<unsigned long long>(d.base_p99),
           static_cast<unsigned long long>(d.cand_p99));
+      os << buf;
+    }
+    for (const AddedMetric& a : r.added_metrics) {
+      std::snprintf(buf, sizeof(buf), "  added %s %s: %llu\n", a.kind.c_str(),
+                    a.name.c_str(), static_cast<unsigned long long>(a.value));
       os << buf;
     }
   } else {

@@ -22,7 +22,8 @@
 //
 // Cells present only in the baseline are "skipped" (a subset candidate is
 // fine unless require_all is set); cells only in the candidate are "new"
-// and never fail the gate.
+// and never fail the gate. Likewise a registry entry only the candidate has
+// is listed as added; a base entry that changed or went missing fails.
 //
 // Consumed by `minpower compare <baseline> <candidate>`, which prints the
 // verdict table, emits `minpower.compare.v1`, and exits 3 on regression.
@@ -111,6 +112,14 @@ struct MetricDiff {
   std::uint64_t cand = 0;
 };
 
+/// A registry entry only the candidate has (a new counter, gauge or
+/// histogram). Listed, never a regression — like a candidate-only cell.
+struct AddedMetric {
+  std::string kind;  // counter | gauge | histogram
+  std::string name;
+  std::uint64_t value = 0;  // a histogram's sample count
+};
+
 struct HistDiff {
   std::string name;
   std::uint64_t base_count = 0, cand_count = 0;
@@ -131,6 +140,7 @@ struct CompareReport {
   std::vector<MetricDiff> counter_diffs;  // differing entries only
   std::vector<MetricDiff> gauge_diffs;
   std::vector<HistDiff> histogram_diffs;
+  std::vector<AddedMetric> added_metrics;
   // Whole-run wall time.
   double base_elapsed_ms = 0.0;
   double cand_elapsed_ms = 0.0;

@@ -262,8 +262,8 @@ ServeStats Server::stats() const {
   s.busy_rejections = busy_rejections_.load(std::memory_order_relaxed);
   s.idle_reaped = idle_reaped_.load(std::memory_order_relaxed);
   s.drain_rejections = drain_rejections_.load(std::memory_order_relaxed);
-  s.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  s.inflight_peak = inflight_peak_.load(std::memory_order_relaxed);
+  s.queue_depth_peak = queue_depth_peak_.value();
+  s.inflight_peak = inflight_peak_.value();
   s.prepare_hits = prepare_hits_.load(std::memory_order_relaxed);
   s.prepare_misses = prepare_misses_.load(std::memory_order_relaxed);
   return s;
@@ -309,10 +309,7 @@ void Server::accept_loop() {
       close_fd(fd);
       continue;
     }
-    std::uint64_t peak = queue_depth_peak_.load(std::memory_order_relaxed);
-    while (depth > peak && !queue_depth_peak_.compare_exchange_weak(
-                               peak, depth, std::memory_order_relaxed)) {
-    }
+    queue_depth_peak_.record_max(depth);
     metrics::gauge("serve.queue_depth_peak").record_max(depth);
     queue_cv_.notify_one();
   }
@@ -331,10 +328,7 @@ void Server::worker_loop() {
     }
     const std::uint64_t inflight =
         inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint64_t peak = inflight_peak_.load(std::memory_order_relaxed);
-    while (inflight > peak && !inflight_peak_.compare_exchange_weak(
-                                  peak, inflight, std::memory_order_relaxed)) {
-    }
+    inflight_peak_.record_max(inflight);
     metrics::gauge("serve.inflight_peak").record_max(inflight);
     serve_connection(fd);
     inflight_.fetch_sub(1, std::memory_order_relaxed);

@@ -68,6 +68,7 @@
 
 #include "flow/session.hpp"
 #include "serve/access_log.hpp"
+#include "trace/metrics.hpp"
 #include "util/hash.hpp"
 #include "util/lru.hpp"
 
@@ -238,9 +239,9 @@ class Server {
   std::atomic<std::uint64_t> idle_reaped_{0};
   std::atomic<std::uint64_t> drain_rejections_{0};
   std::atomic<bool> draining_{false};
-  std::atomic<std::uint64_t> queue_depth_peak_{0};
+  metrics::Gauge queue_depth_peak_;
   std::atomic<std::uint64_t> inflight_{0};
-  std::atomic<std::uint64_t> inflight_peak_{0};
+  metrics::Gauge inflight_peak_;
   std::atomic<std::uint64_t> prepare_hits_{0};
   std::atomic<std::uint64_t> prepare_misses_{0};
 };

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "shard/journal.hpp"
 #include "trace/metrics.hpp"
@@ -26,6 +28,7 @@
 #include "util/json_writer.hpp"
 #include "util/log.hpp"
 #include "util/meminfo.hpp"
+#include "util/strings.hpp"
 
 namespace minpower::shard {
 
@@ -34,6 +37,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kMethodsPerCircuit = std::size(kMethods);
+
+/// Restart backoff ceiling: backoff_ms << restarts never waits longer.
+constexpr long long kMaxBackoffMs = 2'000;
 
 /// Restart floor for the halved-per-restart BDD cap: low enough that a
 /// genuine blowup degrades through the engine's ladder, high enough that
@@ -44,12 +50,6 @@ constexpr std::size_t kMinWorkerBddLimit = 1u << 20;
 bool is_worker_site(const std::string& site) {
   return site == "worker-abort" || site == "worker-hang" ||
          site == "worker-oom" || site == "worker-bloat";
-}
-
-/// One compact MEM protocol line from an OS memory sample.
-std::string mem_record(const MemSample& m) {
-  return "MEM {\"rss_kb\":" + std::to_string(m.rss_kb) +
-         ",\"hwm_kb\":" + std::to_string(m.hwm_kb) + "}\n";
 }
 
 /// Child-side pipe writer; the heartbeat thread and the compute loop share
@@ -76,9 +76,9 @@ class PipeWriter {
   std::mutex mu_;
 };
 
-/// Body of a forked worker. Streams START/CELL/BEAT/MEM/DONE lines to the
-/// supervisor and leaves only via _exit() — no static destructors, no
-/// stdio flush of buffers inherited from the parent.
+/// Body of a forked worker. Streams START/CELL/BEAT/TRACE/METRICS/DONE
+/// lines to the supervisor and leaves only via _exit() — no static
+/// destructors, no stdio flush of buffers inherited from the parent.
 [[noreturn]] void worker_main(int pipe_fd,
                               const std::vector<std::size_t>& assigned,
                               const std::vector<const Network*>& circuits,
@@ -99,12 +99,6 @@ class PipeWriter {
     heartbeat = std::thread([&] {
       while (beating.load(std::memory_order_relaxed)) {
         if (!out.write_line("BEAT\n")) ::_exit(1);
-        // Memory self-sample on the heartbeat tick: the kernel's view of
-        // this worker (VmRSS/VmHWM) rides the same liveness cadence, so the
-        // supervisor sees pressure building while the worker still lives.
-        MemSample m;
-        if (sample_self_memory(&m) && !out.write_line(mem_record(m)))
-          ::_exit(1);
         std::this_thread::sleep_for(
             std::chrono::milliseconds(options.heartbeat_ms));
       }
@@ -140,8 +134,8 @@ class PipeWriter {
           }
           if (f.site == "worker-bloat") {
             // Allocate and touch a ~160 MiB ballast, then hold it across
-            // several heartbeat periods so shipped MEM samples cross the
-            // supervisor's watermarks while BEATs keep flowing — any kill
+            // several heartbeat periods so the supervisor's /proc samples
+            // cross its watermarks while BEATs keep flowing — any kill
             // under --mem-limit-mb must come from memory governance, not
             // the heartbeat reaper. Without a limit the ballast is simply
             // released and the circuit computes normally.
@@ -182,13 +176,6 @@ class PipeWriter {
       }
       if (!out.write_line("METRICS " + snap.str() + "\n")) ::_exit(1);
     }
-    // Final memory sample: VmHWM here is the incarnation's true peak even
-    // when the heartbeat cadence missed a short-lived spike.
-    {
-      MemSample m;
-      if (sample_self_memory(&m) && !out.write_line(mem_record(m)))
-        ::_exit(1);
-    }
     out.write_line("DONE\n");
   } catch (const std::exception&) {
     // Engine tasks are individually fault-isolated, so an escaping
@@ -228,6 +215,24 @@ struct WorkerState {
 };
 
 }  // namespace
+
+WorkerRecord parse_worker_record(std::string_view line,
+                                 std::string_view* payload) {
+  *payload = {};
+  if (line == "BEAT") return WorkerRecord::kBeat;
+  if (line == "DONE") return WorkerRecord::kDone;
+  static constexpr std::pair<std::string_view, WorkerRecord> kVerbs[] = {
+      {"START ", WorkerRecord::kStart},
+      {"CELL ", WorkerRecord::kCell},
+      {"TRACE ", WorkerRecord::kTrace},
+      {"METRICS ", WorkerRecord::kMetrics}};
+  for (const auto& [verb, record] : kVerbs)
+    if (line.substr(0, verb.size()) == verb) {
+      *payload = line.substr(verb.size());
+      return record;
+    }
+  return WorkerRecord::kBreach;
+}
 
 bool run_sharded_suite(const std::vector<const Network*>& circuits,
                        const Library& lib, const FlowOptions& flow,
@@ -406,141 +411,136 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
         crash_count[ci]);
   };
 
-  // One OS memory sample for a worker (MEM record or direct /proc read):
-  // fold it into the per-incarnation peaks, mirror it into the merged trace
-  // as a ph:"C" counter series on the supervisor lane, and enforce the
-  // mem-limit watermarks. The sample value itself never reaches the
-  // canonical merged report — it is not deterministic.
-  const auto note_worker_memory = [&](WorkerState& w, std::size_t rss_kb,
-                                      std::size_t hwm_kb) {
-    const int idx = static_cast<int>(&w - workers.data());
-    WorkerMemory* slot = nullptr;
+  // The one SIGKILL path (heartbeat reaper, hard memory limit, protocol
+  // breach). kill_sent keeps a second kill from following before the
+  // pipe's EOF reaches handle_death.
+  const auto kill_worker = [&](WorkerState& w, const char* reason) {
+    {
+      trace::Instant i("sigkill", "shard");
+      i.arg("pid", static_cast<long long>(w.pid));
+      i.arg("reason", reason);
+    }
+    ::kill(w.pid, SIGKILL);
+    w.kill_sent = true;
+  };
+
+  // The live incarnation's entry in the per-incarnation memory peaks.
+  const auto memory_of = [&](const WorkerState& w) -> WorkerMemory& {
     for (auto it = run.worker_memory.rbegin(); it != run.worker_memory.rend();
          ++it)
-      if (it->pid == static_cast<int>(w.pid)) {
-        slot = &*it;
-        break;
-      }
-    if (slot == nullptr) {
-      run.worker_memory.push_back(
-          WorkerMemory{idx, static_cast<int>(w.pid), 0, 0});
-      slot = &run.worker_memory.back();
-    }
-    slot->peak_rss_kb = std::max(slot->peak_rss_kb, rss_kb);
-    slot->peak_hwm_kb = std::max(slot->peak_hwm_kb, hwm_kb);
+      if (it->pid == static_cast<int>(w.pid)) return *it;
+    return run.worker_memory.emplace_back(WorkerMemory{
+        static_cast<int>(&w - workers.data()), static_cast<int>(w.pid), 0, 0});
+  };
+
+  // One /proc/<pid>/status sample of a live worker: fold it into the
+  // incarnation's peaks, mirror it into the merged trace as a ph:"C"
+  // counter series on the supervisor lane, and enforce the mem-limit
+  // watermarks. The sample never reaches the canonical merged report — it
+  // is not deterministic.
+  const auto note_worker_memory = [&](WorkerState& w, const MemSample& m) {
+    WorkerMemory& peak = memory_of(w);
+    peak.peak_rss_kb = std::max(peak.peak_rss_kb, m.rss_kb);
+    peak.peak_hwm_kb = std::max(peak.peak_hwm_kb, m.hwm_kb);
     if (trace::enabled()) {
       trace::Event e;
-      e.name = "mem.worker-" + std::to_string(idx);
+      e.name = "mem.worker-" + std::to_string(peak.worker);
       e.cat = "shard";
       e.ph = 'C';
       e.ts_us = trace::detail::to_us(trace::Tracer::Clock::now() -
                                      trace::Tracer::instance().origin());
       trace::detail::add_arg(e, "rss_kb",
-                             static_cast<unsigned long long>(rss_kb));
+                             static_cast<unsigned long long>(m.rss_kb));
       trace::detail::add_arg(e, "hwm_kb",
-                             static_cast<unsigned long long>(hwm_kb));
+                             static_cast<unsigned long long>(m.hwm_kb));
       trace::Tracer::instance().record(std::move(e));
     }
-    if (options.mem_limit_mb == 0 || !w.live() || w.kill_sent) return;
+    if (options.mem_limit_mb == 0) return;
     const std::size_t limit_kb = options.mem_limit_mb * 1024;
     const std::size_t soft_kb = limit_kb - limit_kb / 5;  // ~80%
-    if (rss_kb >= limit_kb) {
+    if (m.rss_kb >= limit_kb) {
       ++run.stats.mem_pressure_events;
       {
         trace::Instant i("mem-pressure", "shard");
         i.arg("level", "hard");
         i.arg("pid", static_cast<long long>(w.pid));
-        i.arg("rss_kb", static_cast<unsigned long long>(rss_kb));
+        i.arg("rss_kb", static_cast<unsigned long long>(m.rss_kb));
         i.arg("limit_mb",
               static_cast<unsigned long long>(options.mem_limit_mb));
       }
-      {
-        trace::Instant i("sigkill", "shard");
-        i.arg("pid", static_cast<long long>(w.pid));
-        i.arg("reason", "mem-limit");
-      }
       log("worker pid %d rss %zu kB breached the %zu MiB limit; SIGKILL",
-          static_cast<int>(w.pid), rss_kb, options.mem_limit_mb);
-      ::kill(w.pid, SIGKILL);
-      w.kill_sent = true;
+          static_cast<int>(w.pid), m.rss_kb, options.mem_limit_mb);
+      kill_worker(w, "mem-limit");
       ++run.stats.mem_kills;
-    } else if (rss_kb >= soft_kb && !w.mem_soft_seen) {
+    } else if (m.rss_kb >= soft_kb && !w.mem_soft_seen) {
       w.mem_soft_seen = true;
       ++run.stats.mem_pressure_events;
       trace::Instant i("mem-pressure", "shard");
       i.arg("level", "soft");
       i.arg("pid", static_cast<long long>(w.pid));
-      i.arg("rss_kb", static_cast<unsigned long long>(rss_kb));
+      i.arg("rss_kb", static_cast<unsigned long long>(m.rss_kb));
       i.arg("limit_mb", static_cast<unsigned long long>(options.mem_limit_mb));
       log("worker pid %d rss %zu kB crossed the soft watermark (%zu kB)",
-          static_cast<int>(w.pid), rss_kb, soft_kb);
+          static_cast<int>(w.pid), m.rss_kb, soft_kb);
     }
   };
 
   // One complete protocol line from a worker. False on a protocol breach
   // (the worker is then killed and handled through the crash path).
-  const auto handle_line = [&](WorkerState& w,
-                               const std::string& line) -> bool {
-    if (line == "BEAT" || line == "DONE") return true;
-    if (line.rfind("MEM ", 0) == 0) {
-      std::string parse_error;
-      const std::optional<JsonValue> v =
-          parse_json(line.substr(4), &parse_error);
-      if (!v || v->kind != JsonValue::Kind::kObject) return false;
-      note_worker_memory(w, v->number_or<std::size_t>("rss_kb"),
-                         v->number_or<std::size_t>("hwm_kb"));
-      return true;
-    }
-    if (line.rfind("TRACE ", 0) == 0) {
-      std::string parse_error;
-      std::optional<std::vector<trace::ProcessLane>> lanes =
-          trace::parse_chrome_trace(line.substr(6), &parse_error);
-      if (!lanes || lanes->size() != 1) return false;
-      trace::ProcessLane& lane = lanes->front();
-      lane.pid = static_cast<int>(w.pid);
-      lane.name = "worker-" +
-                  std::to_string(static_cast<std::size_t>(&w - workers.data())) +
-                  " (pid " + std::to_string(static_cast<int>(w.pid)) + ")";
-      run.worker_lanes.push_back(std::move(lane));
-      return true;
-    }
-    if (line.rfind("METRICS ", 0) == 0) {
-      std::string parse_error;
-      std::optional<metrics::Snapshot> snap =
-          trace::parse_metrics_json(line.substr(8), &parse_error);
-      if (!snap) return false;
-      run.worker_metrics.push_back(std::move(*snap));
-      return true;
-    }
-    if (line.rfind("START ", 0) == 0) {
-      char* end = nullptr;
-      const long ci = std::strtol(line.c_str() + 6, &end, 10);
-      if (end == line.c_str() + 6 || ci < 0 ||
-          ci >= static_cast<long>(n))
-        return false;
-      w.current = ci;
-      return true;
-    }
-    if (line.rfind("CELL ", 0) == 0) {
-      std::istringstream head(line.substr(5));
-      std::size_t ci = 0;
-      std::size_t mi = 0;
-      if (!(head >> ci >> mi) || ci >= n || mi >= kMethodsPerCircuit)
-        return false;
-      std::string payload;
-      std::getline(head, payload);
-      std::string parse_error;
-      std::optional<JsonValue> v = parse_json(payload, &parse_error);
-      if (!v) return false;
-      FlowResult result;
-      if (!parse_flow_result_json(*v, &result, &parse_error)) return false;
-      mark_cell(ci, mi, std::move(result));
-      if (circuit_complete(ci)) {
-        w.queue.erase(std::remove(w.queue.begin(), w.queue.end(), ci),
-                      w.queue.end());
-        if (w.current == static_cast<long>(ci)) w.current = -1;
+  const auto handle_line = [&](WorkerState& w, std::string_view line) -> bool {
+    std::string_view payload;
+    std::string parse_error;
+    switch (parse_worker_record(line, &payload)) {
+      case WorkerRecord::kBeat:
+      case WorkerRecord::kDone:
+        return true;
+      case WorkerRecord::kStart: {
+        const std::optional<std::size_t> ci =
+            parse_number<std::size_t>(payload);
+        if (!ci || *ci >= n) return false;
+        w.current = static_cast<long>(*ci);
+        return true;
       }
-      return true;
+      case WorkerRecord::kCell: {
+        std::istringstream head{std::string(payload)};
+        std::size_t ci = 0;
+        std::size_t mi = 0;
+        if (!(head >> ci >> mi) || ci >= n || mi >= kMethodsPerCircuit)
+          return false;
+        std::string cell;
+        std::getline(head, cell);
+        const std::optional<JsonValue> v = parse_json(cell, &parse_error);
+        FlowResult result;
+        if (!v || !parse_flow_result_json(*v, &result, &parse_error))
+          return false;
+        mark_cell(ci, mi, std::move(result));
+        if (circuit_complete(ci)) {
+          w.queue.erase(std::remove(w.queue.begin(), w.queue.end(), ci),
+                        w.queue.end());
+          if (w.current == static_cast<long>(ci)) w.current = -1;
+        }
+        return true;
+      }
+      case WorkerRecord::kTrace: {
+        std::optional<std::vector<trace::ProcessLane>> lanes =
+            trace::parse_chrome_trace(payload, &parse_error);
+        if (!lanes || lanes->size() != 1) return false;
+        trace::ProcessLane& lane = lanes->front();
+        lane.pid = static_cast<int>(w.pid);
+        lane.name = "worker-" + std::to_string(&w - workers.data()) +
+                    " (pid " + std::to_string(lane.pid) + ")";
+        run.worker_lanes.push_back(std::move(lane));
+        return true;
+      }
+      case WorkerRecord::kMetrics: {
+        std::optional<metrics::Snapshot> snap =
+            trace::parse_metrics_json(payload, &parse_error);
+        if (!snap) return false;
+        run.worker_metrics.push_back(std::move(*snap));
+        return true;
+      }
+      case WorkerRecord::kBreach:
+        break;
     }
     return false;
   };
@@ -549,8 +549,15 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     ::close(w.fd);
     w.fd = -1;
     int status = 0;
-    while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+    rusage usage{};
+    while (::wait4(w.pid, &status, 0, &usage) < 0 && errno == EINTR) {
     }
+    // The reaped incarnation's final peak: ru_maxrss (kB on Linux) is its
+    // lifetime VmHWM, which also covers an incarnation killed before any
+    // /proc sample caught its peak.
+    WorkerMemory& peak = memory_of(w);
+    peak.peak_hwm_kb = std::max(peak.peak_hwm_kb,
+                                static_cast<std::size_t>(usage.ru_maxrss));
     const std::string death = describe_death(status);
     w.pid = -1;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
@@ -581,10 +588,8 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     w.current = -1;
     if (w.queue.empty()) return true;  // nothing left worth restarting for
     const int shift = std::min(w.restarts, 20);
-    const long long delay =
-        std::min<long long>(static_cast<long long>(options.backoff_ms)
-                                << shift,
-                            options.max_backoff_ms);
+    const long long delay = std::min(
+        static_cast<long long>(options.backoff_ms) << shift, kMaxBackoffMs);
     w.restart_at = Clock::now() + std::chrono::milliseconds(delay);
     w.restart_pending = true;
     ++w.restarts;
@@ -633,19 +638,17 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
       if (w.restart_pending && now >= w.restart_at)
         if (!spawn(w)) return false;
 
-    // Memory governance: under a limit the supervisor also samples each
-    // live worker's /proc/<pid>/status directly at heartbeat cadence — a
-    // worker wedged inside a huge allocation ships no MEM records, but the
-    // kernel still tells the truth about it.
-    if (options.mem_limit_mb > 0 &&
-        now - last_mem_sample >= std::chrono::milliseconds(
-                                     std::max(options.heartbeat_ms, 1))) {
+    // The one memory sampler: each live worker's /proc/<pid>/status at
+    // heartbeat cadence. The kernel's view needs nothing from the worker, so
+    // it stays truthful for a worker wedged inside a huge allocation.
+    if (now - last_mem_sample >=
+        std::chrono::milliseconds(std::max(options.heartbeat_ms, 1))) {
       last_mem_sample = now;
       for (WorkerState& w : workers) {
         if (!w.live() || w.kill_sent) continue;
         MemSample m;
         if (sample_process_memory(static_cast<long>(w.pid), &m))
-          note_worker_memory(w, m.rss_kb, m.hwm_kb);
+          note_worker_memory(w, m);
       }
     }
 
@@ -659,15 +662,9 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
             trace::Instant i("heartbeat-timeout", "shard");
             i.arg("pid", static_cast<long long>(w.pid));
           }
-          {
-            trace::Instant i("sigkill", "shard");
-            i.arg("pid", static_cast<long long>(w.pid));
-            i.arg("reason", "heartbeat-timeout");
-          }
           log("worker pid %d missed heartbeat deadline; SIGKILL",
               static_cast<int>(w.pid));
-          ::kill(w.pid, SIGKILL);
-          w.kill_sent = true;
+          kill_worker(w, "heartbeat-timeout");
           ++run.stats.heartbeat_kills;
         }
       }
@@ -731,13 +728,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
       }
       w.buf.erase(0, start);
       if (breach && w.live() && !w.kill_sent) {
-        {
-          trace::Instant i("sigkill", "shard");
-          i.arg("pid", static_cast<long long>(w.pid));
-          i.arg("reason", "protocol-breach");
-        }
-        ::kill(w.pid, SIGKILL);
-        w.kill_sent = true;
+        kill_worker(w, "protocol-breach");
         continue;  // EOF (and the crash path) follows on the next poll
       }
       if (eof && !handle_death(w)) return false;

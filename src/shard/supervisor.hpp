@@ -12,10 +12,6 @@
 //                               payload is the compact methods[] object of
 //                               minpower.flow.v1 (write_flow_result_json)
 //   BEAT                      — heartbeat (liveness, no payload)
-//   MEM <json>                — OS memory self-sample taken on the heartbeat
-//                               tick: {"rss_kb":N,"hwm_kb":N} from
-//                               /proc/self/status (VmRSS/VmHWM); one final
-//                               sample is shipped before DONE
 //   TRACE <json>              — the worker's own lane as a one-line Chrome
 //                               trace (write_chrome_trace; decoded by
 //                               trace::parse_chrome_trace), sent once right
@@ -23,6 +19,9 @@
 //   METRICS <json>            — the worker's metrics-registry snapshot
 //                               (write_metrics_json), sent once before DONE
 //   DONE                      — partition complete; the worker exits 0
+//
+// Any other line (parse_worker_record's kBreach) is a protocol breach: the
+// supervisor SIGKILLs the worker and takes the crash path.
 //
 // Observability (DESIGN.md §15): workers inherit the tracer origin that
 // set_enabled(true) pinned before the fork, so their span timestamps share
@@ -57,13 +56,14 @@
 // missing cells — producing a merged document byte-identical to an
 // uninterrupted run (cells are deterministic; rendering is canonical).
 //
-// Memory governance (DESIGN.md §16): workers self-sample VmRSS/VmHWM on
-// every heartbeat tick and ship MEM records; when `mem_limit_mb` is set the
-// supervisor additionally samples each live worker's /proc/<pid>/status
-// directly at heartbeat cadence (a worker wedged inside an allocation stops
-// shipping anything). Every sample updates `ShardRun::worker_memory` and,
-// when tracing, lands as a `ph:"C"` counter event on the supervisor lane.
-// Crossing ~80% of the limit raises a structured `mem-pressure` instant
+// Memory governance (DESIGN.md §16): the supervisor is the one memory
+// sampler. It reads each live worker's /proc/<pid>/status (VmRSS/VmHWM) at
+// heartbeat cadence, which needs nothing from the worker, so a worker
+// wedged inside an allocation is still seen; when it reaps an incarnation,
+// wait4's ru_maxrss gives the final peak, including for a SIGKILLed one.
+// Every sample updates `ShardRun::worker_memory` and, when tracing, lands
+// as a `ph:"C"` counter event on the supervisor lane. Under `mem_limit_mb`,
+// crossing ~80% of the limit raises a structured `mem-pressure` instant
 // (level "soft", once per incarnation); reaching the limit raises a "hard"
 // instant and a controlled SIGKILL (`mem_kills`), so the restart path
 // tightens the BDD cap pre-emptively (budget-tighten) instead of letting
@@ -81,6 +81,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/session.hpp"
@@ -101,9 +102,8 @@ struct ShardOptions {
   int heartbeat_timeout_ms = 10'000;
   /// Crashes tolerated per circuit before its cells are marked failed.
   int max_circuit_retries = 2;
-  /// Restart backoff: backoff_ms << restarts, capped at max_backoff_ms.
+  /// Restart backoff: backoff_ms << restarts, capped at 2 s.
   int backoff_ms = 100;
-  int max_backoff_ms = 2'000;
   /// Append completed cells here ("" = no journal).
   std::string journal_path;
   /// Resume from this journal ("" = fresh run). When journal_path is also
@@ -114,7 +114,8 @@ struct ShardOptions {
   /// everything else is forwarded to the workers' engines.
   std::vector<FaultInjection> injections;
   /// Per-worker resident-set watermark in MiB; 0 disables memory
-  /// governance (MEM records are still collected as telemetry). A worker
+  /// governance (the supervisor still samples every worker as telemetry).
+  /// A worker
   /// crossing ~80% raises a soft `mem-pressure` instant; reaching the limit
   /// is a hard breach: the worker is SIGKILLed in a controlled way and
   /// restarted under a tightened BDD budget.
@@ -135,15 +136,16 @@ struct ShardStats {
   std::size_t cells_failed = 0;    // marked failed after retry exhaustion
 };
 
-/// Peak OS memory observed for one worker incarnation (MEM records plus
-/// direct /proc sampling under mem_limit_mb). kB units, as reported by the
-/// kernel; inherently non-deterministic, so this never reaches the
-/// canonical merged report — sidecar/trace/trajectory only.
+/// Peak OS memory observed for one worker incarnation: the supervisor's
+/// /proc/<pid>/status samples, and ru_maxrss when it is reaped (so every
+/// spawned incarnation has one). kB units, as reported by the kernel;
+/// inherently non-deterministic, so this never reaches the canonical
+/// merged report — sidecar/trace/trajectory only.
 struct WorkerMemory {
   int worker = 0;  // shard index
   int pid = 0;     // incarnation pid
-  std::size_t peak_rss_kb = 0;
-  std::size_t peak_hwm_kb = 0;
+  std::size_t peak_rss_kb = 0;  // largest sampled VmRSS; 0 if never sampled
+  std::size_t peak_hwm_kb = 0;  // largest VmHWM sample or ru_maxrss
 };
 
 struct ShardRun {
@@ -157,12 +159,21 @@ struct ShardRun {
   std::vector<trace::ProcessLane> worker_lanes;
   /// One registry snapshot per worker incarnation that shipped METRICS.
   std::vector<metrics::Snapshot> worker_metrics;
-  /// Peak RSS/HWM per worker incarnation that was ever sampled (empty on
-  /// platforms without /proc).
+  /// Peak RSS/HWM per worker incarnation, one entry each.
   std::vector<WorkerMemory> worker_memory;
   /// Echo of ShardOptions::mem_limit_mb for the sidecar's memory block.
   std::size_t mem_limit_mb = 0;
 };
+
+/// The worker → supervisor records of the protocol above; kBreach is any
+/// other line.
+enum class WorkerRecord { kStart, kCell, kBeat, kTrace, kMetrics, kDone,
+                          kBreach };
+
+/// The record one worker line carries, and its payload: the text after the
+/// verb and its space (empty for BEAT and DONE).
+WorkerRecord parse_worker_record(std::string_view line,
+                                 std::string_view* payload);
 
 /// Run the suite across worker processes. False (with `error`) only on
 /// supervisor-level failures (journal mismatch, fork/pipe failure) — worker

@@ -57,8 +57,6 @@ class StreamHash {
     b_ = mix64(b_ ^ mix64(v + 0x9e6c63d0876a9a47ULL));
   }
 
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-
   /// Bit pattern of a double (0.0 and -0.0 collapse so option fingerprints
   /// do not split on the sign of zero).
   void f64(double v) {

@@ -111,44 +111,4 @@ inline void logf(Level l, const char* component, const char* fmt, ...) {
   va_end(ap);
 }
 
-inline void error(const char* component, const char* fmt, ...)
-    MP_LOG_PRINTF(2, 3);
-inline void error(const char* component, const char* fmt, ...) {
-  if (!enabled(Level::kError)) return;
-  va_list ap;
-  va_start(ap, fmt);
-  vlogf(Level::kError, component, fmt, ap);
-  va_end(ap);
-}
-
-inline void warn(const char* component, const char* fmt, ...)
-    MP_LOG_PRINTF(2, 3);
-inline void warn(const char* component, const char* fmt, ...) {
-  if (!enabled(Level::kWarn)) return;
-  va_list ap;
-  va_start(ap, fmt);
-  vlogf(Level::kWarn, component, fmt, ap);
-  va_end(ap);
-}
-
-inline void info(const char* component, const char* fmt, ...)
-    MP_LOG_PRINTF(2, 3);
-inline void info(const char* component, const char* fmt, ...) {
-  if (!enabled(Level::kInfo)) return;
-  va_list ap;
-  va_start(ap, fmt);
-  vlogf(Level::kInfo, component, fmt, ap);
-  va_end(ap);
-}
-
-inline void debug(const char* component, const char* fmt, ...)
-    MP_LOG_PRINTF(2, 3);
-inline void debug(const char* component, const char* fmt, ...) {
-  if (!enabled(Level::kDebug)) return;
-  va_list ap;
-  va_start(ap, fmt);
-  vlogf(Level::kDebug, component, fmt, ap);
-  va_end(ap);
-}
-
 }  // namespace minpower::logging

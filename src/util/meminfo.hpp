@@ -7,9 +7,10 @@
 //
 // These values are inherently non-deterministic (allocator, kernel page
 // accounting, ASLR); they must NEVER enter the metrics registry or the
-// canonical flow report. They travel only over the shard MEM wire record,
-// the shard_metrics sidecar `memory` block, ph:"C" trace counters, and
-// bench trajectory records.
+// canonical flow report. They travel only into the shard_metrics sidecar
+// `memory` block, ph:"C" trace counters, and bench trajectory records. The
+// shard supervisor samples its workers here; the workers never sample
+// themselves.
 
 #include <cstdio>
 #include <cstring>
@@ -58,7 +59,7 @@ inline bool sample_process_memory(long pid, MemSample* out) {
   return meminfo_detail::sample_status_file(path, out);
 }
 
-/// Sample the calling process (workers self-sample on the heartbeat tick).
+/// Sample the calling process (an in-process flow run's own peak).
 inline bool sample_self_memory(MemSample* out) {
   return meminfo_detail::sample_status_file("/proc/self/status", out);
 }

@@ -33,10 +33,6 @@ inline std::string_view trim(std::string_view s) {
   return s.substr(b, e - b + 1);
 }
 
-inline bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
-
 /// The whole of `s` as a T, or nullopt. std::from_chars rules: no leading
 /// whitespace, no '+', and no sign at all on unsigned types; values out of
 /// T's range are rejected, and so are non-finite floating values.

@@ -13,6 +13,7 @@
 #include "helpers.hpp"
 #include "report/baseline.hpp"
 #include "trace/metrics.hpp"
+#include "util/json_reader.hpp"
 
 namespace minpower {
 namespace {
@@ -229,6 +230,69 @@ TEST(Compare, CounterDriftFails) {
   EXPECT_EQ(r.counter_diffs[0].name, "map.matches");
   EXPECT_EQ(r.counter_diffs[0].base, 1234u);
   EXPECT_EQ(r.counter_diffs[0].cand, 1235u);
+}
+
+TEST(Compare, CandidateOnlyMetricsAreAddedAndNeverFail) {
+  const FlowReportDoc base = small_doc();
+  FlowReportDoc cand = base;
+  cand.metrics.counters.push_back({"map.breakpoints", 4740571});
+  cand.metrics.counters.push_back({"map.unused", 0});  // zero: not listed
+  cand.metrics.gauges.push_back({"map.peak_points", 9});
+  Hist h;
+  h.name = "map.sweep_us";
+  h.count = 4;
+  h.sum = 40;
+  h.buckets = {{8, 4}};
+  cand.metrics.histograms.push_back(h);
+  const CompareReport r =
+      report::compare_flow_reports(base, cand, CompareOptions{});
+  EXPECT_FALSE(r.regression());
+  EXPECT_TRUE(r.counter_diffs.empty());
+  EXPECT_TRUE(r.gauge_diffs.empty());
+  EXPECT_TRUE(r.histogram_diffs.empty());
+  ASSERT_EQ(r.added_metrics.size(), 3u);
+  EXPECT_EQ(r.added_metrics[0].kind, "counter");
+  EXPECT_EQ(r.added_metrics[0].name, "map.breakpoints");
+  EXPECT_EQ(r.added_metrics[0].value, 4740571u);
+  EXPECT_EQ(r.added_metrics[1].kind, "gauge");
+  EXPECT_EQ(r.added_metrics[1].name, "map.peak_points");
+  EXPECT_EQ(r.added_metrics[2].kind, "histogram");
+  EXPECT_EQ(r.added_metrics[2].name, "map.sweep_us");
+  EXPECT_EQ(r.added_metrics[2].value, 4u);
+
+  std::ostringstream table;
+  report::print_compare(table, r);
+  EXPECT_NE(table.str().find("added counter map.breakpoints: 4740571"),
+            std::string::npos);
+  EXPECT_NE(table.str().find("added histogram map.sweep_us: 4"),
+            std::string::npos);
+  EXPECT_NE(table.str().find("\nOK\n"), std::string::npos);
+  std::ostringstream doc;
+  report::write_compare_json(doc, r);
+  std::string error;
+  const auto json = parse_json(doc.str(), &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const JsonValue* added = json->find("metrics")->find("added");
+  ASSERT_NE(added, nullptr);
+  ASSERT_EQ(added->items.size(), 3u);
+  EXPECT_EQ(added->items[1].find("kind")->string, "gauge");
+  EXPECT_EQ(json->find("summary")->find("metrics_added")->number, 3.0);
+  EXPECT_EQ(json->find("summary")->find("verdict")->string, "ok");
+
+  // An entry the base has still fails when it changes or goes missing,
+  // even next to added ones.
+  FlowReportDoc dropped = cand;
+  dropped.metrics.counters.erase(dropped.metrics.counters.begin());
+  dropped.metrics.histograms.erase(dropped.metrics.histograms.begin());
+  const CompareReport d =
+      report::compare_flow_reports(base, dropped, CompareOptions{});
+  EXPECT_TRUE(d.regression());
+  ASSERT_EQ(d.counter_diffs.size(), 1u);
+  EXPECT_EQ(d.counter_diffs[0].name, "map.matches");
+  EXPECT_EQ(d.counter_diffs[0].cand, 0u);
+  ASSERT_EQ(d.histogram_diffs.size(), 1u);
+  EXPECT_EQ(d.histogram_diffs[0].name, "map.match_us");
+  EXPECT_EQ(d.added_metrics.size(), 3u);
 }
 
 TEST(Compare, HistogramDriftReportsPercentileShift) {

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "benchgen/benchgen.hpp"
@@ -237,6 +238,40 @@ TEST(Shard, RetryExhaustionFailsCellsThenResumeCompletesByteExact) {
   EXPECT_EQ(canonical_cells(resumed.per_circuit),
             canonical_cells(clean.per_circuit));
   std::remove(journal.c_str());
+}
+
+TEST(Shard, WorkerProtocolHasSixRecordsAndMemIsABreach) {
+  using shard::WorkerRecord;
+  std::string_view payload = "stale";
+  // Workers ship no memory samples (the supervisor reads /proc itself),
+  // so a MEM line is a protocol breach like any unknown verb.
+  EXPECT_EQ(shard::parse_worker_record("MEM {\"rss_kb\":1,\"hwm_kb\":2}",
+                                       &payload),
+            WorkerRecord::kBreach);
+  EXPECT_TRUE(payload.empty());
+
+  EXPECT_EQ(shard::parse_worker_record("BEAT", &payload), WorkerRecord::kBeat);
+  EXPECT_EQ(shard::parse_worker_record("DONE", &payload), WorkerRecord::kDone);
+  EXPECT_TRUE(payload.empty());
+  EXPECT_EQ(shard::parse_worker_record("START 12", &payload),
+            WorkerRecord::kStart);
+  EXPECT_EQ(payload, "12");
+  EXPECT_EQ(shard::parse_worker_record("CELL 1 2 {}", &payload),
+            WorkerRecord::kCell);
+  EXPECT_EQ(payload, "1 2 {}");
+  EXPECT_EQ(shard::parse_worker_record("TRACE {\"traceEvents\":[]}",
+                                       &payload),
+            WorkerRecord::kTrace);
+  EXPECT_EQ(payload, "{\"traceEvents\":[]}");
+  EXPECT_EQ(shard::parse_worker_record("METRICS {}", &payload),
+            WorkerRecord::kMetrics);
+  EXPECT_EQ(payload, "{}");
+
+  for (const char* line : {"", "BEAT ", "DONE x", "START", "STARTED 1",
+                           "cell 1 2 {}", "MEM", " BEAT"})
+    EXPECT_EQ(shard::parse_worker_record(line, &payload),
+              WorkerRecord::kBreach)
+        << "'" << line << "'";
 }
 
 TEST(Shard, ResumeRejectsMismatchedSuite) {

@@ -203,6 +203,45 @@ TEST(ShardObservability, WorkerAbortEmitsLifecycleInstantsAndKeepsLanes) {
   }
 }
 
+TEST(ShardObservability, EveryIncarnationHasOneMemoryPeakEvenWhenSigkilled) {
+  const std::vector<Network> nets = suite_prefix(3);
+  const auto circuits = pointers(nets);
+
+  // worker-oom SIGKILLs circuit 1's worker from inside: it never reaches a
+  // clean exit, yet its peak must still be recorded (from ru_maxrss when
+  // the supervisor reaps it). No mem limit: sampling is unconditional.
+  shard::ShardOptions so;
+  so.shards = 2;
+  so.injections = {{"worker-oom", 1}};
+  so.backoff_ms = 10;
+  shard::ShardRun run;
+  const trace::TraceProfile p = traced_profile(circuits, so, &run);
+  ASSERT_GE(run.stats.worker_crashes, 1u);
+  EXPECT_EQ(run.stats.cells_failed, 0u);
+
+  std::set<int> started;
+  for (const trace::InstantRecord& ir : p.lifecycle)
+    if (ir.name == "worker-start")
+      started.insert(static_cast<int>(*ir.find_num("pid")));
+  ASSERT_EQ(started.size(), run.stats.workers_spawned);
+
+  std::set<int> sampled;
+  for (const shard::WorkerMemory& m : run.worker_memory) {
+    EXPECT_GT(m.peak_hwm_kb, 0u) << "pid " << m.pid;
+    EXPECT_TRUE(sampled.insert(m.pid).second) << "pid " << m.pid;
+  }
+  EXPECT_EQ(sampled, started);
+
+  // The sidecar carries the same one-entry-per-incarnation memory block.
+  std::ostringstream mos;
+  shard::write_shard_metrics_json(mos, run, so.shards);
+  std::string error;
+  const auto doc = parse_json(mos.str(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->find("memory")->find("workers")->items.size(),
+            run.stats.workers_spawned);
+}
+
 TEST(ShardObservability, MemLimitKillsBloatedWorkerAndRunRecovers) {
   const std::vector<Network> nets = suite_prefix(3);
   const auto circuits = pointers(nets);
@@ -261,9 +300,9 @@ TEST(ShardObservability, MemLimitKillsBloatedWorkerAndRunRecovers) {
   EXPECT_GE(count_instants(p, "sigkill"), 1u);
   EXPECT_GE(count_instants(p, "worker-restart"), 1u);
 
-  // MEM records round-trip: the bloated incarnation's kernel-reported peak
-  // reached the watermark, and samples landed as ph:"C" counter events on
-  // the supervisor lane of the merged trace.
+  // The supervisor's samples: the bloated incarnation's kernel-reported
+  // peak reached the watermark, and samples landed as ph:"C" counter events
+  // on the supervisor lane of the merged trace.
   ASSERT_FALSE(run.worker_memory.empty());
   std::size_t peak = 0;
   for (const shard::WorkerMemory& m : run.worker_memory)
