@@ -39,6 +39,16 @@ const Gate& Library::nand2() const {
 
 double Library::default_load() const { return nand2().pins[0].cap; }
 
+const PatternShapes& Library::shapes() const {
+  std::call_once(shapes_->built, [this] {
+    PatternShapes& s = shapes_->shapes;
+    for (const Gate& g : gates_)
+      for (const auto& pat : g.patterns)
+        s.roots.push_back(s.table.intern(*pat));
+  });
+  return shapes_->shapes;
+}
+
 Library Library::parse_genlib(const std::string& text, std::string name) {
   Library lib;
   lib.name_ = std::move(name);

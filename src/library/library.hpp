@@ -6,7 +6,9 @@
 // abstract "unit loads"; `kUnitCapFarads` converts to Farads for the power
 // formula of Eq. 1.
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,10 +51,21 @@ struct Gate {
   double max_drive() const;
 };
 
+/// The shapes of a library's patterns: the interned table, and each
+/// pattern's root shape in library order (gate by gate, each gate's
+/// patterns in order).
+struct PatternShapes {
+  ShapeTable table;
+  std::vector<std::uint32_t> roots;
+};
+
 class Library {
  public:
   const std::vector<Gate>& gates() const { return gates_; }
   const std::string& name() const { return name_; }
+  /// The shapes of every gate's patterns. Built on first use, once per
+  /// library and thread-safe, so that parsing a genlib does not pay for it.
+  const PatternShapes& shapes() const;
 
   const Gate* find(const std::string& gate_name) const;
 
@@ -81,6 +94,11 @@ class Library {
  private:
   std::string name_;
   std::vector<Gate> gates_;
+  struct ShapeCache {
+    std::once_flag built;
+    PatternShapes shapes;
+  };
+  std::unique_ptr<ShapeCache> shapes_ = std::make_unique<ShapeCache>();
   int inverter_index_ = -1;
   int nand2_index_ = -1;
 };

@@ -54,6 +54,23 @@ std::string Pattern::canonical() const {
   return "?";
 }
 
+std::uint32_t ShapeTable::intern(const Pattern& p) {
+  Shape s;
+  s.kind = p.kind;
+  if (p.kind == Pattern::Kind::kLeaf) return 0;
+  for (std::size_t i = 0; i < p.child.size(); ++i)
+    s.child[i] = intern(*p.child[i]);
+  if (p.kind == Pattern::Kind::kNand && s.child[1] < s.child[0])
+    std::swap(s.child[0], s.child[1]);
+  // A library has a few dozen shapes and builds its table once: a linear
+  // scan is enough.
+  const auto it = std::find(shapes_.begin(), shapes_.end(), s);
+  if (it != shapes_.end())
+    return static_cast<std::uint32_t>(it - shapes_.begin());
+  shapes_.push_back(s);
+  return static_cast<std::uint32_t>(shapes_.size() - 1);
+}
+
 int Pattern::size() const {
   if (kind == Kind::kLeaf) return 0;
   int n = 1;

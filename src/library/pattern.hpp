@@ -8,6 +8,7 @@
 // the pattern a leaf-DAG, which the matcher supports through binding
 // consistency.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +37,31 @@ struct Pattern {
   int size() const;
 
   int depth() const;
+};
+
+/// A pattern subtree with its pin labels dropped and its NAND children
+/// unordered: the part of a pattern the subject's structure alone decides.
+struct Shape {
+  Pattern::Kind kind = Pattern::Kind::kLeaf;
+  /// Child shape ids: kInv uses child[0]; kNand keeps child[0] <= child[1].
+  std::uint32_t child[2] = {0, 0};
+
+  bool operator==(const Shape&) const = default;
+};
+
+/// The interned shapes of every subtree of a set of patterns; equal shapes
+/// share one id. Id 0 is the leaf, and a shape's children have smaller ids
+/// than the shape itself, so one pass in id order visits children first.
+class ShapeTable {
+ public:
+  /// The id of `p`'s shape, adding it and its subtrees' shapes as needed.
+  std::uint32_t intern(const Pattern& p);
+
+  const std::vector<Shape>& shapes() const { return shapes_; }
+  std::size_t size() const { return shapes_.size(); }
+
+ private:
+  std::vector<Shape> shapes_{Shape{}};
 };
 
 /// All structurally distinct NAND2/INV patterns realizing `expr`, where pin

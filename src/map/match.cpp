@@ -65,15 +65,72 @@ bool match_rec(const Pattern& pat, NodeId node, bool is_root, MatchState& st) {
   return false;
 }
 
+/// Per subject node, the bitset of the library's shapes (ShapeTable ids)
+/// the node can root: bit s of node n is set when match_rec's structural
+/// rules, pin labels aside, admit shape s at n. A pattern whose root shape
+/// is not in its node's label cannot match there, so the label is an exact
+/// filter: every successful match embeds its pattern's shape.
+class ShapeLabels {
+ public:
+  ShapeLabels(const Network& net, const ShapeTable& table)
+      : words_((table.size() + 63) / 64), bits_(net.capacity() * words_, 0) {
+    for (std::size_t i = 0; i < bits_.size(); i += words_)
+      bits_[i] = 1;  // every node can root the leaf (shape 0)
+    // A child of an interior pattern node can root a leaf, or any shape of
+    // its own label when it has one reader (match_rec's interior rule).
+    const auto usable = [&](NodeId c, std::uint32_t s) {
+      return s == 0 || (net.fanout_count(c) == 1 && has(c, s));
+    };
+    const std::vector<Shape>& shapes = table.shapes();
+    for (const NodeId id : net.topo_order()) {
+      const Pattern::Kind kind = net.is_inv(id)     ? Pattern::Kind::kInv
+                                 : net.is_nand2(id) ? Pattern::Kind::kNand
+                                                    : Pattern::Kind::kLeaf;
+      if (kind == Pattern::Kind::kLeaf) continue;
+      const std::vector<NodeId>& in = net.node(id).fanins;
+      for (std::uint32_t s = 1; s < shapes.size(); ++s) {
+        const Shape& sh = shapes[s];
+        if (sh.kind != kind) continue;
+        const std::uint32_t x = sh.child[0];
+        const std::uint32_t y = sh.child[1];
+        if (kind == Pattern::Kind::kInv
+                ? usable(in[0], x)
+                : (usable(in[0], x) && usable(in[1], y)) ||
+                      (usable(in[0], y) && usable(in[1], x)))
+          bits_[row(id) + s / 64] |= std::uint64_t{1} << (s % 64);
+      }
+    }
+  }
+
+  bool has(NodeId n, std::uint32_t s) const {
+    return (bits_[row(n) + s / 64] >> (s % 64)) & 1;
+  }
+
+ private:
+  std::size_t row(NodeId n) const {
+    return static_cast<std::size_t>(n) * words_;
+  }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;  // node n: words [row(n), row(n) + words_)
+};
+
 /// Calls `found(gate, binding, covered)` for every pattern of every gate
 /// that matches at `n`, in library and pattern order, with `covered`
-/// sorted and free of repeats. A gate whose patterns match the same way
-/// twice reports each time; the callers drop the repeats.
+/// sorted and free of repeats. Only patterns whose root shape (`roots`,
+/// PatternShapes order) is in `n`'s label are tried; `tries` counts them.
+/// A gate whose patterns match the same way twice reports each time; the
+/// caller drops the repeats.
 template <class Found>
-void each_match(NodeId n, const Library& lib, MatchState& st,
-                Found&& found) {
+void each_match(NodeId n, const Library& lib,
+                std::span<const std::uint32_t> roots,
+                const ShapeLabels& labels, MatchState& st,
+                std::uint64_t& tries, Found&& found) {
+  const std::uint32_t* root = roots.data();
   for (const Gate& g : lib.gates()) {
     for (const auto& pat : g.patterns) {
+      if (!labels.has(n, *root++)) continue;
+      ++tries;
       st.binding.assign(static_cast<std::size_t>(g.num_inputs()), kNoNode);
       st.covered.clear();
       st.bound.clear();
@@ -115,25 +172,6 @@ void class_key(const Gate& g, std::span<const NodeId> binding,
 
 }  // namespace
 
-std::vector<Match> find_matches(const Network& subject, NodeId n,
-                                const Library& lib) {
-  std::vector<Match> out;
-  if (!subject.node(n).is_internal()) return out;
-  MatchState st;
-  st.net = &subject;
-  each_match(n, lib, st,
-             [&](const Gate& g, const std::vector<NodeId>& binding,
-                 const std::vector<NodeId>& covered) {
-               // Several patterns of one gate can give the same match.
-               for (const Match& prev : out)
-                 if (prev.gate == &g && prev.pin_binding == binding &&
-                     prev.covered == covered)
-                   return;
-               out.push_back({&g, binding, covered});
-             });
-  return out;
-}
-
 SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
   trace::Span span("match", "map");
   span.arg("network", subject.name());
@@ -144,6 +182,9 @@ SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
   // across reset().
   static metrics::Histogram& matches_per_node =
       metrics::histogram("map.matches_per_node");
+  const PatternShapes& shapes = lib.shapes();
+  const ShapeLabels labels(subject, shapes.table);
+  std::uint64_t tries = 0;
   MatchState st;
   st.net = &subject;
   // The covered sets of the current node's matches: match i's set is
@@ -160,7 +201,7 @@ SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
                  "mapper requires a NAND2/INV subject network");
     covered.clear();
     covered_at.assign(1, 0);
-    each_match(id, lib, st,
+    each_match(id, lib, shapes.roots, labels, st, tries,
                [&](const Gate& g, const std::vector<NodeId>& binding,
                    const std::vector<NodeId>& cov) {
       // Degenerate (zero-size) patterns are rejected here, not by the
@@ -205,8 +246,10 @@ SubjectMatches enumerate_matches(const Network& subject, const Library& lib) {
   store.pins_.shrink_to_fit();
   metrics::counter("map.match_attempts").add(store.num_matches());
   metrics::counter("map.match_classes").add(store.num_classes());
+  metrics::counter("map.pattern_tries").add(tries);
   metrics::gauge("map.match_store_bytes").record_max(store.bytes());
   span.arg("matches", static_cast<unsigned long long>(store.num_matches()));
+  span.arg("tries", static_cast<unsigned long long>(tries));
   return store;
 }
 

@@ -11,29 +11,16 @@
 
 namespace minpower {
 
-struct Match {
-  const Gate* gate = nullptr;
-  /// Subject node bound to each gate pin (pin order = Gate::pins order).
-  std::vector<NodeId> pin_binding;
-  /// merged(n,g): subject nodes covered by the match, root included.
-  std::vector<NodeId> covered;
-};
-
-/// All matches of library gates at subject node `n`.
-///
-/// A match is admissible when every covered node other than the root has a
-/// single reader inside the match (covering a multi-fanout node would force
-/// logic duplication); `inputs(n,g)` — the pin bindings — may be any nodes,
-/// including multi-fanout ones and PIs.
-std::vector<Match> find_matches(const Network& subject, NodeId n,
-                                const Library& lib);
-
 /// The match lists of a whole subject network in one compact store: per
 /// match a gate, an offset into one flat pin-binding array and a duplicate
-/// class. Node n's matches are find_matches(subject, n, lib) without the
-/// degenerate zero-size ones, in the same order; PIs, constants and dead
-/// slots have none. The covered sets are not kept: enumeration reads them
-/// to remove duplicates and to tag classes, and nothing after it does.
+/// class. Node n's matches are, in library and pattern order, each gate
+/// pattern's first embedding at n (a NAND's fanins in order, then swapped),
+/// without repeats and without degenerate zero-size ones; PIs, constants
+/// and dead slots have none. A match is admissible when every covered node
+/// other than the root has a single reader (covering a multi-fanout node
+/// would force logic duplication); its pin bindings (inputs(n,g)) may be
+/// any nodes, multi-fanout ones and PIs included. The covered sets (merged(n,g)) are not kept: enumeration reads
+/// them to remove duplicates and to tag classes, and nothing after it does.
 ///
 /// A duplicate class groups a node's matches that share the gate, the
 /// covered set and the multiset of (input node, pin timing): the same

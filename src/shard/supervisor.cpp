@@ -206,6 +206,7 @@ struct WorkerState {
   int restarts = 0;
   bool restart_pending = false;
   bool kill_sent = false;      // reaper/mem SIGKILL already delivered
+  bool reported = false;       // sent its first START or BEAT
   bool mem_soft_seen = false;  // soft watermark instant already raised
   Clock::time_point last_activity;
   Clock::time_point restart_at;
@@ -356,6 +357,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     w.current = -1;
     w.restart_pending = false;
     w.kill_sent = false;
+    w.reported = false;
     w.mem_soft_seen = false;
     w.last_activity = Clock::now();
     ++run.stats.workers_spawned;
@@ -485,6 +487,21 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     }
   };
 
+  const auto sample_worker = [&](WorkerState& w) {
+    MemSample m;
+    if (sample_process_memory(static_cast<long>(w.pid), &m))
+      note_worker_memory(w, m);
+  };
+
+  // A worker's first sample follows its first START or BEAT. Sampled in the
+  // loop pass that forks it, it would read the few hundred kB of a process
+  // that has not run yet.
+  const auto first_report = [&](WorkerState& w) {
+    if (w.reported) return;
+    w.reported = true;
+    if (!w.kill_sent) sample_worker(w);
+  };
+
   // One complete protocol line from a worker. False on a protocol breach
   // (the worker is then killed and handled through the crash path).
   const auto handle_line = [&](WorkerState& w, std::string_view line) -> bool {
@@ -492,6 +509,8 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     std::string parse_error;
     switch (parse_worker_record(line, &payload)) {
       case WorkerRecord::kBeat:
+        first_report(w);
+        return true;
       case WorkerRecord::kDone:
         return true;
       case WorkerRecord::kStart: {
@@ -499,6 +518,7 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
             parse_number<std::size_t>(payload);
         if (!ci || *ci >= n) return false;
         w.current = static_cast<long>(*ci);
+        first_report(w);
         return true;
       }
       case WorkerRecord::kCell: {
@@ -641,15 +661,12 @@ bool run_sharded_suite(const std::vector<const Network*>& circuits,
     // The one memory sampler: each live worker's /proc/<pid>/status at
     // heartbeat cadence. The kernel's view needs nothing from the worker, so
     // it stays truthful for a worker wedged inside a huge allocation.
+    // Workers that have not reported yet are left to first_report.
     if (now - last_mem_sample >=
         std::chrono::milliseconds(std::max(options.heartbeat_ms, 1))) {
       last_mem_sample = now;
-      for (WorkerState& w : workers) {
-        if (!w.live() || w.kill_sent) continue;
-        MemSample m;
-        if (sample_process_memory(static_cast<long>(w.pid), &m))
-          note_worker_memory(w, m);
-      }
+      for (WorkerState& w : workers)
+        if (w.live() && !w.kill_sent && w.reported) sample_worker(w);
     }
 
     // Heartbeat reaper.

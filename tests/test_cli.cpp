@@ -8,7 +8,11 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+
+#include "benchgen/benchgen.hpp"
+#include "io/blif.hpp"
 
 namespace {
 
@@ -48,6 +52,32 @@ TEST(Cli, BenchHelpIsUsageNotAbort) {
 
 TEST(Cli, UnknownBenchmarkIsFatalNotAbort) {
   expect_clean_failure("bench nosuch", "unknown benchmark nosuch");
+}
+
+// `bench --scale` writes the scale generator's instance itself, so a
+// 1000-gate point can be profiled through `minpower flow`.
+TEST(Cli, BenchScaleWritesTheGeneratedInstance) {
+  const std::string path = ::testing::TempDir() + "mp_cli_mesh-100.blif";
+  const auto r = run_cli("bench --scale mesh:100 --seed 7 -o " + path);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(path);
+  std::stringstream got;
+  got << in.rdbuf();
+  EXPECT_EQ(got.str(), minpower::write_blif_string(
+                           minpower::generate_scale_benchmark(
+                               {"mesh", 100, 7})));
+}
+
+TEST(Cli, BadBenchScaleIsFatalNotAbort) {
+  expect_clean_failure("bench --scale ring:100", "unknown scale family 'ring'");
+  for (const char* spec : {"chain", "chain:", "chain:0", "chain:x",
+                           "chain:-5", "chain:1000001"})
+    expect_clean_failure(std::string("bench --scale ") + spec,
+                         "--scale wants <family>:<gates>");
+  expect_clean_failure("bench --scale cone:10 --seed -1",
+                       "--seed needs a number, got '-1'");
+  expect_clean_failure("bench x2 --scale cone:10",
+                       "bench takes a suite name or --scale, not both");
 }
 
 TEST(Cli, GenlibWithoutNand2OrInverterIsFatalNotAbort) {

@@ -76,6 +76,35 @@ TEST(Pattern, Nand3HasTwoShapes) {
   for (const auto& p : ps) EXPECT_EQ(p->size(), 3);  // NAND + INV + NAND
 }
 
+// A shape drops pin labels and NAND child order: nand3's three patterns
+// are one shape, and every subtree is interned before its parent.
+TEST(Pattern, ShapesInternEverySubtreeOnce) {
+  ShapeTable t;
+  const auto nand3 =
+      generate_patterns(*parse_expr("!(a*b*c)"), {"a", "b", "c"});
+  ASSERT_EQ(nand3.size(), 3u);
+  const std::uint32_t s = t.intern(*nand3[0]);
+  for (const auto& p : nand3) EXPECT_EQ(t.intern(*p), s);
+  EXPECT_EQ(t.size(), 4u);  // leaf, NAND{leaf,leaf}, INV(that), the root
+  EXPECT_EQ(t.intern(*Pattern::nand(Pattern::leaf(1), Pattern::leaf(0))), 1u);
+
+  const PatternShapes& lib = standard_library().shapes();
+  EXPECT_EQ(lib.table.size(), 36u);
+  std::size_t patterns = 0;
+  for (const Gate& g : standard_library().gates())
+    patterns += g.patterns.size();
+  EXPECT_EQ(lib.roots.size(), patterns);
+  const std::vector<Shape>& shapes = lib.table.shapes();
+  EXPECT_EQ(shapes[0].kind, Pattern::Kind::kLeaf);
+  for (std::uint32_t i = 1; i < shapes.size(); ++i) {
+    EXPECT_LT(shapes[i].child[0], i);
+    EXPECT_LT(shapes[i].child[1], i);
+    if (shapes[i].kind == Pattern::Kind::kNand) {
+      EXPECT_LE(shapes[i].child[0], shapes[i].child[1]);
+    }
+  }
+}
+
 TEST(Pattern, XorLeafDag) {
   const auto e = parse_expr("a*!b + !a*b");
   const auto ps = generate_patterns(*e, {"a", "b"});

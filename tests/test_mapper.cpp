@@ -15,6 +15,7 @@
 #include "helpers.hpp"
 #include "io/mapped_blif.hpp"
 #include "map/mapper.hpp"
+#include "match_reference.hpp"
 #include "power/report.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -1094,8 +1095,10 @@ TEST(Mapper, AsymmetricPinTimingsSplitClasses) {
     const Network subject = asymmetric_subject(seed);
     const SubjectMatches store = enumerate_matches(subject, lib);
     for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
-      std::vector<Match> ms = find_matches(subject, id, lib);
-      std::erase_if(ms, [](const Match& m) { return m.covered.empty(); });
+      std::vector<testing::Match> ms = testing::find_matches(subject, id, lib);
+      std::erase_if(ms, [](const testing::Match& m) {
+        return m.covered.empty();
+      });
       const auto entries = store.at(id);
       ASSERT_EQ(entries.size(), ms.size());
       for (std::size_t j = 0; j < ms.size(); ++j)

@@ -1,17 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "benchgen/benchgen.hpp"
 #include "helpers.hpp"
 #include "map/match.hpp"
+#include "match_reference.hpp"
 #include "decomp/network_decompose.hpp"
 #include "flow/flow.hpp"
 #include "trace/metrics.hpp"
 
 namespace minpower {
 namespace {
+
+using testing::find_matches;
+using testing::Match;
 
 bool has_gate(const std::vector<Match>& ms, const std::string& name) {
   return std::any_of(ms.begin(), ms.end(), [&](const Match& m) {
@@ -275,11 +283,128 @@ bool same_class(const Match& a, const Match& b) {
   return key(a) == key(b);
 }
 
-// The compact store lists find_matches without its zero-size matches, node
-// by node and in order, and tags each match with the index of the first
-// match of its duplicate class.
+/// Diffs enumerate_matches against the unfiltered reference on `subject`:
+/// node by node, the store lists find_matches without its zero-size
+/// matches, in order, and tags each match with the index of the first
+/// match of its duplicate class. The tries it counts are exactly the
+/// reference's shape embeddings. Returns the matches that joined an
+/// earlier member's class.
+std::size_t expect_store_equals_reference(const Network& subject,
+                                          const Library& lib) {
+  metrics::Counter& tries = metrics::counter("map.pattern_tries");
+  const std::uint64_t tries_before = tries.value();
+  const SubjectMatches store = enumerate_matches(subject, lib);
+  EXPECT_EQ(tries.value() - tries_before, testing::pattern_tries(subject, lib))
+      << subject.name();
+  EXPECT_EQ(store.size(), subject.capacity());
+  std::size_t matches = 0;
+  std::size_t classes = 0;
+  std::size_t joined = 0;
+  for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id) {
+    std::vector<Match> want = find_matches(subject, id, lib);
+    std::erase_if(want, [](const Match& m) { return m.covered.empty(); });
+    const auto got = store.at(id);
+    EXPECT_EQ(got.size(), want.size()) << subject.name() << " node " << id;
+    if (got.size() != want.size()) return joined;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].gate, want[i].gate);
+      const auto pins = store.pins(got[i]);
+      EXPECT_TRUE(std::equal(pins.begin(), pins.end(),
+                             want[i].pin_binding.begin(),
+                             want[i].pin_binding.end()));
+      std::size_t first = i;
+      for (std::size_t j = 0; j < i && first == i; ++j)
+        if (same_class(want[j], want[i])) first = j;
+      EXPECT_EQ(got[i].cls, first) << "node " << id << " match " << i;
+      if (first == i)
+        ++classes;
+      else
+        ++joined;
+    }
+    matches += want.size();
+  }
+  EXPECT_EQ(store.num_matches(), matches);
+  EXPECT_EQ(store.num_classes(), classes);
+  return joined;
+}
+
 TEST(Match, SubjectStoreListsFindMatchesWithClasses) {
   std::size_t joined = 0;
+  for (const std::uint64_t seed : {3, 17, 42}) {
+    Network net = testing::random_network(seed, 12, 60, 5);
+    prepare_network(net);
+    for (int method = 0; method < 3; ++method)
+      joined += expect_store_equals_reference(
+          decompose_network(net, decomp_options_for(static_cast<Method>(method),
+                                                    FlowOptions{}))
+              .network,
+          standard_library());
+  }
+  EXPECT_GT(joined, 100u);
+}
+
+// The shape filter skips only tries that cannot succeed: on the
+// MatchCorrectness subjects and on every suite circuit under its three
+// decompositions, the filtered store equals the unfiltered reference.
+TEST(Match, FilteredEnumerationEqualsReference) {
+  for (int seed = 0; seed < 10; ++seed) {
+    Network raw = testing::random_network(
+        static_cast<std::uint64_t>(seed) + 300, 5, 8, 2);
+    expect_store_equals_reference(
+        decompose_network(raw, NetworkDecompOptions{}).network,
+        standard_library());
+  }
+  for (const BenchProfile& p : paper_suite()) {
+    Network net = generate_benchmark(p);
+    prepare_network(net);
+    for (int m = 0; m < 3; ++m)
+      expect_store_equals_reference(
+          decompose_network(net, decomp_options_for(static_cast<Method>(m),
+                                                    FlowOptions{}))
+              .network,
+          standard_library());
+  }
+}
+
+/// The standard genlib followed by `extra` seeded random AND/OR/NOT gates
+/// over up to five pins.
+std::string wide_genlib(int extra, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::function<std::string(int)> expr = [&](int depth) {
+    if (depth == 0 || rng.uniform() < 0.2) {
+      const std::string var(1, static_cast<char>('a' + rng.below(5)));
+      return rng.coin() ? "!" + var : var;
+    }
+    const std::string a = expr(depth - 1);
+    const char* op = rng.coin() ? "*" : "+";
+    const std::string b = expr(depth - 1);
+    const std::string s = "(" + a + op + b + ")";
+    return rng.coin() ? "!" + s : s;
+  };
+  std::string text = standard_library_genlib();
+  for (int i = 0; i < extra; ++i)
+    text += "GATE r" + std::to_string(i) + " 6.0 O=" + expr(2) +
+            "; PIN * UNKNOWN 1.2 999 1.0 0.6 1.0 0.6\n";
+  return text;
+}
+
+// A genlib is user input, so its shape count has no cap: past 64 shapes a
+// node label spans several words, and the store still equals the
+// reference, matches through shapes past the first word included.
+TEST(Match, MultiWordLabelsEqualReference) {
+  const Library lib = Library::parse_genlib(wide_genlib(120, 7), "wide");
+  const PatternShapes& shapes = lib.shapes();
+  ASSERT_GT(shapes.table.size(), 64u);
+  // Gates whose every pattern's root shape lies past the first label word.
+  std::set<const Gate*> wide;
+  const std::uint32_t* root = shapes.roots.data();
+  for (const Gate& g : lib.gates()) {
+    const std::uint32_t* end = root + g.patterns.size();
+    if (std::all_of(root, end, [](std::uint32_t s) { return s >= 64; }))
+      wide.insert(&g);
+    root = end;
+  }
+  std::size_t wide_matches = 0;
   for (const std::uint64_t seed : {3, 17, 42}) {
     Network net = testing::random_network(seed, 12, 60, 5);
     prepare_network(net);
@@ -288,40 +413,14 @@ TEST(Match, SubjectStoreListsFindMatchesWithClasses) {
           decompose_network(net, decomp_options_for(static_cast<Method>(method),
                                                     FlowOptions{}))
               .network;
-      const SubjectMatches store =
-          enumerate_matches(subject, standard_library());
-      ASSERT_EQ(store.size(), subject.capacity());
-      std::size_t matches = 0;
-      std::size_t classes = 0;
-      for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity());
-           ++id) {
-        std::vector<Match> want =
-            find_matches(subject, id, standard_library());
-        std::erase_if(want, [](const Match& m) { return m.covered.empty(); });
-        const auto got = store.at(id);
-        ASSERT_EQ(got.size(), want.size()) << "node " << id;
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          EXPECT_EQ(got[i].gate, want[i].gate);
-          const auto pins = store.pins(got[i]);
-          EXPECT_TRUE(std::equal(pins.begin(), pins.end(),
-                                 want[i].pin_binding.begin(),
-                                 want[i].pin_binding.end()));
-          std::size_t first = i;
-          for (std::size_t j = 0; j < i && first == i; ++j)
-            if (same_class(want[j], want[i])) first = j;
-          EXPECT_EQ(got[i].cls, first) << "node " << id << " match " << i;
-          if (first == i)
-            ++classes;
-          else
-            ++joined;
-        }
-        matches += want.size();
-      }
-      EXPECT_EQ(store.num_matches(), matches);
-      EXPECT_EQ(store.num_classes(), classes);
+      expect_store_equals_reference(subject, lib);
+      const SubjectMatches store = enumerate_matches(subject, lib);
+      for (NodeId id = 0; id < static_cast<NodeId>(subject.capacity()); ++id)
+        for (const SubjectMatches::Entry& e : store.at(id))
+          wide_matches += wide.contains(e.gate);
     }
   }
-  EXPECT_GT(joined, 100u);
+  EXPECT_GT(wide_matches, 0u);
 }
 
 // enumerate_matches reports its store: map.match_attempts counts matches,

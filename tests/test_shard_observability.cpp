@@ -68,10 +68,12 @@ struct TraceGuard {
   }
 };
 
-/// Run the sharded suite traced and return the analyzed merged trace.
+/// Run the sharded suite traced and return the analyzed merged trace;
+/// `raw`, when given, receives the merged trace's text.
 trace::TraceProfile traced_profile(
     const std::vector<const Network*>& circuits,
-    const shard::ShardOptions& options, shard::ShardRun* run_out) {
+    const shard::ShardOptions& options, shard::ShardRun* run_out,
+    std::string* raw = nullptr) {
   TraceGuard guard;
   *run_out = run_or_die(circuits, options);
   std::ostringstream os;
@@ -79,6 +81,7 @@ trace::TraceProfile traced_profile(
   trace::TraceProfile p;
   std::string error;
   EXPECT_TRUE(trace::analyze_chrome_trace(os.str(), &p, &error)) << error;
+  if (raw != nullptr) *raw = os.str();
   return p;
 }
 
@@ -215,7 +218,8 @@ TEST(ShardObservability, EveryIncarnationHasOneMemoryPeakEvenWhenSigkilled) {
   so.injections = {{"worker-oom", 1}};
   so.backoff_ms = 10;
   shard::ShardRun run;
-  const trace::TraceProfile p = traced_profile(circuits, so, &run);
+  std::string raw_trace;
+  const trace::TraceProfile p = traced_profile(circuits, so, &run, &raw_trace);
   ASSERT_GE(run.stats.worker_crashes, 1u);
   EXPECT_EQ(run.stats.cells_failed, 0u);
 
@@ -240,6 +244,21 @@ TEST(ShardObservability, EveryIncarnationHasOneMemoryPeakEvenWhenSigkilled) {
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->find("memory")->find("workers")->items.size(),
             run.stats.workers_spawned);
+
+  // Every incarnation is sampled once it reports (START or its first BEAT),
+  // so its first mem.worker-N point reads a process that has run: 2.4-4.5
+  // MB here. Sampled in the loop pass that forked it, it read about 480 kB.
+  const auto events = parse_json(raw_trace, &error);
+  ASSERT_TRUE(events.has_value()) << error;
+  std::size_t points = 0;
+  for (const JsonValue& e : events->find("traceEvents")->items) {
+    const JsonValue* name = e.find("name", JsonValue::Kind::kString);
+    if (name == nullptr || !name->string.starts_with("mem.worker-")) continue;
+    ++points;
+    EXPECT_GE(e.find("args")->find("rss_kb")->number, 1024.0)
+        << name->string;
+  }
+  EXPECT_GE(points, run.stats.workers_spawned - run.stats.worker_crashes);
 }
 
 TEST(ShardObservability, MemLimitKillsBloatedWorkerAndRunRecovers) {

@@ -36,6 +36,9 @@
 //                                                  harness (seeded oracles)
 //   minpower verify <a.blif> <b.blif>              combinational equivalence
 //   minpower bench  <name> [-o out.blif]           emit a suite circuit
+//   minpower bench  --scale <family>:<gates> [--seed N] [-o out.blif]
+//                                                  emit a scale-family
+//                                                  instance (chain|cone|mesh)
 //   minpower profile <trace.json> [--json out.json] [--top N]
 //                                                  trace profiler: hotspots,
 //                                                  thread utilization,
@@ -164,6 +167,7 @@ struct Args {
   double deadline_ms = 0.0;
   std::size_t bdd_limit = 0;  // 0 → library default
   std::optional<std::string> trace;
+  std::optional<std::string> scale;  // bench: <family>:<gates>
   std::optional<std::string> metrics_out;  // flow: metrics sidecar file
   std::optional<std::string> access_log;   // serve: JSONL access log
   bool verbose = false;
@@ -244,6 +248,7 @@ Args parse_args(int argc, char** argv, int first) {
     }
     else if (arg == "--bdd-limit") number(&a.bdd_limit);
     else if (arg == "--trace") a.trace = value("--trace");
+    else if (arg == "--scale") a.scale = value("--scale");
     else if (arg == "--metrics-out") a.metrics_out = value("--metrics-out");
     else if (arg == "--access-log") a.access_log = value("--access-log");
     else if (arg == "--verbose") a.verbose = true;
@@ -589,7 +594,37 @@ int cmd_verify(const Args& a) {
   return r.ok() ? 0 : 2;
 }
 
+/// Largest `bench --scale` size: a million-gate instance is already far
+/// past the sizes the scale sweeps run.
+constexpr std::size_t kMaxScaleGates = 1'000'000;
+
+/// `bench --scale <family>:<gates>`: the generate_scale_benchmark profile.
+ScaleProfile parse_scale_point(const std::string& spec, std::uint64_t seed) {
+  const std::size_t colon = spec.find(':');
+  const std::string family = spec.substr(0, colon);
+  if (!is_scale_family(family)) {
+    std::string known;
+    for (const std::string& f : scale_families())
+      known += (known.empty() ? "" : "|") + f;
+    fatal("unknown scale family '" + family + "' (want " + known + ")");
+  }
+  const auto gates = colon == std::string::npos
+                         ? std::nullopt
+                         : parse_number<std::size_t>(spec.substr(colon + 1));
+  if (!gates || *gates == 0 || *gates > kMaxScaleGates)
+    fatal("--scale wants <family>:<gates> with 1 <= gates <= " +
+          std::to_string(kMaxScaleGates) + ", got '" + spec + "'");
+  return {family, *gates, seed};
+}
+
 int cmd_bench(const Args& a) {
+  if (a.scale) {
+    if (!a.positional.empty())
+      fatal("bench takes a suite name or --scale, not both");
+    emit_blif(generate_scale_benchmark(parse_scale_point(*a.scale, a.seed)),
+              a.out);
+    return 0;
+  }
   const std::string name = a.positional.empty() ? "--help" : a.positional[0];
   std::string names;
   bool known = false;
@@ -599,7 +634,9 @@ int cmd_bench(const Args& a) {
   }
   if (!known)
     fatal((name == "--help" ? std::string("usage: minpower bench <name> "
-                                          "[-o out.blif]")
+                                          "[-o out.blif] | minpower bench "
+                                          "--scale <family>:<gates> "
+                                          "[--seed N] [-o out.blif]")
                             : "unknown benchmark " + name) +
           "; names:" + names);
   emit_blif(make_benchmark(name), a.out);
