@@ -61,6 +61,7 @@ const char* verdict_name(Verdict v) {
     case Verdict::kQorRegressed: return "qor-regressed";
     case Verdict::kQorImproved: return "qor-improved";
     case Verdict::kStatusChanged: return "status-changed";
+    case Verdict::kWorkChanged: return "work-changed";
     case Verdict::kSlow: return "slow";
     case Verdict::kSkipped: return "skipped";
     case Verdict::kNew: return "new";
@@ -70,26 +71,28 @@ const char* verdict_name(Verdict v) {
 
 namespace {
 
-/// Worse-than-baseline direction for QoR values (all are lower-is-better).
-bool qor_within(double base, double cand, const CompareOptions& o) {
-  return std::abs(cand - base) <= o.qor_abs_tol + o.qor_rel_tol *
-                                                     std::abs(base);
-}
+/// Per-phase times with a baseline below this floor are ignored (they are
+/// scheduling noise, not signal).
+constexpr double kTimeFloorMs = 1.0;
 
-/// Verdict precedence: a QoR drift outranks a status or time finding, and
-/// regression outranks improvement.
-void raise_verdict(CellResult& cell, Verdict v) {
-  auto rank = [](Verdict x) {
-    switch (x) {
-      case Verdict::kQorRegressed: return 4;
-      case Verdict::kQorImproved: return 3;
-      case Verdict::kStatusChanged: return 2;
-      case Verdict::kSlow: return 1;
-      default: return 0;
-    }
-  };
-  if (rank(v) > rank(cell.verdict)) cell.verdict = v;
+/// The deterministic work fields of a cell, locked exactly like QoR.
+template <auto Field>
+double work_field(const PhaseStats& p) {
+  return static_cast<double>(p.*Field);
 }
+using WorkField = std::pair<const char*, double (*)(const PhaseStats&)>;
+constexpr WorkField kWorkFields[] = {
+    {"bdd_nodes", work_field<&PhaseStats::bdd_nodes>},
+    {"matches", work_field<&PhaseStats::matches>},
+    {"curve_points", work_field<&PhaseStats::curve_points>},
+    {"redecomp_iterations", work_field<&PhaseStats::redecomp_iterations>},
+    {"decomp_passes", work_field<&PhaseStats::decomp_passes>},
+    {"activity_passes", work_field<&PhaseStats::activity_passes>},
+    {"exact_fallbacks", work_field<&PhaseStats::exact_fallbacks>},
+    {"activity_retries", work_field<&PhaseStats::activity_retries>},
+    {"shared_decomp", work_field<&PhaseStats::shared_decomp>},
+    {"shared_activity", work_field<&PhaseStats::shared_activity>},
+};
 
 }  // namespace
 
@@ -134,20 +137,26 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
           {"gates", static_cast<double>(b.gates),
            static_cast<double>(c.gates)},
       };
-      for (const auto& [name, bv, cv] : qor) {
-        if (qor_within(bv, cv, options)) continue;
-        cell.deltas.push_back({name, bv, cv});
-        raise_verdict(cell, cv > bv ? Verdict::kQorRegressed
-                                    : Verdict::kQorImproved);
-      }
-      if (c.status.state != b.status.state) {
-        cell.deltas.push_back({std::string("status:") +
-                                   task_state_name(b.status.state) + "->" +
-                                   task_state_name(c.status.state),
-                               0, 0});
-        raise_verdict(cell, Verdict::kStatusChanged);
-      }
-      if (options.time_band >= 0.0) {
+      // Record one offending metric; the cell keeps its worst verdict.
+      const auto flag = [&cell](std::string metric, double bv, double cv,
+                                Verdict v) {
+        cell.deltas.push_back({std::move(metric), bv, cv});
+        cell.verdict = std::max(cell.verdict, v);
+      };
+      for (const auto& [name, bv, cv] : qor)
+        if (cv != bv)
+          flag(name, bv, cv,
+               cv > bv ? Verdict::kQorRegressed : Verdict::kQorImproved);
+      if (c.status.state != b.status.state)
+        flag(std::string("status:") + task_state_name(b.status.state) +
+                 "->" + task_state_name(c.status.state),
+             0, 0, Verdict::kStatusChanged);
+      if (options.check_metrics)
+        for (const auto& [name, field] : kWorkFields)
+          if (field(c.phases) != field(b.phases))
+            flag(name, field(b.phases), field(c.phases),
+                 Verdict::kWorkChanged);
+      if (options.check_metrics && options.time_band >= 0.0) {
         const std::pair<const char*, double PhaseStats::*> times[] = {
             {"decomp_ms", &PhaseStats::decomp_ms},
             {"activity_ms", &PhaseStats::activity_ms},
@@ -157,10 +166,8 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
         for (const auto& [name, field] : times) {
           const double bv = b.phases.*field;
           const double cv = c.phases.*field;
-          if (bv < options.time_floor_ms) continue;
-          if (cv <= bv * (1.0 + options.time_band)) continue;
-          cell.deltas.push_back({name, bv, cv});
-          raise_verdict(cell, Verdict::kSlow);
+          if (bv >= kTimeFloorMs && cv > bv * (1.0 + options.time_band))
+            flag(name, bv, cv, Verdict::kSlow);
         }
       }
       switch (cell.verdict) {
@@ -168,12 +175,14 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
         case Verdict::kQorRegressed: r.qor_regressed += 1; break;
         case Verdict::kQorImproved: r.qor_improved += 1; break;
         case Verdict::kStatusChanged: r.status_changed += 1; break;
+        case Verdict::kWorkChanged: r.work_changed += 1; break;
         case Verdict::kSlow: r.slow += 1; break;
         default: break;
       }
       r.cells.push_back(std::move(cell));
     }
-  // Candidate-only cells are informational.
+  // Candidate-only cells are informational (a regression under
+  // require_all).
   for (const std::vector<FlowResult>& row : cand.per_circuit)
     for (const FlowResult& c : row) {
       if (base_cells.count(key_of(c))) continue;
@@ -196,10 +205,8 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
   const std::vector<std::string> base_names = circuit_names(base);
   const std::vector<std::string> cand_names = circuit_names(cand);
   if (!options.check_metrics) {
-    r.metrics_checked = false;
     r.metrics_skip_reason = "disabled (--qor-only)";
   } else if (base_names != cand_names) {
-    r.metrics_checked = false;
     r.metrics_skip_reason =
         "circuit sets differ (subset run); registry totals not comparable";
   } else {
@@ -259,8 +266,8 @@ CompareReport compare_flow_reports(const FlowReportDoc& base,
   }
 
   // Whole-run wall time (subset runs excluded: shorter input, shorter run).
-  if (options.time_band >= 0.0 && base_names == cand_names &&
-      base.elapsed_ms >= options.time_floor_ms)
+  if (options.check_metrics && options.time_band >= 0.0 &&
+      base_names == cand_names && base.elapsed_ms >= kTimeFloorMs)
     r.elapsed_slow = cand.elapsed_ms > base.elapsed_ms *
                                            (1.0 + options.time_band);
   return r;
@@ -274,10 +281,8 @@ void write_compare_json(std::ostream& os, const CompareReport& r) {
   w.field("candidate", r.candidate_path);
   w.key("options");
   w.begin_object();
-  w.field("qor_rel_tol", r.options.qor_rel_tol);
-  w.field("qor_abs_tol", r.options.qor_abs_tol);
   w.field("time_band", r.options.time_band);
-  w.field("time_floor_ms", r.options.time_floor_ms);
+  w.field("time_floor_ms", kTimeFloorMs);
   w.field("require_all", r.options.require_all);
   w.end_object();
   w.key("summary");
@@ -287,6 +292,7 @@ void write_compare_json(std::ostream& os, const CompareReport& r) {
   w.field("qor_regressed", r.qor_regressed);
   w.field("qor_improved", r.qor_improved);
   w.field("status_changed", r.status_changed);
+  w.field("work_changed", r.work_changed);
   w.field("slow", r.slow);
   w.field("skipped", r.skipped);
   w.field("new", r.added);
@@ -381,16 +387,17 @@ void print_compare(std::ostream& os, const CompareReport& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "compare: %s vs %s\n  %d ok, %d qor-regressed, %d "
-                "qor-improved, %d status-changed, %d slow, %d skipped, %d "
-                "new\n",
+                "qor-improved, %d status-changed, %d work-changed, %d slow, "
+                "%d skipped, %d new\n",
                 r.baseline_path.c_str(), r.candidate_path.c_str(), r.ok,
-                r.qor_regressed, r.qor_improved, r.status_changed, r.slow,
-                r.skipped, r.added);
+                r.qor_regressed, r.qor_improved, r.status_changed,
+                r.work_changed, r.slow, r.skipped, r.added);
   os << buf;
   for (const CellResult& c : r.cells) {
-    if (c.verdict == Verdict::kOk || c.verdict == Verdict::kSkipped ||
-        c.verdict == Verdict::kNew)
-      continue;
+    if (c.verdict == Verdict::kOk) continue;
+    if (!r.options.require_all &&
+        (c.verdict == Verdict::kSkipped || c.verdict == Verdict::kNew))
+      continue;  // listed only where they fail the gate
     std::snprintf(buf, sizeof(buf), "  %-10s %-4s %s", c.circuit.c_str(),
                   c.method.c_str(), verdict_name(c.verdict));
     os << buf;
@@ -402,18 +409,15 @@ void print_compare(std::ostream& os, const CompareReport& r) {
     os << '\n';
   }
   if (r.metrics_checked) {
-    for (const MetricDiff& d : r.counter_diffs) {
-      std::snprintf(buf, sizeof(buf), "  counter %s: %llu -> %llu\n",
-                    d.name.c_str(), static_cast<unsigned long long>(d.base),
-                    static_cast<unsigned long long>(d.cand));
-      os << buf;
-    }
-    for (const MetricDiff& d : r.gauge_diffs) {
-      std::snprintf(buf, sizeof(buf), "  gauge %s: %llu -> %llu\n",
-                    d.name.c_str(), static_cast<unsigned long long>(d.base),
-                    static_cast<unsigned long long>(d.cand));
-      os << buf;
-    }
+    for (const auto& [kind, diffs] :
+         {std::pair{"counter", &r.counter_diffs},
+          std::pair{"gauge", &r.gauge_diffs}})
+      for (const MetricDiff& d : *diffs) {
+        std::snprintf(buf, sizeof(buf), "  %s %s: %llu -> %llu\n", kind,
+                      d.name.c_str(), static_cast<unsigned long long>(d.base),
+                      static_cast<unsigned long long>(d.cand));
+        os << buf;
+      }
     for (const HistDiff& d : r.histogram_diffs) {
       std::snprintf(
           buf, sizeof(buf),

@@ -2,13 +2,19 @@
 // QoR baseline / regression-compare subsystem (DESIGN.md §11).
 //
 // Loads two `minpower.flow.v1` reports and diffs them cell by cell, where a
-// cell is one (circuit × method) result:
+// cell is one (circuit × method) result. This module is the one place that
+// decides which report fields are deterministic and must match exactly:
 //
 //   - QoR values (power_uw, area, delay_ns, gates) and the task status are
-//     an *exact lock* by default: any drift beyond the configured tolerance
-//     — including an improvement — is a gate failure, because baselines
-//     record what the code computes, and improvements must be banked by
-//     regenerating the baseline deliberately (MINPOWER_REGEN_BASELINE=1).
+//     an *exact lock*: any drift — including an improvement — is a gate
+//     failure, because baselines record what the code computes, and
+//     improvements must be banked by regenerating the baseline deliberately
+//     (MINPOWER_REGEN_BASELINE=1).
+//   - Each cell's work fields (the deterministic PhaseStats counts:
+//     bdd_nodes, matches, curve_points, redecomp_iterations, the pass,
+//     fallback and retry counts, and the shared flags) are an exact lock
+//     too. They are independent of threads, shards and cache state, so the
+//     lock holds on subset candidates as well.
 //   - Metrics-registry counters/gauges/histograms are deterministic and
 //     thread-count independent (DESIGN.md §10), so they compare exactly —
 //     but only when both reports cover the same circuit set; a subset run
@@ -17,13 +23,13 @@
 //     log-2 buckets (the estimate is the inclusive lower bound of the
 //     bucket holding the quantile sample).
 //   - Wall times are noisy, so they gate only on *slowdown* beyond a
-//     configurable band (default +20%), and per-phase times below a floor
-//     (default 1 ms) are ignored entirely.
+//     configurable band (default +20%), and per-phase times below a 1 ms
+//     floor are ignored entirely.
 //
-// Cells present only in the baseline are "skipped" (a subset candidate is
-// fine unless require_all is set); cells only in the candidate are "new"
-// and never fail the gate. Likewise a registry entry only the candidate has
-// is listed as added; a base entry that changed or went missing fails.
+// Cells present only in the baseline are "skipped" and cells only in the
+// candidate are "new"; neither fails the gate unless require_all is set.
+// Likewise a registry entry only the candidate has is listed as added; a
+// base entry that changed or went missing fails.
 //
 // Consumed by `minpower compare <baseline> <candidate>`, which prints the
 // verdict table, emits `minpower.compare.v1`, and exits 3 on regression.
@@ -60,32 +66,31 @@ bool load_flow_report_file(const std::string& path, FlowReportDoc* out,
                            std::string* error);
 
 struct CompareOptions {
-  /// QoR tolerance: |cand − base| ≤ abs_tol + rel_tol·|base| passes.
-  /// Both default to 0 — exact match.
-  double qor_rel_tol = 0.0;
-  double qor_abs_tol = 0.0;
   /// Allowed fractional wall-time slowdown (0.2 = +20%). Negative
   /// disables every wall-time check. Speedups never fail.
   double time_band = 0.20;
-  /// Per-phase times with a baseline below this floor are ignored (they
-  /// are scheduling noise, not signal).
-  double time_floor_ms = 1.0;
-  /// Treat baseline cells missing from the candidate as regressions
-  /// (full-suite lock) instead of "skipped" (subset gate).
+  /// The candidate must hold exactly the baseline's cells (full-suite
+  /// lock): missing cells and candidate-only cells are regressions instead
+  /// of "skipped" / "new" (subset gate).
   bool require_all = false;
-  /// Compare the metrics-registry block (counters/gauges/histograms).
-  /// Disable (`--qor-only`) when vetting an intentional engine change whose
-  /// operation counts legitimately move but whose QoR must stay locked —
-  /// the gate that precedes a deliberate baseline regeneration.
+  /// Check everything beyond QoR and status: the per-cell work fields, the
+  /// metrics-registry block and wall times. Disable (`--qor-only`) when
+  /// vetting an intentional engine change whose work legitimately moves
+  /// but whose QoR must stay locked — the gate that precedes a deliberate
+  /// baseline regeneration — or when the candidate has no registry block
+  /// and zeroed wall times (canonical sharded and served documents).
   bool check_metrics = true;
 };
 
+/// A compared cell's verdict. kOk through kQorRegressed are in rising
+/// precedence: a cell with several findings takes the worst.
 enum class Verdict {
-  kOk,             // within tolerance
-  kQorRegressed,   // QoR value drifted worse than tolerance
-  kQorImproved,    // QoR value drifted better — still fails the exact lock
-  kStatusChanged,  // task state differs (e.g. ok → degraded)
+  kOk,             // everything locked matches
   kSlow,           // wall time beyond the slowdown band
+  kWorkChanged,    // a deterministic work field differs (e.g. matches)
+  kStatusChanged,  // task state differs (e.g. ok → degraded)
+  kQorImproved,    // QoR value drifted better — still fails the exact lock
+  kQorRegressed,   // QoR value drifted worse
   kSkipped,        // in baseline only (subset candidate)
   kNew,            // in candidate only
 };
@@ -147,13 +152,14 @@ struct CompareReport {
   bool elapsed_slow = false;
   // Verdict tallies over `cells`.
   int ok = 0, qor_regressed = 0, qor_improved = 0, status_changed = 0,
-      slow = 0, skipped = 0, added = 0;
+      work_changed = 0, slow = 0, skipped = 0, added = 0;
 
   bool regression() const {
-    return qor_regressed + qor_improved + status_changed + slow > 0 ||
-           !counter_diffs.empty() || !gauge_diffs.empty() ||
+    const int failed_cells =
+        qor_regressed + qor_improved + status_changed + work_changed + slow;
+    return failed_cells > 0 || !counter_diffs.empty() || !gauge_diffs.empty() ||
            !histogram_diffs.empty() || elapsed_slow ||
-           (options.require_all && skipped > 0);
+           (options.require_all && skipped + added > 0);
   }
 };
 

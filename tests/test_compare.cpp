@@ -1,6 +1,7 @@
-// report/baseline: flow-report loading, cell-by-cell QoR compare semantics
-// (exact lock, tolerance, slowdown band, subset skip, require_all), registry
-// diffing, and histogram percentile estimation (DESIGN.md §11).
+// report/baseline: flow-report loading, cell-by-cell compare semantics
+// (exact QoR and work lock, slowdown band, --qor-only, subset skip,
+// require_all), registry diffing, and histogram percentile estimation
+// (DESIGN.md §11).
 
 #include <gtest/gtest.h>
 
@@ -117,15 +118,90 @@ TEST(Compare, ImprovementAlsoFailsTheExactLock) {
   EXPECT_EQ(find_cell(r, "beta", "I")->verdict, Verdict::kQorImproved);
 }
 
-TEST(Compare, ToleranceAdmitsSmallDrift) {
+TEST(Compare, WorkFieldDriftFailsAndNamesTheCell) {
   const FlowReportDoc base = small_doc();
   FlowReportDoc cand = base;
-  cell_at(cand, 0).power_uw *= 1.0 + 1e-12;
-  CompareOptions opt;
-  opt.qor_rel_tol = 1e-9;
-  const CompareReport r = report::compare_flow_reports(base, cand, opt);
+  cell_at(cand, 2).phases.matches += 1;  // beta / I
+  const CompareReport r =
+      report::compare_flow_reports(base, cand, CompareOptions{});
+  EXPECT_TRUE(r.regression());
+  EXPECT_EQ(r.work_changed, 1);
+  EXPECT_EQ(r.ok, 3);
+  const report::CellResult* cell = find_cell(r, "beta", "I");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->verdict, Verdict::kWorkChanged);
+  ASSERT_EQ(cell->deltas.size(), 1u);
+  EXPECT_EQ(cell->deltas[0].metric, "matches");
+  EXPECT_EQ(cell->deltas[0].cand, cell->deltas[0].base + 1.0);
+
+  std::ostringstream table;
+  report::print_compare(table, r);
+  EXPECT_NE(table.str().find("beta       I    work-changed  matches"),
+            std::string::npos)
+      << table.str();
+  EXPECT_NE(table.str().find("1 work-changed"), std::string::npos);
+  std::ostringstream doc;
+  report::write_compare_json(doc, r);
+  std::string error;
+  const auto json = parse_json(doc.str(), &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  EXPECT_EQ(json->find("summary")->find("work_changed")->number, 1.0);
+  EXPECT_EQ(json->find("summary")->find("verdict")->string, "regression");
+
+  FlowReportDoc flipped = base;
+  cell_at(flipped, 1).phases.shared_activity = true;  // alpha / II
+  const CompareReport f =
+      report::compare_flow_reports(base, flipped, CompareOptions{});
+  EXPECT_TRUE(f.regression());
+  EXPECT_EQ(find_cell(f, "alpha", "II")->verdict, Verdict::kWorkChanged);
+  EXPECT_EQ(find_cell(f, "alpha", "II")->deltas[0].metric, "shared_activity");
+
+  // QoR outranks work: the cell is named once, by its worst finding.
+  cell_at(flipped, 1).area += 1.0;
+  EXPECT_EQ(find_cell(report::compare_flow_reports(base, flipped,
+                                                   CompareOptions{}),
+                      "alpha", "II")
+                ->verdict,
+            Verdict::kQorRegressed);
+}
+
+TEST(Compare, QorOnlyChecksQorAndStatusOnly) {
+  const FlowReportDoc base = small_doc();
+  FlowReportDoc cand = base;
+  for (std::size_t i = 0; i < 4; ++i) {
+    PhaseStats& p = cell_at(cand, i).phases;
+    p.decomp_ms *= 50.0;
+    p.activity_ms *= 50.0;
+    p.map_ms *= 50.0;
+  }
+  cand.elapsed_ms *= 50.0;
+  cell_at(cand, 3).phases.matches += 7;
+  cand.metrics.counters[0].second += 1;
+  CompareOptions qor_only;
+  qor_only.check_metrics = false;
+  const CompareReport r = report::compare_flow_reports(base, cand, qor_only);
   EXPECT_FALSE(r.regression());
   EXPECT_EQ(r.ok, 4);
+  EXPECT_FALSE(r.elapsed_slow);
+  EXPECT_FALSE(r.metrics_checked);
+  // The same candidate fails the full gate on every count.
+  const CompareReport full =
+      report::compare_flow_reports(base, cand, CompareOptions{});
+  EXPECT_TRUE(full.elapsed_slow);
+  EXPECT_EQ(full.counter_diffs.size(), 1u);
+  EXPECT_EQ(find_cell(full, "beta", "II")->verdict, Verdict::kWorkChanged);
+
+  // QoR and status stay exact under --qor-only.
+  cell_at(cand, 0).power_uw = std::nextafter(cell_at(cand, 0).power_uw, 1e9);
+  const CompareReport drift =
+      report::compare_flow_reports(base, cand, qor_only);
+  EXPECT_TRUE(drift.regression());
+  EXPECT_EQ(drift.qor_regressed, 1);
+  EXPECT_EQ(drift.ok, 3);
+  cell_at(cand, 0).power_uw = base.per_circuit[0][0].power_uw;
+  cell_at(cand, 1).status.state = TaskState::kDegraded;
+  EXPECT_EQ(report::compare_flow_reports(base, cand, qor_only).status_changed,
+            1);
 }
 
 TEST(Compare, DoubledPhaseTimeFailsTheSlowdownBand) {
@@ -217,6 +293,17 @@ TEST(Compare, CandidateOnlyCellsAreNewAndNeverFail) {
   EXPECT_FALSE(r.regression());
   EXPECT_EQ(r.added, 2);
   EXPECT_EQ(find_cell(r, "beta", "I")->verdict, Verdict::kNew);
+
+  // require_all means exactly the baseline's cells: extra ones fail too,
+  // and the table names them.
+  CompareOptions strict;
+  strict.require_all = true;
+  const CompareReport s = report::compare_flow_reports(base, cand, strict);
+  EXPECT_TRUE(s.regression());
+  std::ostringstream table;
+  report::print_compare(table, s);
+  EXPECT_NE(table.str().find("beta       II   new"), std::string::npos)
+      << table.str();
 }
 
 TEST(Compare, CounterDriftFails) {
@@ -342,7 +429,16 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   std::vector<const Network*> circuits;
   for (const Network& n : nets) circuits.push_back(&n);
   FlowSession engine(standard_library());
-  const auto results = engine.run_suite(circuits);
+  auto results = engine.run_suite(circuits);
+  // Give the work fields a run leaves at zero distinct non-zero values, so
+  // the codec round trip below covers every locked field of every cell.
+  int k = 0;
+  for (std::vector<FlowResult>& row : results)
+    for (FlowResult& cell : row) {
+      cell.phases.redecomp_iterations = ++k;
+      cell.phases.exact_fallbacks = ++k;
+      cell.phases.activity_retries = ++k;
+    }
 
   std::ostringstream os;
   write_flow_json(os, results, engine.counters(), engine.effective_threads(),
@@ -358,6 +454,17 @@ TEST(Compare, RoundTripsThroughFlowJson) {
   EXPECT_EQ(doc.library, standard_library().name());
   EXPECT_EQ(doc.elapsed_ms, 12.5);
   EXPECT_FALSE(doc.metrics.counters.empty());
+
+  // Every locked field (QoR and work) survives the codec.
+  FlowReportDoc run;
+  run.path = "run";
+  run.per_circuit = results;
+  const CompareReport codec =
+      report::compare_flow_reports(run, doc, CompareOptions{});
+  std::ostringstream verdict;
+  report::print_compare(verdict, codec);
+  EXPECT_FALSE(codec.regression()) << verdict.str();
+  EXPECT_EQ(codec.ok, static_cast<int>(circuits.size() * 6));
 
   const CompareReport r =
       report::compare_flow_reports(doc, doc, CompareOptions{});
@@ -397,8 +504,8 @@ TEST(Compare, LoaderRejectsWrongSchema) {
       {R"("method": "I",)", R"("method": "VII",)", "unknown method 'VII'"},
       {R"("area": 168,)", "", "'area'"},
       {R"("area": 168,)", R"("area": "168",)", "'area'"},
-      {R"("value": 24393)", R"("value": -5)", "'value'"},
-      {R"("value": 24393)", R"("value": 1e30)", "'value'"},
+      {R"("value": 21393)", R"("value": -5)", "'value'"},
+      {R"("value": 21393)", R"("value": 1e30)", "'value'"},
   };
   for (const auto& m : mutants) {
     std::string text = baseline;

@@ -45,11 +45,15 @@
 //                                                  critical path
 //                                                  (minpower.profile.v1)
 //   minpower compare <baseline.json> <candidate.json>
-//                   [--json out.json] [--qor-rel-tol X] [--qor-abs-tol X]
-//                   [--time-band F] [--require-all] [--qor-only]
-//                                                  QoR/perf regression gate
-//                                                  over two minpower.flow.v1
-//                                                  reports
+//                   [--json out.json] [--time-band F] [--require-all]
+//                   [--qor-only]
+//                                                  regression gate over two
+//                                                  minpower.flow.v1 reports:
+//                                                  QoR, status, per-cell
+//                                                  work and registry exact,
+//                                                  wall time banded;
+//                                                  --qor-only checks QoR and
+//                                                  status alone
 //                                                  (minpower.compare.v1)
 //   minpower trend  <traj.jsonl>... [--baseline ref.jsonl] [--json out.json]
 //                   [--time-band F] [--mem-band F] [--slope-band F]
@@ -172,11 +176,9 @@ struct Args {
   std::optional<std::string> access_log;   // serve: JSONL access log
   bool verbose = false;
   int top = 10;               // profile hotspot rows
-  double qor_rel_tol = 0.0;   // compare: exact QoR lock by default
-  double qor_abs_tol = 0.0;
   double time_band = 0.20;    // compare/trend: allowed slowdown (+20%)
-  bool require_all = false;   // compare: missing cells are regressions
-  bool qor_only = false;      // compare: skip the metrics-registry block
+  bool require_all = false;   // compare: cell sets must be equal
+  bool qor_only = false;      // compare: check QoR and status only
   std::optional<std::string> baseline;  // trend: reference trajectory
   double mem_band = 0.25;     // trend: allowed per-point memory growth
   double slope_band = 0.15;   // trend: allowed fitted-slope increase
@@ -253,8 +255,6 @@ Args parse_args(int argc, char** argv, int first) {
     else if (arg == "--access-log") a.access_log = value("--access-log");
     else if (arg == "--verbose") a.verbose = true;
     else if (arg == "--top") number(&a.top);
-    else if (arg == "--qor-rel-tol") number(&a.qor_rel_tol);
-    else if (arg == "--qor-abs-tol") number(&a.qor_abs_tol);
     else if (arg == "--time-band") number(&a.time_band);
     else if (arg == "--require-all") a.require_all = true;
     else if (arg == "--qor-only") a.qor_only = true;
@@ -679,8 +679,6 @@ int cmd_compare(const Args& a) {
   if (!report::load_flow_report_file(a.positional.at(1), &cand, &error))
     fatal(error);
   report::CompareOptions o;
-  o.qor_rel_tol = a.qor_rel_tol;
-  o.qor_abs_tol = a.qor_abs_tol;
   o.time_band = a.time_band;
   o.require_all = a.require_all;
   o.check_metrics = !a.qor_only;
