@@ -139,4 +139,17 @@ inline void permute_inputs(BlifPieces* p) {
   }
 }
 
+/// The number after the first `"<key>": ` of a JSON text, as written
+/// there. A test that edits a committed report anchors on it, not on a
+/// literal, so a regenerated report keeps the test valid.
+inline std::string first_number(const std::string& json,
+                                const std::string& key) {
+  const std::string field = "\"" + key + "\": ";
+  const std::size_t at = json.find(field);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + field.size();
+  const std::size_t end = json.find_first_not_of("+-.0123456789eE", begin);
+  return json.substr(begin, end - begin);
+}
+
 }  // namespace minpower::testing
