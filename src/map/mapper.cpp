@@ -171,10 +171,27 @@ std::vector<Curve> build_curves(const Network& subject,
   };
 
   // Scratch reused across classes/nodes: the inner loop runs millions of
-  // times per pass, so per-class allocations dominate otherwise.
-  std::vector<const std::vector<InputCand>*> lists;  // the class's lists
+  // times per pass, so per-class allocations dominate otherwise. A node's
+  // classes are gathered into the flat arrays below, each one a
+  // ClassSlice of offsets into them, before any is swept.
+  struct ClassSlice {
+    std::size_t lists, num_lists;  // into `lists`
+    std::size_t members, num_members;  // into `members`
+    std::size_t order;  // into `order`: num_members × the gate's pin count
+    const Gate* gate;
+    double base;
+    double floor;
+  };
+  std::vector<ClassSlice> classes;
+  std::vector<const std::vector<InputCand>*> lists;
   std::vector<int> members;
   std::vector<std::uint32_t> order;
+  const auto match_class = [&](const ClassSlice& s) -> MatchClass {
+    return {std::span(lists).subspan(s.lists, s.num_lists),
+            std::span(members).subspan(s.members, s.num_members),
+            std::span(order).subspan(s.order,
+                                     s.num_members * s.gate->pins.size())};
+  };
   std::vector<std::uint32_t> next_member;
   std::vector<std::size_t> last_member;
   std::vector<Curve::Step> steps;  // the class's non-inferior envelope
@@ -211,40 +228,61 @@ std::vector<Curve> build_curves(const Network& subject,
       if (c != mj) next_member[last_member[c]] = static_cast<std::uint32_t>(mj);
       last_member[c] = mj;
     }
+    // Pass 1: gather each class, at its first member, with its floor.
+    classes.clear();
+    lists.clear();
+    members.clear();
+    order.clear();
     for (std::size_t mi = 0; mi < ms.size(); ++mi) {
-      // A class is swept once, at its first member.
       if (ms[mi].cls != mi) continue;
       const Gate& g = *ms[mi].gate;
       const std::size_t k = g.pins.size();
-      lists.clear();
-      members.clear();
-      order.clear();
+      ClassSlice s{lists.size(), 0, members.size(), 0, order.size(), &g,
+                   0.0, 0.0};
       std::size_t mj = mi;
       do {
         members.push_back(static_cast<int>(mj));
         const std::span<const NodeId> bound = matches.pins(ms[mj]);
         for (std::size_t i = 0; i < k; ++i) {
           const std::vector<InputCand>* l = &cand_list(bound[i], g.pins[i]);
-          const auto at = std::find(lists.begin(), lists.end(), l);
-          order.push_back(static_cast<std::uint32_t>(at - lists.begin()));
+          const auto first =
+              lists.begin() + static_cast<std::ptrdiff_t>(s.lists);
+          const auto at = std::find(first, lists.end(), l);
+          order.push_back(static_cast<std::uint32_t>(at - first));
           if (at == lists.end()) lists.push_back(l);
         }
         mj = next_member[mj];
       } while (mj != 0);
+      s.num_lists = lists.size() - s.lists;
+      s.num_members = members.size() - s.members;
 
-      double base = options.objective == MapObjective::kArea ? g.area : 0.0;
+      s.base = options.objective == MapObjective::kArea ? g.area : 0.0;
       if (options.objective == MapObjective::kPower &&
           options.accounting == PowerAccounting::kMethod2) {
         // Method 2 (Eq. 16): the node's own output power with the default
         // (unknown) load; inherits the fanout division of its readers.
-        base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
-                              options.vdd, options.t_cycle);
+        s.base += load_power_uw(c_def, activity[static_cast<std::size_t>(id)],
+                                options.vdd, options.t_cycle);
       }
+      s.floor = class_floor(match_class(s), s.base);
+      classes.push_back(s);
+    }
+
+    // Pass 2: sweep and merge the classes cheapest floor first, so the
+    // curve soon holds a point at which the dearer classes' sweeps stop.
+    // The node's curve does not depend on the order (DESIGN §5).
+    std::sort(classes.begin(), classes.end(),
+              [&](const ClassSlice& a, const ClassSlice& b) {
+                return a.floor != b.floor
+                           ? a.floor < b.floor
+                           : members[a.members] < members[b.members];
+              });
+    for (const ClassSlice& s : classes) {
       const SweepStats swept =
-          sweep_class({lists, members, order}, base, &out, steps);
+          sweep_class(match_class(s), s.base, &out, steps);
       breakpoints += swept.breakpoints;
       sweeps_closed += swept.closed ? 1 : 0;
-      const double drive = g.max_drive();
+      const double drive = s.gate->max_drive();
       out.merge(steps, merge_scratch, [&](std::size_t j, CurvePoint& p) {
         p.match = steps[j].match;
         p.drive = drive;
@@ -432,11 +470,7 @@ SweepStats sweep_class(const MatchClass& c, double base, const Curve* curve,
     for (std::size_t i = 0; i < k; ++i) s += cost[pin[i]];
     return s;
   };
-  // The floor: every member's sum over the lists' last (cheapest) entries.
-  for (std::size_t i = 0; i < n; ++i) cost[i] = c.lists[i]->back().cost;
-  double floor = sum(0);
-  for (std::size_t m = 1; m < c.members.size(); ++m)
-    floor = std::min(floor, sum(m));
+  const double floor = class_floor(c, base);
   for (;;) {
     // Advance every list past t; the smallest candidate left is the next
     // breakpoint.
@@ -469,6 +503,18 @@ SweepStats sweep_class(const MatchClass& c, double base, const Curve* curve,
     t = t_next;
   }
   return stats;
+}
+
+double class_floor(const MatchClass& c, double base) {
+  const std::size_t k = c.order.size() / c.members.size();
+  double floor = kInf;
+  for (std::size_t m = 0; m < c.members.size(); ++m) {
+    double s = base;
+    for (std::size_t i = 0; i < k; ++i)
+      s += c.lists[c.order[m * k + i]]->back().cost;
+    floor = std::min(floor, s);
+  }
+  return floor;
 }
 
 MapResult map_network(const Network& subject, const Library& lib,

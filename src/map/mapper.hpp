@@ -151,18 +151,22 @@ struct MatchClass {
 /// steps into `curve` gives the same curve as merging all of them, and
 /// the same curve as sweeping and merging every member in index order.
 ///
-/// The sweep stops at the class's cost floor: the smallest member sum of
-/// `base` plus each pin's last (cheapest) candidate, in the member's own
-/// pin order. Rounded addition is monotone, so no later breakpoint costs
-/// less than the floor; once the last step, or the cheapest point of
-/// `curve` no slower than t, costs no more than the floor, no later
-/// breakpoint can become a step, and the sweep ends.
+/// The sweep stops at the class's cost floor (class_floor). Rounded
+/// addition is monotone, so no later breakpoint costs less than the floor;
+/// once the last step, or the cheapest point of `curve` no slower than t,
+/// costs no more than the floor, no later breakpoint can become a step,
+/// and the sweep ends.
 struct SweepStats {
   std::size_t breakpoints = 0;  // breakpoints visited
   bool closed = false;  // stopped at the floor before the last breakpoint
 };
 SweepStats sweep_class(const MatchClass& c, double base, const Curve* curve,
                        std::vector<Curve::Step>& steps);
+
+/// A class's cost floor: the smallest member sum of `base` plus each pin's
+/// last (cheapest) candidate, each member summed in its own pin order. No
+/// breakpoint of the class costs less. Every list must be non-empty.
+double class_floor(const MatchClass& c, double base);
 
 /// Per-µW scaling of Eq. 1 for a load in capacitance units:
 /// 0.5 · C · Vdd² / Tcycle · E, reported in micro-Watts.

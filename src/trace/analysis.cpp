@@ -425,6 +425,18 @@ void write_critical(JsonWriter& w, const char* key, const CriticalPath& cp) {
 
 double ms(std::uint64_t us) { return static_cast<double>(us) / 1000.0; }
 
+long long delta_us(std::uint64_t base, std::uint64_t cand) {
+  return static_cast<long long>(cand) - static_cast<long long>(base);
+}
+
+/// The change from `base` to `cand` in percent of `base`; NaN (JSON null,
+/// printed "n/a") when the base is 0.
+double change_pct(std::uint64_t base, std::uint64_t cand) {
+  return base ? 100.0 * static_cast<double>(delta_us(base, cand)) /
+                    static_cast<double>(base)
+              : std::nan("");
+}
+
 }  // namespace
 
 void write_profile_json(std::ostream& os, const TraceProfile& p,
@@ -683,6 +695,100 @@ void print_profile(std::ostream& os, const TraceProfile& p, int top_n) {
                          : 0));
     os << buf;
   }
+}
+
+ProfileDiff diff_profiles(const TraceProfile& base, const TraceProfile& cand) {
+  ProfileDiff d;
+  d.base_wall_us = base.wall_us;
+  d.cand_wall_us = cand.wall_us;
+  const auto row = [&](const PhaseTotals& ph) -> PhaseDiff& {
+    for (PhaseDiff& r : d.phases)
+      if (r.name == ph.name && r.cat == ph.cat) return r;
+    return d.phases.emplace_back(PhaseDiff{ph.name, ph.cat});
+  };
+  for (const PhaseTotals& ph : base.phases) {
+    PhaseDiff& r = row(ph);
+    r.base_self_us = ph.self_us;
+    r.base_total_us = ph.total_us;
+  }
+  for (const PhaseTotals& ph : cand.phases) {
+    PhaseDiff& r = row(ph);
+    r.cand_self_us = ph.self_us;
+    r.cand_total_us = ph.total_us;
+  }
+  return d;
+}
+
+void write_profile_diff_json(std::ostream& os, const ProfileDiff& d,
+                             const std::string& base_source,
+                             const std::string& cand_source) {
+  JsonWriter w(os);
+  const auto side_by_side = [&](const char* what, std::uint64_t base,
+                                std::uint64_t cand) {
+    w.field(std::string("base_") + what + "_us", base);
+    w.field(std::string("cand_") + what + "_us", cand);
+    w.field(std::string("delta_") + what + "_us", delta_us(base, cand));
+    w.field(std::string(what) + "_pct", change_pct(base, cand));
+  };
+  w.begin_object();
+  w.field("schema", "minpower.profile_diff.v1");
+  w.field("base", base_source);
+  w.field("candidate", cand_source);
+  w.key("wall");
+  w.begin_object();
+  side_by_side("wall", d.base_wall_us, d.cand_wall_us);
+  w.end_object();
+  w.key("phases");
+  w.begin_array();
+  for (const PhaseDiff& r : d.phases) {
+    w.begin_object();
+    w.field("name", r.name);
+    w.field("cat", r.cat);
+    side_by_side("self", r.base_self_us, r.cand_self_us);
+    side_by_side("total", r.base_total_us, r.cand_total_us);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  os << '\n';
+}
+
+void print_profile_diff(std::ostream& os, const ProfileDiff& d) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "%-14s %-8s %11s %11s %10s %7s %11s %11s %10s %7s\n", "phase",
+                "cat", "base self", "cand self", "delta", "%", "base total",
+                "cand total", "delta", "%");
+  os << buf << std::string(110, '-') << '\n';
+  // " n/a" where the base lacks the phase; otherwise a signed percentage.
+  const auto pct = [](std::uint64_t base, std::uint64_t cand) {
+    char out[16];
+    const double p = change_pct(base, cand);
+    if (std::isnan(p)) return std::string("n/a");
+    std::snprintf(out, sizeof(out), "%+.1f%%", p);
+    return std::string(out);
+  };
+  const auto print_row = [&](const std::string& name, const std::string& cat,
+                             std::uint64_t base_self, std::uint64_t cand_self,
+                             std::uint64_t base_total,
+                             std::uint64_t cand_total) {
+    std::snprintf(buf, sizeof(buf),
+                  "%-14s %-8s %11.3f %11.3f %+10.3f %7s %11.3f %11.3f %+10.3f "
+                  "%7s\n",
+                  name.c_str(), cat.c_str(), ms(base_self), ms(cand_self),
+                  static_cast<double>(delta_us(base_self, cand_self)) / 1000.0,
+                  pct(base_self, cand_self).c_str(), ms(base_total),
+                  ms(cand_total),
+                  static_cast<double>(delta_us(base_total, cand_total)) /
+                      1000.0,
+                  pct(base_total, cand_total).c_str());
+    os << buf;
+  };
+  print_row("(wall)", "", d.base_wall_us, d.cand_wall_us, d.base_wall_us,
+            d.cand_wall_us);
+  for (const PhaseDiff& r : d.phases)
+    print_row(r.name, r.cat, r.base_self_us, r.cand_self_us, r.base_total_us,
+              r.cand_total_us);
 }
 
 }  // namespace minpower::trace

@@ -196,4 +196,35 @@ void write_profile_json(std::ostream& os, const TraceProfile& p,
 /// Human-readable hotspot/utilization/critical-path tables.
 void print_profile(std::ostream& os, const TraceProfile& p, int top_n);
 
+/// One phase (name, cat) of two profiles side by side; a phase that one
+/// trace lacks reads 0 there.
+struct PhaseDiff {
+  std::string name;
+  std::string cat;
+  std::uint64_t base_self_us = 0;
+  std::uint64_t cand_self_us = 0;
+  std::uint64_t base_total_us = 0;
+  std::uint64_t cand_total_us = 0;
+};
+
+/// `profile --diff`: the traced wall and every phase of a base and a
+/// candidate trace. Phases come in the base's order (self time
+/// descending), then those only the candidate has, in its order.
+struct ProfileDiff {
+  std::uint64_t base_wall_us = 0;
+  std::uint64_t cand_wall_us = 0;
+  std::vector<PhaseDiff> phases;
+};
+
+ProfileDiff diff_profiles(const TraceProfile& base, const TraceProfile& cand);
+
+/// Emit the `minpower.profile_diff.v1` document.
+void write_profile_diff_json(std::ostream& os, const ProfileDiff& d,
+                             const std::string& base_source,
+                             const std::string& cand_source);
+
+/// One row for the wall, then one per phase: each side's self and total
+/// ms, the candidate's change and that change as a percentage of the base.
+void print_profile_diff(std::ostream& os, const ProfileDiff& d);
+
 }  // namespace minpower::trace

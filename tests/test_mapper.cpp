@@ -917,6 +917,44 @@ bool curve_beats(const Curve& curve, const Curve::Step& b) {
   return false;
 }
 
+/// One random duplicate class: k candidate lists of multiples of `unit`
+/// lifted off zero and ULP-nudged, one to four members in distinct pin
+/// permutations at ascending match indices, and a base.
+struct RandomClass {
+  std::vector<std::vector<InputCand>> lists;
+  std::vector<std::vector<std::uint32_t>> orders;  // member m's pin order
+  std::vector<int> members;
+  std::vector<std::uint32_t> order;  // `orders` end to end
+  double base = 0.0;
+};
+
+RandomClass random_class(Rng& rng, std::size_t k, double unit) {
+  RandomClass c;
+  for (std::size_t p = 0; p < k; ++p) {
+    // Lifted off zero, so the cheapest entries are multiples of unit too.
+    c.lists.push_back(random_cand_list(rng, 0.0, unit));
+    const double lift = unit * static_cast<double>(1 + rng() % 3);
+    for (InputCand& e : c.lists.back()) e.cost += lift;
+    nudge_costs(rng, c.lists.back());
+  }
+  std::vector<std::uint32_t> perm(k);
+  for (std::size_t p = 0; p < k; ++p) perm[p] = static_cast<std::uint32_t>(p);
+  const std::size_t want_members = 1 + rng() % 4;
+  for (int tries = 0; c.orders.size() < want_members && tries < 50; ++tries) {
+    for (std::size_t p = k - 1; p > 0; --p)
+      std::swap(perm[p], perm[rng() % (p + 1)]);
+    if (std::find(c.orders.begin(), c.orders.end(), perm) == c.orders.end())
+      c.orders.push_back(perm);
+  }
+  for (int m = static_cast<int>(rng() % 3); const auto& o : c.orders) {
+    c.members.push_back(m);
+    m += 1 + static_cast<int>(rng() % 3);
+    c.order.insert(c.order.end(), o.begin(), o.end());
+  }
+  c.base = unit * static_cast<double>(rng() % 3);
+  return c;
+}
+
 // A class sweep stops at its cost floor, and the stop must drop no step:
 // its steps equal, bit for bit, the steps filtered from every breakpoint.
 // Costs are tenths, some nudged by an ULP, so the members' permuted
@@ -933,35 +971,10 @@ TEST(MapSweep, FloorStopKeepsEveryStep) {
   for (int round = 0; round < 4000; ++round) {
     const std::size_t k = 1 + static_cast<std::size_t>(round) % 4;
     const double unit = round / 4 % 2 == 0 ? 0.1 : 0.3;
-    std::vector<std::vector<InputCand>> lists;
-    for (std::size_t p = 0; p < k; ++p) {
-      // Lifted off zero, so the cheapest entries are tenths too.
-      lists.push_back(random_cand_list(rng, 0.0, unit));
-      const double lift = unit * static_cast<double>(1 + rng() % 3);
-      for (InputCand& c : lists.back()) c.cost += lift;
-      nudge_costs(rng, lists.back());
-    }
-    // One to four members, each in a distinct permutation of the pins.
-    std::vector<std::vector<std::uint32_t>> orders;
-    std::vector<std::uint32_t> perm(k);
-    for (std::size_t p = 0; p < k; ++p) perm[p] = static_cast<std::uint32_t>(p);
-    const std::size_t want_members = 1 + rng() % 4;
-    for (int tries = 0; orders.size() < want_members && tries < 50; ++tries) {
-      for (std::size_t p = k - 1; p > 0; --p)
-        std::swap(perm[p], perm[rng() % (p + 1)]);
-      if (std::find(orders.begin(), orders.end(), perm) == orders.end())
-        orders.push_back(perm);
-    }
-    std::vector<int> members;
-    std::vector<std::uint32_t> order;
-    for (int m = static_cast<int>(rng() % 3); const auto& o : orders) {
-      members.push_back(m);
-      m += 1 + static_cast<int>(rng() % 3);
-      order.insert(order.end(), o.begin(), o.end());
-    }
+    const RandomClass rc = random_class(rng, k, unit);
+    const auto& [lists, orders, members, order, base] = rc;
     std::vector<const std::vector<InputCand>*> pins;
     for (const auto& l : lists) pins.push_back(&l);
-    const double base = unit * static_cast<double>(rng() % 3);
 
     // The floor: each member's sum over the lists' last entries.
     std::vector<double> sums;
@@ -1035,6 +1048,122 @@ TEST(MapSweep, FloorStopKeepsEveryStep) {
   EXPECT_GT(closed_by_step, 1500);
   EXPECT_GT(closed_by_curve, 400);
   EXPECT_GT(unvisited, 5000u);
+}
+
+/// Sweeps the node's classes in the order `sequence` names them, each
+/// against the curve merged so far, as build_curves does; class c's points
+/// realize with drive `drive[c]`. Adds the breakpoints visited to `visits`.
+Curve sweep_node(const std::vector<RandomClass>& classes,
+                 const std::vector<double>& drive,
+                 const std::vector<std::size_t>& sequence,
+                 std::size_t& visits) {
+  Curve curve;
+  std::vector<Curve::Step> steps;
+  std::vector<CurvePoint> scratch;
+  for (const std::size_t c : sequence) {
+    std::vector<const std::vector<InputCand>*> pins;
+    for (const auto& l : classes[c].lists) pins.push_back(&l);
+    visits += sweep_class({pins, classes[c].members, classes[c].order},
+                          classes[c].base, &curve, steps)
+                  .breakpoints;
+    curve.merge(steps, scratch, [&](std::size_t j, CurvePoint& p) {
+      p.match = steps[j].match;
+      p.drive = drive[c];
+    });
+  }
+  return curve;
+}
+
+// A node's curve must not depend on the order its classes are swept in:
+// match-index order (by first member) and build_curves's order, cheapest
+// class_floor first, must give the same curve bit for bit, match and drive
+// included. Some classes are kin of an earlier one: its lists, orders and
+// base with one list cut short or run on to a cheaper entry, so the two
+// staircases tie exactly up to a point while their floors differ. The
+// lower match must win those ties whichever class is swept first.
+TEST(MapSweep, ClassOrderLeavesCurveUnchanged) {
+  Rng rng(20261020);
+  int reordered = 0;     // nodes whose floor order is not index order
+  int kin_first = 0;     // ... where a kin of higher index goes first
+  std::size_t index_visits = 0;
+  std::size_t floor_visits = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const double unit = round % 2 == 0 ? 0.1 : 0.3;
+    std::vector<RandomClass> classes;
+    std::vector<std::size_t> source;  // the class a kin copies, else itself
+    for (std::size_t c = 0, n = 2 + rng() % 5; c < n; ++c) {
+      if (c == 0 || rng() % 2 == 0) {
+        classes.push_back(random_class(rng, 1 + rng() % 4, unit));
+        source.push_back(c);
+        continue;
+      }
+      source.push_back(rng() % c);
+      RandomClass kin = classes[source.back()];
+      std::vector<InputCand>& l = kin.lists[rng() % kin.lists.size()];
+      if (l.size() > 1 && rng() % 2 == 0)
+        l.pop_back();
+      else
+        l.push_back({l.back().t + 0.5, l.back().cost - unit});
+      classes.push_back(std::move(kin));
+    }
+    // Interleave the classes' match indices: deal a shuffled 0..M-1 out
+    // to the member slots, ascending within each class.
+    std::vector<int> index;
+    for (const RandomClass& c : classes)
+      for (std::size_t m = 0; m < c.members.size(); ++m)
+        index.push_back(static_cast<int>(index.size()));
+    for (std::size_t i = index.size() - 1; i > 0; --i)
+      std::swap(index[i], index[rng() % (i + 1)]);
+    std::vector<double> drive;
+    for (auto dealt = index.begin(); RandomClass& c : classes) {
+      std::copy_n(dealt, c.members.size(), c.members.begin());
+      std::sort(c.members.begin(), c.members.end());
+      dealt += static_cast<std::ptrdiff_t>(c.members.size());
+      drive.push_back(0.25 * static_cast<double>(1 + rng() % 8));
+    }
+
+    std::vector<std::size_t> by_index(classes.size());
+    for (std::size_t c = 0; c < classes.size(); ++c) by_index[c] = c;
+    std::sort(by_index.begin(), by_index.end(),
+              [&](std::size_t a, std::size_t b) {
+                return classes[a].members[0] < classes[b].members[0];
+              });
+    std::vector<double> floor;
+    for (const RandomClass& c : classes) {
+      std::vector<const std::vector<InputCand>*> pins;
+      for (const auto& l : c.lists) pins.push_back(&l);
+      floor.push_back(class_floor({pins, c.members, c.order}, c.base));
+    }
+    std::vector<std::size_t> by_floor = by_index;
+    std::sort(by_floor.begin(), by_floor.end(),
+              [&](std::size_t a, std::size_t b) {
+                return floor[a] != floor[b]
+                           ? floor[a] < floor[b]
+                           : classes[a].members[0] < classes[b].members[0];
+              });
+    if (by_floor != by_index) ++reordered;
+    for (std::size_t i = 0; i < by_floor.size(); ++i) {
+      const std::size_t c = by_floor[i];
+      const std::size_t s = source[c];
+      if (s != c && classes[c].members[0] > classes[s].members[0] &&
+          std::find(by_floor.begin() + static_cast<std::ptrdiff_t>(i),
+                    by_floor.end(), s) != by_floor.end()) {
+        ++kin_first;
+        break;
+      }
+    }
+
+    SCOPED_TRACE("round " + std::to_string(round) + ", " +
+                 std::to_string(classes.size()) + " classes");
+    const Curve want = sweep_node(classes, drive, by_index, index_visits);
+    ASSERT_TRUE(same_points(sweep_node(classes, drive, by_floor, floor_visits),
+                            want));
+  }
+  // The rounds reorder often, sweep kin ahead of the class they tie, and
+  // the floor order stops more sweeps early.
+  EXPECT_GT(reordered, 1500);
+  EXPECT_GT(kin_first, 600);
+  EXPECT_LT(floor_visits, index_visits);
 }
 
 // A class key holds each pin's timing, not only its node. In this library

@@ -44,6 +44,12 @@
 //                                                  thread utilization,
 //                                                  critical path
 //                                                  (minpower.profile.v1)
+//   minpower profile --diff <base.trace.json> <cand.trace.json>
+//                   [--json out.json]
+//                                                  per-phase self/total time
+//                                                  and wall of two traces,
+//                                                  with the change
+//                                                  (minpower.profile_diff.v1)
 //   minpower compare <baseline.json> <candidate.json>
 //                   [--json out.json] [--time-band F] [--require-all]
 //                   [--qor-only]
@@ -176,6 +182,8 @@ struct Args {
   std::optional<std::string> access_log;   // serve: JSONL access log
   bool verbose = false;
   int top = 10;               // profile hotspot rows
+  bool diff = false;          // profile: compare two traces phase by phase
+  bool help = false;          // bench: print usage
   double time_band = 0.20;    // compare/trend: allowed slowdown (+20%)
   bool require_all = false;   // compare: cell sets must be equal
   bool qor_only = false;      // compare: check QoR and status only
@@ -284,6 +292,9 @@ Args parse_args(int argc, char** argv, int first) {
     else if (arg == "--sim") a.simulate = true;
     else if (arg == "--resize") a.resize = true;
     else if (arg == "--seq") a.sequential = true;
+    else if (arg == "--diff") a.diff = true;
+    else if (arg == "--help") a.help = true;
+    else if (arg.size() > 1 && arg[0] == '-') fatal("unknown option " + arg);
     else a.positional.push_back(arg);
   }
   return a;
@@ -625,7 +636,8 @@ int cmd_bench(const Args& a) {
               a.out);
     return 0;
   }
-  const std::string name = a.positional.empty() ? "--help" : a.positional[0];
+  const std::string name =
+      a.help || a.positional.empty() ? "--help" : a.positional[0];
   std::string names;
   bool known = false;
   for (const BenchProfile& p : paper_suite()) {
@@ -651,14 +663,31 @@ std::string slurp(const std::string& path, const char* what) {
   return buf.str();
 }
 
-int cmd_profile(const Args& a) {
-  if (a.positional.size() != 1) fatal("profile needs exactly one trace file");
-  const std::string& path = a.positional.front();
+trace::TraceProfile load_profile(const std::string& path) {
   trace::TraceProfile profile;
   std::string error;
   if (!trace::analyze_chrome_trace(slurp(path, "trace file"), &profile,
                                    &error))
     fatal(path + ": " + error);
+  return profile;
+}
+
+int cmd_profile(const Args& a) {
+  if (a.diff) {
+    if (a.positional.size() != 2)
+      fatal("profile --diff needs <base.trace.json> <cand.trace.json>");
+    const trace::ProfileDiff d = trace::diff_profiles(
+        load_profile(a.positional[0]), load_profile(a.positional[1]));
+    trace::print_profile_diff(std::cout, d);
+    if (a.json) {
+      std::ofstream out = open_output(*a.json, "JSON output file");
+      trace::write_profile_diff_json(out, d, a.positional[0], a.positional[1]);
+    }
+    return 0;
+  }
+  if (a.positional.size() != 1) fatal("profile needs exactly one trace file");
+  const std::string& path = a.positional.front();
+  const trace::TraceProfile profile = load_profile(path);
   const int top = a.top > 0 ? a.top : 1;
   trace::print_profile(std::cout, profile, top);
   if (a.json) {
