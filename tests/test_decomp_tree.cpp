@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "decomp/huffman.hpp"
+#include "decomp/node_decompose.hpp"
+#include "util/budget.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace minpower {
@@ -273,6 +277,229 @@ TEST(JointProbabilities, CondAndBounds) {
   EXPECT_DOUBLE_EQ(j.joint(0, 1), 0.2);
   EXPECT_DOUBLE_EQ(j.cond(0, 1), 0.5);  // P(0|1) = 0.2/0.4
   EXPECT_DOUBLE_EQ(j.cond(1, 0), 0.4);  // P(1|0) = 0.2/0.5
+}
+
+
+// Every tree builder's output is pinned: seeded leaf sets of 1..14 leaves,
+// drawn four ways (uniform, a coarse grid that forces cost ties, near the
+// rails, all equal), go through each builder, and a digest of every tree
+// (each node's leaf, children, height and the bits of its probability, then
+// the root) is compared with a committed constant per builder. A change to
+// the builders' bookkeeping must leave every digest unchanged; a moved
+// digest means the change altered a tree. Never regenerate a row to make
+// this test pass.
+enum class LeafKind { kUniform, kGrid, kRails, kEqual };
+constexpr LeafKind kLeafKinds[] = {LeafKind::kUniform, LeafKind::kGrid,
+                                   LeafKind::kRails, LeafKind::kEqual};
+
+/// One value in [0, 1] drawn the `kind` way.
+double draw(Rng& rng, LeafKind kind) {
+  switch (kind) {
+    case LeafKind::kUniform: return rng.uniform();
+    case LeafKind::kGrid: return 0.25 * static_cast<double>(rng.range(1, 3));
+    case LeafKind::kRails: {
+      const double eps = 1e-9 * rng.uniform();
+      return rng.coin() ? eps : 1.0 - eps;
+    }
+    case LeafKind::kEqual: break;
+  }
+  return 0.5;
+}
+
+std::vector<double> leaf_probs(Rng& rng, LeafKind kind, int n) {
+  std::vector<double> p(static_cast<std::size_t>(n));
+  const double same = rng.uniform();
+  for (double& x : p) x = kind == LeafKind::kEqual ? same : draw(rng, kind);
+  return p;
+}
+
+/// A joint table whose every pair sits at a drawn point of its Fréchet
+/// interval [max(0, pi + pj − 1), min(pi, pj)].
+JointProbabilities leaf_joints(Rng& rng, LeafKind kind, int n) {
+  const std::vector<double> p = leaf_probs(rng, kind, n);
+  JointProbabilities j(p);
+  const double same = rng.uniform();
+  for (int a = 0; a < n; ++a)
+    for (int b = a + 1; b < n; ++b) {
+      const double pa = p[static_cast<std::size_t>(a)];
+      const double pb = p[static_cast<std::size_t>(b)];
+      const double lo = std::max(0.0, pa + pb - 1.0);
+      const double hi = std::min(pa, pb);
+      const double t = kind == LeafKind::kEqual ? same
+                       : kind == LeafKind::kRails
+                           ? static_cast<double>(rng.coin())
+                           : draw(rng, kind);
+      j.set(a, b, lo + t * (hi - lo));
+    }
+  return j;
+}
+
+SignalTransition leaf_state(Rng& rng, LeafKind kind) {
+  double w[4];
+  double sum = 0.0;
+  for (double& x : w) {
+    x = kind == LeafKind::kGrid ? static_cast<double>(rng.range(0, 2))
+                                : rng.uniform();
+    sum += x;
+  }
+  if (kind == LeafKind::kRails) {
+    const double eps = 1e-9;
+    const bool high = rng.coin();
+    return {high ? eps * w[0] : 1.0 - 3 * eps, eps * w[1], eps * w[2],
+            high ? 1.0 - 3 * eps : eps * w[3]};
+  }
+  if (sum == 0.0) return {};
+  return {w[0] / sum, w[1] / sum, w[2] / sum, w[3] / sum};
+}
+
+std::vector<SignalTransition> leaf_states(Rng& rng, LeafKind kind, int n) {
+  const SignalTransition same = leaf_state(rng, LeafKind::kUniform);
+  std::vector<SignalTransition> s(static_cast<std::size_t>(n));
+  for (SignalTransition& x : s)
+    x = kind == LeafKind::kEqual ? same : leaf_state(rng, kind);
+  return s;
+}
+
+void digest_tree(StreamHash& h, const DecompTree& t) {
+  h.u64(t.nodes.size());
+  for (const DecompTree::TNode& n : t.nodes) {
+    h.u64(static_cast<std::uint64_t>(n.leaf));
+    h.u64(static_cast<std::uint64_t>(n.left));
+    h.u64(static_cast<std::uint64_t>(n.right));
+    h.u64(static_cast<std::uint64_t>(n.height));
+    h.u64(std::bit_cast<std::uint64_t>(n.prob));
+  }
+  h.u64(static_cast<std::uint64_t>(t.root));
+}
+
+void digest_plan(StreamHash& h, const NodeDecomp& plan) {
+  for (const auto& lits : plan.cube_literals)
+    for (const auto& [var, phase] : lits) h.u64(var * 2u + phase);
+  for (const DecompTree& t : plan.cube_trees) digest_tree(h, t);
+  digest_tree(h, plan.or_tree);
+  h.u64(static_cast<std::uint64_t>(plan.realized_height));
+  h.u64(std::bit_cast<std::uint64_t>(plan.tree_activity));
+}
+
+/// A random non-constant SOP over `k` variables.
+Cover random_cover(Rng& rng, int k) {
+  for (;;) {
+    Cover f;
+    const int cubes = static_cast<int>(rng.range(1, 5));
+    for (int cu = 0; cu < cubes; ++cu) {
+      Cube c;
+      for (int v = 0; v < k; ++v)
+        if (rng.coin(0.6)) c = c & Cube::literal(v, rng.coin());
+      if (c.is_one()) c = Cube::literal(static_cast<int>(rng.below(k)), true);
+      f.add(c);
+    }
+    f.normalize();
+    if (!f.is_zero() && !f.is_one()) return f;
+  }
+}
+
+constexpr CircuitStyle kStyles[] = {CircuitStyle::kStatic,
+                                    CircuitStyle::kDynamicP,
+                                    CircuitStyle::kDynamicN};
+constexpr GateType kGates[] = {GateType::kAnd, GateType::kOr};
+
+struct PinnedBuilder {
+  const char* name;
+  std::uint64_t digest;
+};
+
+const std::vector<PinnedBuilder> kPinnedBuilders = {
+    {"huffman", 0x1194281ea50e6a81ULL},
+    {"modified_huffman", 0x2ea1bb1f17057f69ULL},
+    {"correlated", 0x53f5af96bfe5d9cfULL},
+    {"transitions", 0x07c92e0683fb4c49ULL},
+    {"bounded_exact", 0x8ace118f2e0ad023ULL},
+    {"bounded_overrun", 0x851def22475b8812ULL},
+    {"bounded_ladder", 0xaed7f1c592fbe52aULL},
+    {"exhaustive", 0xdae4affc22693810ULL},
+    {"exhaustive_transitions", 0x01f90c070ec5671cULL},
+    {"decompose_node", 0xeabd886f113c2749ULL},
+    {"decompose_node_correlated", 0x8aadfe2f7cf55eafULL},
+    {"decompose_node_transitions", 0x32217bacfab06e58ULL},
+};
+
+TEST(DecompTree, BuildersArePinned) {
+  std::vector<StreamHash> h(kPinnedBuilders.size());
+  Rng rng(20260);
+  for (int n = 1; n <= 14; ++n)
+    for (const LeafKind kind : kLeafKinds)
+      for (int rep = 0; rep < 2; ++rep) {
+        for (const CircuitStyle style : kStyles)
+          for (const GateType gate : kGates) {
+            const DecompModel model(gate, style);
+            const std::vector<double> p = leaf_probs(rng, kind, n);
+            digest_tree(h[0], huffman_tree(p, model));
+            digest_tree(h[1], modified_huffman_tree(p, model));
+            digest_tree(h[2], modified_huffman_correlated(
+                                  leaf_joints(rng, kind, n), model));
+            const int lo = balanced_height(n);
+            for (int bound = lo; bound <= std::max(lo, n - 1); ++bound) {
+              if (n > 6 && bound > lo + 2 && bound < n - 1) continue;
+              auto bounded = [&] {
+                return bounded_height_minpower_tree(p, bound, model);
+              };
+              if (n > 6) {
+                digest_tree(h[6], bounded());
+                continue;
+              }
+              digest_tree(h[4], bounded());
+              Budget b;
+              b.ordinal = 0;
+              b.arm({{"exact-overrun", 0}});
+              BudgetScope scope(b);
+              digest_tree(h[5], bounded());
+            }
+            if (n <= 8) digest_tree(h[7], best_tree_exhaustive(p, model));
+          }
+        for (const GateType gate : kGates) {
+          const std::vector<SignalTransition> s = leaf_states(rng, kind, n);
+          digest_tree(h[3], modified_huffman_transitions(s, gate));
+          if (n <= 8)
+            digest_tree(h[8], best_tree_exhaustive_transitions(s, gate));
+        }
+      }
+
+  // Node plans over random covers of 2..8 variables.
+  for (int trial = 0; trial < 120; ++trial) {
+    const int k = static_cast<int>(rng.range(2, 8));
+    const Cover f = random_cover(rng, k);
+    const LeafKind kind = kLeafKinds[trial % 4];
+    const std::vector<double> p = leaf_probs(rng, kind, k);
+    for (const CircuitStyle style : kStyles) {
+      digest_plan(h[9],
+                  decompose_node(f, p, style, DecompAlgorithm::kBalanced));
+      const int floor = balanced_nand_height(f);
+      for (const int bound : {-1, floor, floor + 1, floor + 2})
+        digest_plan(h[9], decompose_node(f, p, style,
+                                         DecompAlgorithm::kMinPower, bound));
+    }
+    Network net("pins");
+    std::vector<NodeId> pis;
+    for (int i = 0; i < k; ++i)
+      pis.push_back(net.add_pi("x" + std::to_string(i)));
+    std::vector<InputPattern> patterns(
+        static_cast<std::size_t>(rng.range(2, 12)));
+    for (InputPattern& pat : patterns) {
+      for (int i = 0; i < k; ++i)
+        pat.values.push_back(rng.coin(draw(rng, kind)));
+      pat.weight = 0.1 + rng.uniform();
+    }
+    const PatternModel pm(net, std::move(patterns));
+    for (const CircuitStyle style : kStyles)
+      digest_plan(h[10], decompose_node_correlated(f, pis, pm, style));
+    digest_plan(h[11],
+                decompose_node_transitions(f, leaf_states(rng, kind, k)));
+  }
+
+  for (std::size_t i = 0; i < kPinnedBuilders.size(); ++i)
+    EXPECT_EQ(h[i].digest().fold(), kPinnedBuilders[i].digest)
+        << kPinnedBuilders[i].name << " digest 0x" << std::hex
+        << h[i].digest().fold();
 }
 
 }  // namespace
