@@ -81,7 +81,7 @@ int main() {
               Cube::literal(2, true) & Cube::literal(3, true)}};
   const NodeDecomp plan =
       decompose_node(and4, p, CircuitStyle::kDynamicP, DecompAlgorithm::kMinPower);
-  net.add_po("f", emit_node_decomp(net, pis, and4, plan));
+  net.add_po("f", emit_node_decomp(net, pis, plan));
   net.sweep();
 
   MapOptions o;

@@ -1,308 +1,126 @@
 #include "decomp/huffman.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
-#include <set>
-#include <string>
 
-#include "trace/metrics.hpp"
-#include "util/budget.hpp"
+#include "decomp/search.hpp"
 
 namespace minpower {
 
-namespace {
-
-/// All tree builders funnel parent creation through here or through the
-/// correlated builder's inline merge; both count into huffman.merges (for
-/// the exhaustive search this includes branch-and-bound explorations —
-/// still deterministic, and a direct measure of search effort).
-void count_merge() {
-  static metrics::Counter& merges = metrics::counter("huffman.merges");
-  merges.add(1);
-}
-
-}  // namespace
-
-namespace {
-
-/// Shared helper: start a tree whose first n nodes are the leaves.
-DecompTree init_leaves(const std::vector<double>& leaf_probs) {
-  DecompTree t;
-  t.num_leaves = static_cast<int>(leaf_probs.size());
-  for (int i = 0; i < t.num_leaves; ++i) {
-    DecompTree::TNode leaf;
-    leaf.leaf = i;
-    leaf.prob = leaf_probs[static_cast<std::size_t>(i)];
-    t.nodes.push_back(leaf);
-  }
-  return t;
-}
-
-int merge_nodes(DecompTree& t, int a, int b, const DecompModel& model) {
-  count_merge();
-  DecompTree::TNode parent;
-  parent.left = a;
-  parent.right = b;
-  parent.prob = model.merge_prob(t.nodes[static_cast<std::size_t>(a)].prob,
-                                 t.nodes[static_cast<std::size_t>(b)].prob);
-  parent.height = 1 + std::max(t.nodes[static_cast<std::size_t>(a)].height,
-                               t.nodes[static_cast<std::size_t>(b)].height);
-  t.nodes.push_back(parent);
-  return static_cast<int>(t.nodes.size()) - 1;
-}
-
-}  // namespace
-
 DecompTree huffman_tree(const std::vector<double>& leaf_probs,
                         const DecompModel& model) {
-  MP_CHECK(!leaf_probs.empty());
-  DecompTree t = init_leaves(leaf_probs);
-  if (t.num_leaves == 1) {
-    t.root = 0;
-    return t;
-  }
+  DecompTree t = DecompTree::leaves(leaf_probs);
   // Min-heap on the model's ordering key; ties broken on node index so the
   // construction is deterministic.
   using Entry = std::pair<double, int>;  // (key, node index)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   for (int i = 0; i < t.num_leaves; ++i)
-    heap.emplace(model.huffman_key(t.nodes[static_cast<std::size_t>(i)].prob), i);
+    heap.emplace(model.huffman_key(t.prob(i)), i);
   while (heap.size() > 1) {
     const int a = heap.top().second;
     heap.pop();
     const int b = heap.top().second;
     heap.pop();
-    const int p = merge_nodes(t, a, b, model);
-    heap.emplace(model.huffman_key(t.nodes[static_cast<std::size_t>(p)].prob), p);
+    const int p = t.add_parent(a, b, model.merge_prob(t.prob(a), t.prob(b)));
+    heap.emplace(model.huffman_key(t.prob(p)), p);
   }
   t.root = heap.top().second;
+  count_merges(static_cast<std::size_t>(t.num_leaves) - 1);
   return t;
 }
 
 DecompTree modified_huffman_tree(const std::vector<double>& leaf_probs,
                                  const DecompModel& model) {
-  MP_CHECK(!leaf_probs.empty());
-  DecompTree t = init_leaves(leaf_probs);
-  if (t.num_leaves == 1) {
-    t.root = 0;
-    return t;
-  }
-  // Active node set plus a candidate list ordered by F(wi, wj).
-  // (F-value, i, j) with i < j as node indices; deterministic tie-break.
-  std::set<std::tuple<double, int, int>> candidates;
-  std::vector<int> active;
-  for (int i = 0; i < t.num_leaves; ++i) {
-    for (int j : active)
-      candidates.emplace(
-          model.merge_cost(t.nodes[static_cast<std::size_t>(j)].prob,
-                           t.nodes[static_cast<std::size_t>(i)].prob),
-          std::min(i, j), std::max(i, j));
-    active.push_back(i);
-  }
-  while (active.size() > 1) {
-    const auto [cost, a, b] = *candidates.begin();
-    (void)cost;
-    // Remove all candidates touching a or b.
-    for (auto it = candidates.begin(); it != candidates.end();) {
-      const auto [c, i, j] = *it;
-      (void)c;
-      it = (i == a || i == b || j == a || j == b) ? candidates.erase(it)
-                                                  : std::next(it);
-    }
-    std::erase(active, a);
-    std::erase(active, b);
-    const int p = merge_nodes(t, a, b, model);
-    for (int j : active)
-      candidates.emplace(
-          model.merge_cost(t.nodes[static_cast<std::size_t>(j)].prob,
-                           t.nodes[static_cast<std::size_t>(p)].prob),
-          std::min(p, j), std::max(p, j));
-    active.push_back(p);
-  }
-  t.root = active.front();
-  return t;
+  IndependentSignals signals{model};
+  return greedy_tree(DecompTree::leaves(leaf_probs), signals);
+}
+
+DecompTree best_tree_exhaustive(const std::vector<double>& leaf_probs,
+                                const DecompModel& model) {
+  IndependentSignals signals{model};
+  return exhaustive_tree(DecompTree::leaves(leaf_probs), signals);
 }
 
 namespace {
 
-void exhaustive_rec(DecompTree& t, std::vector<int>& active,
-                    const DecompModel& model, double cost_so_far,
-                    double& best_cost, std::vector<int>& best_merges,
-                    std::vector<int>& merges) {
-  if (active.size() == 1) {
-    if (cost_so_far < best_cost) {
-      best_cost = cost_so_far;
-      best_merges = merges;
-    }
-    return;
+/// Correlated signals (Eqs. 7–9): a pairwise joint table over tree-node ids.
+/// A merge's output probability is exact given the pair's joint (Eq. 7 for
+/// AND, inclusion-exclusion for OR); its joints with the survivors are
+/// estimated (Eq. 9 for AND, a pairwise triple-joint estimate for OR) and
+/// clamped to their Fréchet bounds.
+class CorrelatedSignals {
+ public:
+  CorrelatedSignals(const JointProbabilities& joints, const DecompModel& model)
+      : model_(model),
+        stride_(static_cast<std::size_t>(2 * joints.size() - 1)),
+        joint_(stride_ * stride_, 0.0) {
+    for (int i = 0; i < joints.size(); ++i)
+      for (int j = 0; j < joints.size(); ++j) at(i, j) = joints.joint(i, j);
   }
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    for (std::size_t j = i + 1; j < active.size(); ++j) {
-      const int a = active[i];
-      const int b = active[j];
-      const double f =
-          model.merge_cost(t.nodes[static_cast<std::size_t>(a)].prob,
-                           t.nodes[static_cast<std::size_t>(b)].prob);
-      if (cost_so_far + f >= best_cost) continue;  // branch & bound
-      const int p = merge_nodes(t, a, b, model);
-      // Replace a and b with p in the active set.
-      std::vector<int> next;
-      next.reserve(active.size() - 1);
-      for (std::size_t k = 0; k < active.size(); ++k)
-        if (k != i && k != j) next.push_back(active[k]);
-      next.push_back(p);
-      merges.push_back(a);
-      merges.push_back(b);
-      exhaustive_rec(t, next, model, cost_so_far + f, best_cost, best_merges,
-                     merges);
-      merges.pop_back();
-      merges.pop_back();
-      t.nodes.pop_back();  // undo the merge
-    }
+
+  double cost(const DecompTree& t, int a, int b) const {
+    return model_.activity(merged(t, a, b));
   }
-}
+
+  double merge(const DecompTree& t, int a, int b,
+               const std::vector<int>& survivors) {
+    const int p = static_cast<int>(t.nodes.size());
+    const double pa = merged(t, a, b);
+    auto cond = [&](int x, int y) {  // P(x=1 | y=1)
+      return t.prob(y) <= 0.0 ? 0.0 : at(x, y) / t.prob(y);
+    };
+    for (int k : survivors) {
+      const double w_ab = at(a, b);
+      double est;
+      if (model_.gate() == GateType::kAnd) {
+        est = ((cond(k, a) + cond(k, b)) * w_ab / 2.0 +
+               (cond(b, k) + cond(b, a)) * at(a, k) / 2.0 +
+               (cond(a, b) + cond(a, k)) * at(b, k) / 2.0) /
+              3.0;
+      } else {
+        // OR merge: P((a∨b)∧k) = P(a∧k) + P(b∧k) − P(a∧b∧k); estimate the
+        // triple joint from the pairwise data.
+        const double triple = w_ab * (cond(k, a) + cond(k, b)) / 2.0;
+        est = at(a, k) + at(b, k) - triple;
+      }
+      const double pk = t.prob(k);
+      est = std::clamp(est, std::max(0.0, pa + pk - 1.0), std::min(pa, pk));
+      at(p, k) = est;
+      at(k, p) = est;
+    }
+    return pa;
+  }
+
+ private:
+  double merged(const DecompTree& t, int a, int b) const {
+    return model_.gate() == GateType::kAnd
+               ? at(a, b)
+               : t.prob(a) + t.prob(b) - at(a, b);
+  }
+  double& at(int i, int j) {
+    return joint_[static_cast<std::size_t>(i) * stride_ +
+                  static_cast<std::size_t>(j)];
+  }
+  double at(int i, int j) const {
+    return joint_[static_cast<std::size_t>(i) * stride_ +
+                  static_cast<std::size_t>(j)];
+  }
+
+  const DecompModel& model_;
+  std::size_t stride_;
+  std::vector<double> joint_;
+};
 
 }  // namespace
 
-DecompTree best_tree_exhaustive(const std::vector<double>& leaf_probs,
-                                const DecompModel& model) {
-  MP_CHECK(!leaf_probs.empty());
-  if (leaf_probs.size() > 9)
-    throw ResourceExhausted(
-        "exhaustive-tree", "exhaustive tree search limited to 9 leaves (got " +
-                               std::to_string(leaf_probs.size()) + ")");
-  DecompTree scratch = init_leaves(leaf_probs);
-  if (scratch.num_leaves == 1) {
-    scratch.root = 0;
-    return scratch;
-  }
-  std::vector<int> active(static_cast<std::size_t>(scratch.num_leaves));
-  for (int i = 0; i < scratch.num_leaves; ++i)
-    active[static_cast<std::size_t>(i)] = i;
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<int> best_merges;
-  std::vector<int> merges;
-  exhaustive_rec(scratch, active, model, 0.0, best_cost, best_merges, merges);
-  MP_CHECK(!best_merges.empty());
-
-  // Replay the winning merge sequence on a fresh tree.
-  DecompTree t = init_leaves(leaf_probs);
-  for (std::size_t m = 0; m + 1 < best_merges.size(); m += 2)
-    merge_nodes(t, best_merges[m], best_merges[m + 1], model);
-  t.root = static_cast<int>(t.nodes.size()) - 1;
-  return t;
-}
-
-
 DecompTree modified_huffman_correlated(const JointProbabilities& joints,
                                        const DecompModel& model) {
-  const int n = joints.size();
-  MP_CHECK(n >= 1);
-  std::vector<double> p1(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) p1[static_cast<std::size_t>(i)] = joints.prob(i);
-  DecompTree t = init_leaves(p1);
-  if (n == 1) {
-    t.root = 0;
-    return t;
-  }
-
-  // Growable joint table indexed by tree-node id.
-  const int max_nodes = 2 * n - 1;
-  std::vector<double> J(static_cast<std::size_t>(max_nodes) *
-                            static_cast<std::size_t>(max_nodes),
-                        0.0);
-  auto jref = [&](int i, int j) -> double& {
-    return J[static_cast<std::size_t>(i) * static_cast<std::size_t>(max_nodes) +
-             static_cast<std::size_t>(j)];
-  };
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) jref(i, j) = joints.joint(i, j);
-
-  std::vector<int> active(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) active[static_cast<std::size_t>(i)] = i;
-
-  auto node_prob = [&](int id) {
-    return t.nodes[static_cast<std::size_t>(id)].prob;
-  };
-  // Output 1-probability of a merge. AND (Eqs. 7/8): exactly the pairwise
-  // joint. OR: inclusion-exclusion, likewise exact given the joint.
-  auto merge_p = [&](int a, int b) {
-    return model.gate() == GateType::kAnd
-               ? jref(a, b)
-               : node_prob(a) + node_prob(b) - jref(a, b);
-  };
-  auto pair_cost = [&](int a, int b) { return model.activity(merge_p(a, b)); };
-
-  while (active.size() > 1) {
-    // Find min-F pair.
-    int bi = 0;
-    int bj = 1;
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < active.size(); ++i)
-      for (std::size_t j = i + 1; j < active.size(); ++j) {
-        const double f = pair_cost(active[i], active[j]);
-        if (f < best) {
-          best = f;
-          bi = active[static_cast<std::size_t>(i)];
-          bj = active[static_cast<std::size_t>(j)];
-        }
-      }
-    // Merge bi, bj. Exact parent probability from the pairwise joint
-    // (Eq. 7 for AND; inclusion-exclusion for OR).
-    count_merge();
-    DecompTree::TNode parent;
-    parent.left = bi;
-    parent.right = bj;
-    parent.prob = merge_p(bi, bj);
-    parent.height =
-        1 + std::max(t.nodes[static_cast<std::size_t>(bi)].height,
-                     t.nodes[static_cast<std::size_t>(bj)].height);
-    t.nodes.push_back(parent);
-    const int p = static_cast<int>(t.nodes.size()) - 1;
-    jref(p, p) = parent.prob;
-
-    // Eq. 9 heuristic joint with every survivor k, clamped to the Fréchet
-    // bounds [max(0, pA + pk − 1), min(pA, pk)].
-    std::erase(active, bi);
-    std::erase(active, bj);
-    for (int k : active) {
-      const double pi = node_prob(bi);
-      const double pj = node_prob(bj);
-      const double pk = node_prob(k);
-      auto cond = [&](int x, int y) {  // P(x=1 | y=1)
-        const double py = node_prob(y);
-        return py <= 0.0 ? 0.0 : jref(x, y) / py;
-      };
-      const double w_ij = jref(bi, bj);
-      const double w_ik = jref(bi, k);
-      const double w_jk = jref(bj, k);
-      double est;
-      if (model.gate() == GateType::kAnd) {
-        est = ((cond(k, bi) + cond(k, bj)) * w_ij / 2.0 +
-               (cond(bj, k) + cond(bj, bi)) * w_ik / 2.0 +
-               (cond(bi, bj) + cond(bi, k)) * w_jk / 2.0) /
-              3.0;
-      } else {
-        // OR merge: P((i∨j)∧k) = P(i∧k) + P(j∧k) − P(i∧j∧k); estimate the
-        // triple joint from the pairwise data.
-        const double triple =
-            w_ij * (cond(k, bi) + cond(k, bj)) / 2.0;
-        est = w_ik + w_jk - triple;
-      }
-      (void)pi;
-      (void)pj;
-      const double pa = parent.prob;
-      const double lo = std::max(0.0, pa + pk - 1.0);
-      const double hi = std::min(pa, pk);
-      est = std::clamp(est, lo, hi);
-      jref(p, k) = est;
-      jref(k, p) = est;
-    }
-    active.push_back(p);
-  }
-  t.root = active.front();
-  return t;
+  MP_CHECK(joints.size() >= 1);
+  std::vector<double> p1(static_cast<std::size_t>(joints.size()));
+  for (int i = 0; i < joints.size(); ++i)
+    p1[static_cast<std::size_t>(i)] = joints.prob(i);
+  CorrelatedSignals signals(joints, model);
+  return greedy_tree(DecompTree::leaves(p1), signals);
 }
 
 }  // namespace minpower

@@ -2,9 +2,10 @@
 // Tree-construction algorithms of Section 2.1:
 //   * Algorithm 2.1 — Huffman: O(n log n); optimal for quasi-linear merge
 //     functions (dynamic CMOS, uncorrelated inputs; Theorem 2.2).
-//   * Algorithm 2.2 — Modified Huffman: O(n² log n) greedy that repeatedly
-//     merges the pair with minimum weight-combination value; used for static
-//     CMOS and for correlated inputs where F is not quasi-linear.
+//   * Algorithm 2.2 — Modified Huffman: the O(n³) greedy of search.hpp
+//     that repeatedly merges the pair with minimum weight-combination value;
+//     used for static CMOS and for correlated inputs where F is not
+//     quasi-linear.
 //   * Exhaustive enumeration over all binary trees: the oracle for Table 1
 //     and for the optimality property tests (practical for n ≤ 8).
 //   * The correlated-input variant of Modified Huffman using the pairwise

@@ -282,7 +282,7 @@ NetworkDecompResult decompose_network(const Network& net,
     fanins.reserve(n.fanins.size());
     for (NodeId f : n.fanins) fanins.push_back(map.at(f));
     const NodePlanState& st = plans.at(id);
-    map[id] = emit_node_decomp(out, fanins, n.cover, st.plan);
+    map[id] = emit_node_decomp(out, fanins, st.plan);
     result.tree_activity += st.plan.tree_activity;
   }
   for (const PrimaryOutput& po : net.pos())

@@ -59,7 +59,7 @@ NodeDecomp decompose_node(const Cover& cover,
 /// Returns the root of the emitted NAND2/INV subnetwork (which may be an
 /// existing node, e.g. for a single positive-literal cover).
 NodeId emit_node_decomp(Network& net, const std::vector<NodeId>& fanins,
-                        const Cover& cover, const NodeDecomp& plan);
+                        const NodeDecomp& plan);
 
 /// Correlation-aware MINPOWER decomposition (Eqs. 7–9 with exact pairwise
 /// joints from a PatternModel). `node_fanins` are the fanin node ids inside
@@ -86,7 +86,7 @@ int balanced_nand_height(const Cover& cover);
 /// Total switching activity of the plan's internal AND/OR tree nodes: the
 /// objective G the decomposition minimizes (leaf activities excluded — they
 /// are decomposition-invariant).
-double plan_tree_activity(const NodeDecomp& plan, const Cover& cover,
+double plan_tree_activity(const NodeDecomp& plan,
                           const std::vector<double>& fanin_prob1,
                           CircuitStyle style);
 

@@ -1,13 +1,10 @@
 #include "decomp/package_merge.hpp"
 
-#include "decomp/huffman.hpp"
-
 #include <algorithm>
-#include <limits>
 #include <numeric>
-#include <string>
 
-#include "util/budget.hpp"
+#include "decomp/huffman.hpp"
+#include "decomp/search.hpp"
 
 namespace minpower {
 
@@ -101,74 +98,19 @@ int completion_height(std::vector<int> heights) {
   return heights[0];
 }
 
-}  // namespace
-
-namespace {
-
-/// One pass of the height-feasible greedy at a fixed bound.
-DecompTree bounded_greedy_once(const std::vector<double>& leaf_probs,
-                               int max_height, const DecompModel& model) {
-  const int n = static_cast<int>(leaf_probs.size());
-  DecompTree t;
-  t.num_leaves = n;
-  std::vector<int> active;
-  for (int i = 0; i < n; ++i) {
-    DecompTree::TNode leaf;
-    leaf.leaf = i;
-    leaf.prob = leaf_probs[static_cast<std::size_t>(i)];
-    t.nodes.push_back(leaf);
-    active.push_back(i);
-  }
-  if (n == 1) {
-    t.root = 0;
-    return t;
-  }
-
-  while (active.size() > 1) {
-    // Candidate pairs ordered by F; take the cheapest that stays feasible.
-    int bi = -1;
-    int bj = -1;
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      for (std::size_t j = i + 1; j < active.size(); ++j) {
-        const int a = active[i];
-        const int b = active[j];
-        const double f =
-            model.merge_cost(t.nodes[static_cast<std::size_t>(a)].prob,
-                             t.nodes[static_cast<std::size_t>(b)].prob);
-        if (f >= best) continue;
-        // Feasibility: heights after this merge must still complete <= L.
-        std::vector<int> hs;
-        hs.reserve(active.size() - 1);
-        for (std::size_t k = 0; k < active.size(); ++k)
-          if (k != i && k != j)
-            hs.push_back(
-                t.nodes[static_cast<std::size_t>(active[k])].height);
-        hs.push_back(1 + std::max(t.nodes[static_cast<std::size_t>(a)].height,
-                                  t.nodes[static_cast<std::size_t>(b)].height));
-        if (completion_height(std::move(hs)) > max_height) continue;
-        best = f;
-        bi = a;
-        bj = b;
-      }
-    }
-    MP_CHECK_MSG(bi >= 0, "no feasible merge found (internal error)");
-    DecompTree::TNode parent;
-    parent.left = bi;
-    parent.right = bj;
-    parent.prob =
-        model.merge_prob(t.nodes[static_cast<std::size_t>(bi)].prob,
-                         t.nodes[static_cast<std::size_t>(bj)].prob);
-    parent.height = 1 + std::max(t.nodes[static_cast<std::size_t>(bi)].height,
-                                 t.nodes[static_cast<std::size_t>(bj)].height);
-    t.nodes.push_back(parent);
-    std::erase(active, bi);
-    std::erase(active, bj);
-    active.push_back(static_cast<int>(t.nodes.size()) - 1);
-  }
-  t.root = active.front();
-  MP_CHECK(t.height() <= max_height);
-  return t;
+/// Admissibility at height bound L: after merging the pair at positions
+/// i < j, the surviving subtrees must still complete within L.
+auto completes_within(int max_height) {
+  return [max_height](const DecompTree& t, const std::vector<int>& active,
+                      std::size_t i, std::size_t j) {
+    auto height = [&](std::size_t k) {
+      return t.nodes[static_cast<std::size_t>(active[k])].height;
+    };
+    std::vector<int> hs{1 + std::max(height(i), height(j))};
+    for (std::size_t k = 0; k < active.size(); ++k)
+      if (k != i && k != j) hs.push_back(height(k));
+    return completion_height(std::move(hs)) <= max_height;
+  };
 }
 
 /// Per-thread count of exact bounded-height searches that overran their
@@ -176,65 +118,6 @@ DecompTree bounded_greedy_once(const std::vector<double>& leaf_probs,
 std::size_t& exact_fallback_slot() {
   thread_local std::size_t count = 0;
   return count;
-}
-
-/// Exact branch-and-bound over merge orders with a height cap; exponential,
-/// used only for small n where it is instantaneous. `steps` counts explored
-/// merge candidates; exceeding `step_cap` throws ResourceExhausted so the
-/// caller can fall back to the heuristic ladder.
-void bounded_exhaustive_rec(DecompTree& t, std::vector<int>& active,
-                            int max_height, const DecompModel& model,
-                            double acc, double& best_cost,
-                            std::vector<std::pair<int, int>>& merges,
-                            std::vector<std::pair<int, int>>& best_merges,
-                            std::size_t& steps, std::size_t step_cap) {
-  if (active.size() == 1) {
-    if (acc < best_cost) {
-      best_cost = acc;
-      best_merges = merges;
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    for (std::size_t j = i + 1; j < active.size(); ++j) {
-      if (++steps > step_cap)
-        throw ResourceExhausted(
-            "exact-overrun", "exact bounded-height search exceeded " +
-                                 std::to_string(step_cap) + " steps");
-      const int a = active[i];
-      const int b = active[j];
-      const auto& na = t.nodes[static_cast<std::size_t>(a)];
-      const auto& nb = t.nodes[static_cast<std::size_t>(b)];
-      const int h = 1 + std::max(na.height, nb.height);
-      if (h > max_height) continue;
-      const double w = model.merge_prob(na.prob, nb.prob);
-      const double cost = acc + model.activity(w);
-      if (cost >= best_cost) continue;
-      // Remaining subtrees must still complete within the bound.
-      std::vector<int> next;
-      std::vector<int> hs;
-      for (std::size_t k = 0; k < active.size(); ++k)
-        if (k != i && k != j) {
-          next.push_back(active[k]);
-          hs.push_back(t.nodes[static_cast<std::size_t>(active[k])].height);
-        }
-      hs.push_back(h);
-      if (completion_height(std::move(hs)) > max_height) continue;
-
-      DecompTree::TNode parent;
-      parent.left = a;
-      parent.right = b;
-      parent.prob = w;
-      parent.height = h;
-      t.nodes.push_back(parent);
-      next.push_back(static_cast<int>(t.nodes.size()) - 1);
-      merges.emplace_back(a, b);
-      bounded_exhaustive_rec(t, next, max_height, model, cost, best_cost,
-                             merges, best_merges, steps, step_cap);
-      merges.pop_back();
-      t.nodes.pop_back();
-    }
-  }
 }
 
 }  // namespace
@@ -246,7 +129,9 @@ DecompTree bounded_height_minpower_tree(const std::vector<double>& leaf_probs,
   MP_CHECK(n >= 1);
   MP_CHECK_MSG(max_height >= balanced_height(n),
                "height bound below ceil(log2 n) is infeasible");
-  if (n <= 2) return bounded_greedy_once(leaf_probs, max_height, model);
+  const DecompTree leaves = DecompTree::leaves(leaf_probs);
+  IndependentSignals signals{model};
+  if (n <= 2) return greedy_tree(leaves, signals, completes_within(max_height));
 
   if (n <= 6) {
     // Small fanins (the common case after technology-independent
@@ -257,39 +142,8 @@ DecompTree bounded_height_minpower_tree(const std::vector<double>& leaf_probs,
     if (const Budget* b = Budget::current(); b && b->injected("exact-overrun"))
       step_cap = 0;
     try {
-      DecompTree t;
-      t.num_leaves = n;
-      std::vector<int> active;
-      for (int i = 0; i < n; ++i) {
-        DecompTree::TNode leaf;
-        leaf.leaf = i;
-        leaf.prob = leaf_probs[static_cast<std::size_t>(i)];
-        t.nodes.push_back(leaf);
-        active.push_back(i);
-      }
-      double best_cost = std::numeric_limits<double>::infinity();
-      std::vector<std::pair<int, int>> merges;
-      std::vector<std::pair<int, int>> best_merges;
-      std::size_t steps = 0;
-      bounded_exhaustive_rec(t, active, max_height, model, 0.0, best_cost,
-                             merges, best_merges, steps, step_cap);
-      MP_CHECK(!best_merges.empty());
-      t.nodes.resize(static_cast<std::size_t>(n));
-      for (const auto& [a, b] : best_merges) {
-        DecompTree::TNode parent;
-        parent.left = a;
-        parent.right = b;
-        parent.prob =
-            model.merge_prob(t.nodes[static_cast<std::size_t>(a)].prob,
-                             t.nodes[static_cast<std::size_t>(b)].prob);
-        parent.height =
-            1 + std::max(t.nodes[static_cast<std::size_t>(a)].height,
-                         t.nodes[static_cast<std::size_t>(b)].height);
-        t.nodes.push_back(parent);
-      }
-      t.root = static_cast<int>(t.nodes.size()) - 1;
-      MP_CHECK(t.height() <= max_height);
-      return t;
+      return exhaustive_tree(leaves, signals, completes_within(max_height),
+                             step_cap);
     } catch (const ResourceExhausted&) {
       ++exact_fallback_slot();
     }
@@ -315,11 +169,10 @@ DecompTree bounded_height_minpower_tree(const std::vector<double>& leaf_probs,
     }
   };
   for (int bound = balanced_height(n); bound <= max_height; ++bound)
-    consider(bounded_greedy_once(leaf_probs, bound, model));
+    consider(greedy_tree(leaves, signals, completes_within(bound)));
   consider(model.huffman_optimal() ? huffman_tree(leaf_probs, model)
                                    : modified_huffman_tree(leaf_probs, model));
   MP_CHECK(have);
-  annotate(best, model, leaf_probs);
   return best;
 }
 

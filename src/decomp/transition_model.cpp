@@ -1,11 +1,8 @@
 #include "decomp/transition_model.hpp"
 
-#include <algorithm>
 #include <functional>
-#include <limits>
-#include <string>
 
-#include "util/budget.hpp"
+#include "decomp/search.hpp"
 
 namespace minpower {
 
@@ -28,136 +25,44 @@ SignalTransition merge_transitions(const SignalTransition& a,
 
 namespace {
 
-struct Item {
-  SignalTransition state;
-  int node;  // DecompTree node index
+/// Lag-one signals (Eqs. 10/11): a node's state is its transition
+/// distribution, F its exact activity w01 + w10.
+struct TransitionSignals {
+  GateType gate;
+  std::vector<SignalTransition> state;  // by tree-node id
+
+  SignalTransition merged(int a, int b) const {
+    return merge_transitions(state[static_cast<std::size_t>(a)],
+                             state[static_cast<std::size_t>(b)], gate);
+  }
+  double cost(const DecompTree&, int a, int b) const {
+    return merged(a, b).activity();
+  }
+  double merge(const DecompTree&, int a, int b, const std::vector<int>&) {
+    state.push_back(merged(a, b));
+    return state.back().p1();
+  }
+  void unmerge() { state.pop_back(); }
 };
 
-DecompTree init_tree(const std::vector<SignalTransition>& leaves) {
-  DecompTree t;
-  t.num_leaves = static_cast<int>(leaves.size());
-  for (int i = 0; i < t.num_leaves; ++i) {
-    DecompTree::TNode leaf;
-    leaf.leaf = i;
-    leaf.prob = leaves[static_cast<std::size_t>(i)].p1();
-    t.nodes.push_back(leaf);
-  }
-  return t;
-}
-
-int add_merge(DecompTree& t, int a, int b, const SignalTransition& s) {
-  DecompTree::TNode parent;
-  parent.left = a;
-  parent.right = b;
-  parent.prob = s.p1();
-  parent.height = 1 + std::max(t.nodes[static_cast<std::size_t>(a)].height,
-                               t.nodes[static_cast<std::size_t>(b)].height);
-  t.nodes.push_back(parent);
-  return static_cast<int>(t.nodes.size()) - 1;
+DecompTree leaf_tree(const std::vector<SignalTransition>& leaves) {
+  std::vector<double> p1;
+  for (const SignalTransition& s : leaves) p1.push_back(s.p1());
+  return DecompTree::leaves(p1);
 }
 
 }  // namespace
 
 DecompTree modified_huffman_transitions(
     const std::vector<SignalTransition>& leaves, GateType gate) {
-  MP_CHECK(!leaves.empty());
-  DecompTree t = init_tree(leaves);
-  if (t.num_leaves == 1) {
-    t.root = 0;
-    return t;
-  }
-  std::vector<Item> active;
-  for (int i = 0; i < t.num_leaves; ++i)
-    active.push_back({leaves[static_cast<std::size_t>(i)], i});
-
-  while (active.size() > 1) {
-    std::size_t bi = 0;
-    std::size_t bj = 1;
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < active.size(); ++i)
-      for (std::size_t j = i + 1; j < active.size(); ++j) {
-        const double f =
-            merge_transitions(active[i].state, active[j].state, gate)
-                .activity();
-        if (f < best) {
-          best = f;
-          bi = i;
-          bj = j;
-        }
-      }
-    const SignalTransition merged =
-        merge_transitions(active[bi].state, active[bj].state, gate);
-    const int node = add_merge(t, active[bi].node, active[bj].node, merged);
-    // Erase the higher index first.
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(bj));
-    active.erase(active.begin() + static_cast<std::ptrdiff_t>(bi));
-    active.push_back({merged, node});
-  }
-  t.root = active.front().node;
-  return t;
+  TransitionSignals signals{gate, leaves};
+  return greedy_tree(leaf_tree(leaves), signals);
 }
 
 DecompTree best_tree_exhaustive_transitions(
     const std::vector<SignalTransition>& leaves, GateType gate) {
-  MP_CHECK(!leaves.empty());
-  if (leaves.size() > 9)
-    throw ResourceExhausted(
-        "exhaustive-tree", "exhaustive search limited to 9 leaves (got " +
-                               std::to_string(leaves.size()) + ")");
-  DecompTree t = init_tree(leaves);
-  if (t.num_leaves == 1) {
-    t.root = 0;
-    return t;
-  }
-
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<int, int>> best_merges;
-  std::vector<std::pair<int, int>> merges;
-  std::vector<Item> init;
-  for (int i = 0; i < t.num_leaves; ++i)
-    init.push_back({leaves[static_cast<std::size_t>(i)], i});
-
-  // Node indices in the scratch recursion are symbolic: we track merges by
-  // the pair of item positions translated to eventual tree node ids on
-  // replay, so the recursion only carries states.
-  const std::function<void(std::vector<Item>, double, int)> rec =
-      [&](std::vector<Item> items, double acc, int next_id) {
-        if (items.size() == 1) {
-          if (acc < best_cost) {
-            best_cost = acc;
-            best_merges = merges;
-          }
-          return;
-        }
-        for (std::size_t i = 0; i < items.size(); ++i)
-          for (std::size_t j = i + 1; j < items.size(); ++j) {
-            const SignalTransition m =
-                merge_transitions(items[i].state, items[j].state, gate);
-            const double cost = acc + m.activity();
-            if (cost >= best_cost) continue;
-            std::vector<Item> next;
-            for (std::size_t k = 0; k < items.size(); ++k)
-              if (k != i && k != j) next.push_back(items[k]);
-            next.push_back({m, next_id});
-            merges.emplace_back(items[i].node, items[j].node);
-            rec(std::move(next), cost, next_id + 1);
-            merges.pop_back();
-          }
-      };
-  rec(init, 0.0, t.num_leaves);
-  MP_CHECK(!best_merges.empty());
-
-  // Replay.
-  std::vector<SignalTransition> state(leaves);
-  for (const auto& [a, b] : best_merges) {
-    const SignalTransition m = merge_transitions(
-        state[static_cast<std::size_t>(a)], state[static_cast<std::size_t>(b)],
-        gate);
-    state.push_back(m);
-    add_merge(t, a, b, m);
-  }
-  t.root = static_cast<int>(t.nodes.size()) - 1;
-  return t;
+  TransitionSignals signals{gate, leaves};
+  return exhaustive_tree(leaf_tree(leaves), signals);
 }
 
 double tree_transition_activity(const DecompTree& tree,

@@ -34,14 +34,28 @@ double DecompTree::internal_cost(const DecompModel& model,
   return cost;
 }
 
-DecompTree DecompTree::single_leaf(double prob) {
+int DecompTree::add_parent(int a, int b, double prob) {
+  TNode parent;
+  parent.left = a;
+  parent.right = b;
+  parent.prob = prob;
+  parent.height = 1 + std::max(nodes[static_cast<std::size_t>(a)].height,
+                               nodes[static_cast<std::size_t>(b)].height);
+  nodes.push_back(parent);
+  return static_cast<int>(nodes.size()) - 1;
+}
+
+DecompTree DecompTree::leaves(const std::vector<double>& probs) {
+  MP_CHECK(!probs.empty());
   DecompTree t;
-  t.num_leaves = 1;
-  TNode n;
-  n.leaf = 0;
-  n.prob = prob;
-  t.nodes.push_back(n);
-  t.root = 0;
+  t.num_leaves = static_cast<int>(probs.size());
+  for (int i = 0; i < t.num_leaves; ++i) {
+    TNode leaf;
+    leaf.leaf = i;
+    leaf.prob = probs[static_cast<std::size_t>(i)];
+    t.nodes.push_back(leaf);
+  }
+  if (t.num_leaves == 1) t.root = 0;
   return t;
 }
 
@@ -80,12 +94,10 @@ void annotate(DecompTree& tree, const DecompModel& model,
 
 DecompTree tree_from_levels(const std::vector<int>& levels) {
   const int n = static_cast<int>(levels.size());
-  MP_CHECK(n >= 1);
-  DecompTree t;
-  t.num_leaves = n;
+  DecompTree t = DecompTree::leaves(std::vector<double>(levels.size(), 0.0));
   if (n == 1) {
     MP_CHECK(levels[0] == 0);
-    return DecompTree::single_leaf(0.0);
+    return t;
   }
   // Kraft equality check.
   const int max_level = *std::max_element(levels.begin(), levels.end());
@@ -99,27 +111,15 @@ DecompTree tree_from_levels(const std::vector<int>& levels) {
 
   // Bucket leaves by level, then combine pairwise from the deepest level up.
   std::vector<std::vector<int>> at_level(static_cast<std::size_t>(max_level) + 1);
-  for (int i = 0; i < n; ++i) {
-    DecompTree::TNode leaf;
-    leaf.leaf = i;
-    t.nodes.push_back(leaf);
+  for (int i = 0; i < n; ++i)
     at_level[static_cast<std::size_t>(levels[static_cast<std::size_t>(i)])]
-        .push_back(static_cast<int>(t.nodes.size()) - 1);
-  }
+        .push_back(i);
   for (int l = max_level; l >= 1; --l) {
     auto& bucket = at_level[static_cast<std::size_t>(l)];
     MP_CHECK(bucket.size() % 2 == 0);
-    for (std::size_t i = 0; i + 1 < bucket.size(); i += 2) {
-      DecompTree::TNode parent;
-      parent.left = bucket[i];
-      parent.right = bucket[i + 1];
-      parent.height =
-          1 + std::max(t.nodes[static_cast<std::size_t>(bucket[i])].height,
-                       t.nodes[static_cast<std::size_t>(bucket[i + 1])].height);
-      t.nodes.push_back(parent);
+    for (std::size_t i = 0; i + 1 < bucket.size(); i += 2)
       at_level[static_cast<std::size_t>(l) - 1].push_back(
-          static_cast<int>(t.nodes.size()) - 1);
-    }
+          t.add_parent(bucket[i], bucket[i + 1], 0.0));
     bucket.clear();
   }
   MP_CHECK(at_level[0].size() == 1);

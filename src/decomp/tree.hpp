@@ -25,6 +25,10 @@ struct DecompTree {
   int num_leaves = 0;
 
   int height() const { return root < 0 ? 0 : nodes[static_cast<std::size_t>(root)].height; }
+  double prob(int id) const { return nodes[static_cast<std::size_t>(id)].prob; }
+
+  /// Append the parent of nodes a (left) and b (right); returns its id.
+  int add_parent(int a, int b, double prob);
 
   /// Depth of each leaf (root at depth 0).
   std::vector<int> leaf_depths() const;
@@ -34,8 +38,10 @@ struct DecompTree {
   double internal_cost(const DecompModel& model,
                        const std::vector<double>& leaf_probs) const;
 
-  /// A single-leaf tree (degenerate; no internal nodes).
-  static DecompTree single_leaf(double prob);
+  /// The leaves alone, leaf i with 1-probability probs[i]; the root is set
+  /// only for a single leaf.
+  static DecompTree leaves(const std::vector<double>& probs);
+  static DecompTree single_leaf(double prob) { return leaves({prob}); }
 };
 
 /// Rebuild node probabilities/heights bottom-up (after structural surgery).

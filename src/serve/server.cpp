@@ -287,6 +287,7 @@ void Server::accept_loop() {
     if (draining_.load(std::memory_order_acquire)) {
       // Accept raced the drain transition: structured retryable refusal.
       drain_rejections_.fetch_add(1, std::memory_order_relaxed);
+      metrics::counter("serve.drain_rejections").add(1);
       send_error(fd, "server draining; retry later", 0, /*retryable=*/true);
       close_fd(fd);
       continue;
@@ -358,6 +359,7 @@ void Server::serve_connection(int fd) {
         // A request sent from here on would go unanswered; tell the idle
         // client to come back once the server is, instead of going silent.
         drain_rejections_.fetch_add(1, std::memory_order_relaxed);
+        metrics::counter("serve.drain_rejections").add(1);
         send_error(fd, "server draining; retry later", 0, /*retryable=*/true);
         break;
       }

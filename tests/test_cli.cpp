@@ -239,6 +239,21 @@ TEST(Cli, UnknownOptionIsFatal) {
                        "unknown option --threds");
   expect_clean_failure("compare " + base + " " + base + " --qor-onyl",
                        "unknown option --qor-onyl");
+  // A flag that only another subcommand reads is refused, not ignored.
+  expect_clean_failure("stats " + blif + " --qor-only --shards 3",
+                       "option --qor-only does not apply to stats");
+  expect_clean_failure("decomp " + blif + " --threads 2",
+                       "option --threads does not apply to decomp");
+  expect_clean_failure("compare " + base + " " + base + " --bounded",
+                       "option --bounded does not apply to compare");
+  expect_clean_failure("verify --count 1 --shards 2",
+                       "option --shards does not apply to verify");
+  expect_clean_failure("bench s208 --genlib x.genlib",
+                       "option --genlib does not apply to bench");
+  EXPECT_EQ(run_cli("decomp " + blif + " -a balanced --bounded -o " +
+                    ::testing::TempDir() + "mp_cli_decomp.blif")
+                .exit_code,
+            0);
 }
 
 // `profile --diff` sets two traces side by side: the wall and every phase,

@@ -16,7 +16,7 @@ void expect_realizes(const Cover& cover, int k, const NodeDecomp& plan) {
   Network net("realize");
   std::vector<NodeId> pis;
   for (int i = 0; i < k; ++i) pis.push_back(net.add_pi("x" + std::to_string(i)));
-  const NodeId root = emit_node_decomp(net, pis, cover, plan);
+  const NodeId root = emit_node_decomp(net, pis, plan);
   net.add_po("f", root);
   net.check();
   EXPECT_TRUE(net.is_nand_network());
@@ -99,8 +99,8 @@ TEST(NodeDecomp, MinpowerActivityNoWorseThanBalanced) {
                                           DecompAlgorithm::kBalanced);
     const NodeDecomp mp = decompose_node(f, p, CircuitStyle::kDynamicP,
                                          DecompAlgorithm::kMinPower);
-    EXPECT_LE(plan_tree_activity(mp, f, p, CircuitStyle::kDynamicP),
-              plan_tree_activity(bal, f, p, CircuitStyle::kDynamicP) + 1e-9);
+    EXPECT_LE(plan_tree_activity(mp, p, CircuitStyle::kDynamicP),
+              plan_tree_activity(bal, p, CircuitStyle::kDynamicP) + 1e-9);
   }
 }
 

@@ -288,6 +288,8 @@ TEST(Serve, IdleConnectionsAreReaped) {
 }
 
 TEST(Serve, SignalDrainAnswersIdleConnectionsAndReleasesWait) {
+  const metrics::Counter& mirrored = metrics::counter("serve.drain_rejections");
+  const std::uint64_t mirrored_before = mirrored.value();
   auto* fx = new ServeFixture();
   const int fd = serve::tcp_connect("127.0.0.1", fx->server.port(), nullptr);
   ASSERT_GE(fd, 0);
@@ -309,6 +311,8 @@ TEST(Serve, SignalDrainAnswersIdleConnectionsAndReleasesWait) {
   fx->server.wait();  // drain releases wait() without a SHUTDOWN request
   EXPECT_TRUE(fx->server.draining());
   EXPECT_GE(fx->server.stats().drain_rejections, 1u);
+  EXPECT_EQ(mirrored.value() - mirrored_before,
+            fx->server.stats().drain_rejections);
   delete fx;
 }
 

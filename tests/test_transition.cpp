@@ -361,7 +361,7 @@ TEST(DecomposeNodeTransitions, RealizesFunction) {
     std::vector<NodeId> pis;
     for (int i = 0; i < k; ++i)
       pis.push_back(net.add_pi("x" + std::to_string(i)));
-    const NodeId root = emit_node_decomp(net, pis, f, plan);
+    const NodeId root = emit_node_decomp(net, pis, plan);
     net.add_po("f", root);
     for (std::uint64_t m = 0; m < (std::uint64_t{1} << k); ++m) {
       std::vector<bool> in(static_cast<std::size_t>(k));

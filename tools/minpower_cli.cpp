@@ -215,10 +215,56 @@ struct Args {
   throw std::runtime_error(message);
 }
 
-Args parse_args(int argc, char** argv, int first) {
+/// Each subcommand and the flags it reads. A flag another subcommand reads
+/// is refused rather than ignored, so a misplaced flag cannot do nothing.
+struct Command {
+  const char* name;
+  const char* flags;  // space-separated
+};
+constexpr Command kCommands[] = {
+    {"stats", ""},
+    {"opt", "-o --power"},
+    {"decomp", "-o -a --style --bounded"},
+    {"map", "-o --genlib -O --style --relax --resize --sim --seq"},
+    {"flow",
+     "--genlib --threads --json --deadline-ms --bdd-limit --trace "
+     "--metrics-out --verbose --mem-limit-mb --map-curve-cap --shards "
+     "--journal --resume --shard-retries --backoff-ms --heartbeat-ms "
+     "--heartbeat-timeout-ms"},
+    {"verify", "--json --seed --count"},
+    {"bench", "-o --seed --scale --help"},
+    {"profile", "--json --top --diff"},
+    {"compare", "--json --time-band --require-all --qor-only"},
+    {"trend", "--json --time-band --baseline --mem-band --slope-band"},
+    {"serve",
+     "--genlib --deadline-ms --bdd-limit --verbose --access-log --port "
+     "--host --workers --idle-timeout-ms"},
+    {"client",
+     "--json --deadline-ms --bdd-limit --port --host --stats --shutdown "
+     "--retries --retry-ms --timeout-ms"},
+};
+
+bool reads_flag(const Command& c, const std::string& flag) {
+  const std::string flags = std::string(" ") + c.flags + " ";
+  return flags.find(" " + flag + " ") != std::string::npos;
+}
+
+const Command* find_command(const std::string& name) {
+  for (const Command& c : kCommands)
+    if (name == c.name) return &c;
+  return nullptr;
+}
+
+Args parse_args(const Command& command, int argc, char** argv, int first) {
   Args a;
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg.size() > 1 && arg[0] == '-' && !reads_flag(command, arg)) {
+      for (const Command& c : kCommands)
+        if (reads_flag(c, arg))
+          fatal("option " + arg + " does not apply to " + command.name);
+      fatal("unknown option " + arg);
+    }
     auto value = [&](const char* flag) {
       if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
       return std::string(argv[++i]);
@@ -294,7 +340,6 @@ Args parse_args(int argc, char** argv, int first) {
     else if (arg == "--seq") a.sequential = true;
     else if (arg == "--diff") a.diff = true;
     else if (arg == "--help") a.help = true;
-    else if (arg.size() > 1 && arg[0] == '-') fatal("unknown option " + arg);
     else a.positional.push_back(arg);
   }
   return a;
@@ -922,7 +967,12 @@ int main(int argc, char** argv) {
   }
   try {
     const std::string cmd = argv[1];
-    const Args a = parse_args(argc, argv, 2);
+    const Command* command = find_command(cmd);
+    if (command == nullptr) {
+      std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
+      return 1;
+    }
+    const Args a = parse_args(*command, argc, argv, 2);
     if (cmd == "stats") return cmd_stats(a);
     if (cmd == "opt") return cmd_opt(a);
     if (cmd == "decomp") return cmd_decomp(a);
@@ -934,9 +984,7 @@ int main(int argc, char** argv) {
     if (cmd == "compare") return cmd_compare(a);
     if (cmd == "trend") return cmd_trend(a);
     if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "client") return cmd_client(a);
-    std::fprintf(stderr, "unknown subcommand: %s\n", cmd.c_str());
-    return 1;
+    return cmd_client(a);  // the one name kCommands has left
   } catch (const std::exception& e) {
     std::fprintf(stderr, "minpower: fatal: %s\n", e.what());
     return 1;
